@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		fsyncs   = fs.String("fsync", "always,interval", "with -net: comma-separated fsync policies to sweep")
 		netOps   = fs.Int("net-ops", 512, "with -net, -cluster, or -objects: operations per connection per cell")
 		clMode   = fs.Bool("cluster", false, "sweep the replication ack quorum (1 vs majority vs all) over an in-process 3-node cluster")
-		objMode  = fs.Bool("objects", false, "YCSB-style workload matrix over the kx05 typed-object store (mixes × key distributions)")
+		objMode  = fs.Bool("objects", false, "YCSB-style workload matrix over the typed-object store (mixes × key distributions)")
 		objDists = fs.String("obj-dists", "uniform,zipfian,hotshard", "with -objects: comma-separated key distributions")
 		objKeys  = fs.Int("obj-keys", 256, "with -objects: size of the key space")
 		short    = fs.Bool("short", false, "with -net, -cluster, or -objects: minimal smoke sweep (fewer drivers and ops)")

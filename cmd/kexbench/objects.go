@@ -16,7 +16,7 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// The -objects sweep is a YCSB-style workload matrix over the kx05
+// The -objects sweep is a YCSB-style workload matrix over the
 // typed-object store: the classic A/B/C read/update mixes plus an X
 // mix of cross-shard atomic transfers, each crossed with a key
 // distribution — uniform, zipfian (the YCSB default skew), and

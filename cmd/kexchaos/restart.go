@@ -149,10 +149,6 @@ func runRestart(out io.Writer, cfg restartConfig) error {
 			return fmt.Errorf("queue setup dial: %w", err)
 		}
 		qc.SetSession(qSession)
-		if !qc.SupportsObjects() {
-			qc.Close()
-			return fmt.Errorf("queue setup: server did not negotiate kx05 objects")
-		}
 		if res, err := qc.CreateOn(0, qName, object.TypeQueue, 0, 1); err != nil || !res.Found {
 			qc.Close()
 			return fmt.Errorf("queue setup create: %+v %v", res, err)

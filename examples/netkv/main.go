@@ -1,4 +1,4 @@
-// Netkv: the kx05 typed-object store in one sitting — named maps,
+// Netkv: the typed-object store in one sitting — named maps,
 // registers, queues, and atomic cross-shard groups over TCP.
 //
 // The demo runs four acts against one server:
@@ -104,9 +104,6 @@ func run() error {
 		return err
 	}
 	defer probe.Close()
-	if !probe.SupportsObjects() {
-		return fmt.Errorf("server at %s did not negotiate the kx05 object extension", target)
-	}
 
 	// Act 1: a named map, written concurrently. Creation is idempotent,
 	// so every client may race to create it.

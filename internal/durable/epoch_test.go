@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,21 +11,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// encodeOpV1 builds a legacy pre-epoch op body (recTypeOpV1), as written
-// by servers from before records carried epochs.
-func encodeOpV1(r Record) []byte {
-	body := make([]byte, opBodyLenV1)
-	body[0] = recTypeOpV1
-	binary.BigEndian.PutUint64(body[1:], r.Session)
-	binary.BigEndian.PutUint64(body[9:], r.Seq)
-	binary.BigEndian.PutUint32(body[17:], r.Shard)
-	body[21] = byte(r.Kind)
-	binary.BigEndian.PutUint64(body[22:], uint64(r.Arg))
-	binary.BigEndian.PutUint64(body[30:], uint64(r.Val))
-	binary.BigEndian.PutUint64(body[38:], r.Ver)
-	return appendFrame(nil, body)
-}
 
 func TestOpRecordEpochRoundTrip(t *testing.T) {
 	want := Record{
@@ -42,30 +28,9 @@ func TestOpRecordEpochRoundTrip(t *testing.T) {
 	if err != nil || isRestart {
 		t.Fatalf("parse: restart=%v err=%v", isRestart, err)
 	}
-	want.OK = true // legacy kinds decode with an OK verdict
+	want.OK = true // root-register kinds decode with an OK verdict
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
-	}
-}
-
-func TestOpRecordLegacyDecodesEpochZero(t *testing.T) {
-	legacy := Record{
-		Session: 7, Seq: 9, Shard: 3, Kind: OpAdd, Arg: 2, Val: 6, Ver: 12,
-	}
-	body, _, err := decodeFrame(encodeOpV1(legacy), maxBody)
-	if err != nil {
-		t.Fatalf("decode frame: %v", err)
-	}
-	got, isRestart, err := parseBody(body)
-	if err != nil || isRestart {
-		t.Fatalf("parse: restart=%v err=%v", isRestart, err)
-	}
-	if got.Epoch != 0 {
-		t.Fatalf("legacy record decoded with epoch %d, want 0", got.Epoch)
-	}
-	legacy.OK = true
-	if !reflect.DeepEqual(got, legacy) {
-		t.Fatalf("round trip: got %+v, want %+v", got, legacy)
 	}
 }
 
@@ -91,39 +56,77 @@ func TestStateImageEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSnapshotV2 builds a legacy pre-epoch snapshot body (type 4):
-// same layout as the current one minus the per-shard epoch field.
-func encodeSnapshotV2(cover, markers uint64, shards map[uint32]ShardState) []byte {
-	ids := make([]uint32, 0, len(shards))
-	for id := range shards {
-		ids = append(ids, id)
+// TestRetiredLayoutsAreCorrupt: body types 1 (pre-epoch op), 3, 4 and 6
+// (pre-pipelining, pre-epoch and pre-object snapshots) are no longer
+// layouts. Well-formed bodies of each — exactly what the old writers
+// produced — answer errCorrupt from both decoders, like any unknown
+// type byte.
+func TestRetiredLayoutsAreCorrupt(t *testing.T) {
+	opV1 := EncodeRecordBody(Record{Session: 7, Seq: 9, Shard: 3, Kind: OpAdd, Arg: 2, Val: 6, Ver: 12})
+	opV1 = append([]byte{1}, opV1[1:len(opV1)-8]...) // type 1: the type-5 body minus its epoch
+
+	snap := func(typ byte, epoch bool) []byte {
+		body := []byte{typ}
+		body = binary.BigEndian.AppendUint64(body, 17) // cover
+		body = binary.BigEndian.AppendUint64(body, 4)  // markers
+		body = binary.BigEndian.AppendUint32(body, 1)  // one shard
+		body = binary.BigEndian.AppendUint32(body, 2)  // id
+		if epoch {
+			body = binary.BigEndian.AppendUint64(body, 1)
+		}
+		body = binary.BigEndian.AppendUint64(body, 8)  // ver
+		body = binary.BigEndian.AppendUint64(body, 80) // val
+		return binary.BigEndian.AppendUint32(body, 0)  // no dedup entries, no object table
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	body := []byte{recTypeSnapshotV2}
-	body = binary.BigEndian.AppendUint64(body, cover)
-	body = binary.BigEndian.AppendUint64(body, markers)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
-	for _, id := range ids {
-		s := shards[id]
-		body = binary.BigEndian.AppendUint32(body, id)
-		body = binary.BigEndian.AppendUint64(body, s.Ver)
-		body = binary.BigEndian.AppendUint64(body, uint64(s.Val))
-		body = binary.BigEndian.AppendUint32(body, 0) // no dedup entries
+	for typ, body := range map[byte][]byte{1: opV1, 3: snap(3, false), 4: snap(4, false), 6: snap(6, true)} {
+		if _, _, err := parseBody(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("parseBody(type %d) = %v, want errCorrupt", typ, err)
+		}
+		if _, err := ParseRecordBody(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("ParseRecordBody(type %d) = %v, want errCorrupt", typ, err)
+		}
+		if _, _, _, err := decodeSnapshot(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("decodeSnapshot(type %d) = %v, want errCorrupt", typ, err)
+		}
 	}
-	return body
 }
 
-func TestSnapshotLegacyDecodesEpochZero(t *testing.T) {
-	legacy := map[uint32]ShardState{2: {Ver: 8, Val: 80}}
-	cover, markers, got, err := decodeSnapshot(encodeSnapshotV2(17, 4, legacy))
-	if err != nil {
-		t.Fatalf("decode legacy snapshot: %v", err)
-	}
-	if cover != 17 || markers != 4 {
-		t.Fatalf("header: cover=%d markers=%d", cover, markers)
-	}
-	if g := got[2]; g.Epoch != 0 || g.Ver != 8 || g.Val != 80 {
-		t.Fatalf("shard 2: %+v", g)
+// TestLayoutsGolden pins the five body layouts something writes —
+// restart 2, root-register op 5, snapshot 7, object op 8, atomic 9 —
+// byte for byte: a data directory written before a change to this
+// package must recover after it.
+func TestLayoutsGolden(t *testing.T) {
+	reg := Record{Session: 0xAABB, Seq: 9, Shard: 3, Kind: OpAdd, Arg: -2, Val: 40, Ver: 12, Epoch: 1}
+	obj := Record{Session: 0xAABB, Seq: 10, Shard: 1, Kind: OpMapCAS, Arg: 6, Arg2: 5, Val: 6,
+		Ver: 13, Epoch: 1, OK: true, Obj: "m", Key: "k1"}
+	const wantReg = "05" + "000000000000aabb" + "0000000000000009" + "00000003" + "01" +
+		"fffffffffffffffe" + "0000000000000028" + "000000000000000c" + "0000000000000001"
+	wantObj := "08" + "000000000000aabb" + "000000000000000a" + "00000001" +
+		hex.EncodeToString([]byte{byte(OpMapCAS)}) +
+		"0000000000000006" + "0000000000000005" + "0000000000000006" +
+		"000000000000000d" + "0000000000000001" + "01" + "01" + "0002" + "6d" + "6b31"
+	snapshot := encodeSnapshot(17, 4, map[uint32]ShardState{2: {Epoch: 1, Ver: 8, Val: 80,
+		Dedup: map[uint64]DedupEntry{0xAABB: {Seq: 3, Val: 80, Ver: 8, OK: true,
+			Recent: []DedupOp{{Seq: 2, Val: 79, Ver: 7}}}}}})
+	const wantSnap = "07" + "0000000000000011" + "0000000000000004" + "00000001" +
+		"00000002" + "0000000000000001" + "0000000000000008" + "0000000000000050" + "00000001" +
+		"000000000000aabb" + "00000002" +
+		"0000000000000003" + "0000000000000050" + "0000000000000008" + "01" +
+		"0000000000000002" + "000000000000004f" + "0000000000000007" + "00" +
+		"00000000" // empty object table
+	for name, tc := range map[string]struct {
+		got  []byte
+		want string
+	}{
+		"restart":  {encodeRestart()[recHeaderLen:], "02"},
+		"register": {EncodeRecordBody(reg), wantReg},
+		"object":   {EncodeRecordBody(obj), wantObj},
+		"atomic":   {EncodeRecordBody(Record{Atomic: []Record{reg, obj}}), "09" + "0002" + "0036" + wantReg + "0045" + wantObj},
+		"snapshot": {snapshot, wantSnap},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s layout moved:\n got  %s\n want %s", name, got, tc.want)
+		}
 	}
 }
 

@@ -6,14 +6,28 @@ import (
 	"testing"
 )
 
-// FuzzRecordDecode hammers the WAL record decoder with arbitrary
-// bytes: it must never panic, never over-read, and never mis-decode —
-// any frame it accepts must re-encode to the identical bytes (the
-// encoding is canonical: fixed-width fields, no padding freedom).
+// FuzzRecordDecode hammers the WAL record and snapshot decoders with
+// arbitrary bytes: they must never panic, never over-read, and never
+// mis-decode — any record frame accepted must re-encode to the
+// identical bytes (the encoding is canonical: fixed-width fields, no
+// padding freedom). The seeds are one of each layout something writes
+// (2, 5, 7, 8, 9) plus the retired type bytes (1, 3, 4, 6), which must
+// answer errCorrupt.
 func FuzzRecordDecode(f *testing.F) {
-	f.Add(encodeOp(Record{Session: 7, Seq: 3, Shard: 2, Kind: OpAdd, Arg: -5, Val: 37, Ver: 12}))
+	reg := Record{Session: 7, Seq: 3, Shard: 2, Kind: OpAdd, Arg: -5, Val: 37, Ver: 12, Epoch: 1}
+	obj := Record{Session: 7, Seq: 4, Shard: 1, Kind: OpMapCAS, Arg: 6, Arg2: 5, Val: 6, Ver: 13, OK: true, Obj: "m", Key: "k"}
+	f.Add(encodeOp(reg))
 	f.Add(encodeOp(Record{Session: 0, Seq: 0, Shard: 0, Kind: OpSet, Arg: 1 << 60, Val: 1 << 60, Ver: 1}))
+	f.Add(encodeOp(obj))
+	f.Add(encodeOp(Record{Atomic: []Record{reg, obj}}))
 	f.Add(encodeRestart())
+	f.Add(appendFrame(nil, encodeSnapshot(9, 1, map[uint32]ShardState{2: {Ver: 8, Val: 80,
+		Dedup: map[uint64]DedupEntry{7: {Seq: 3, Val: 80, Ver: 8, OK: true}}}})))
+	for _, retired := range []byte{1, 3, 4, 6} {
+		body := EncodeRecordBody(reg)
+		body[0] = retired
+		f.Add(appendFrame(nil, body))
+	}
 	f.Add(encodeOp(Record{Kind: OpAdd, Val: 1, Ver: 1})[:20])     // torn body
 	f.Add([]byte{0, 0, 0, 1, 0xba, 0xdc, 0x0f, 0xee, 0x01})       // bad CRC
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 2, 3}) // absurd length
@@ -33,6 +47,9 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 			if sz <= 0 || off+sz > len(data) {
 				t.Fatalf("decodeFrame consumed %d of %d available bytes", sz, len(data)-off)
+			}
+			if _, _, _, err := decodeSnapshot(body); err != nil && !errors.Is(err, errCorrupt) {
+				t.Fatalf("decodeSnapshot: untyped error %v", err)
 			}
 			rec, isRestart, err := parseBody(body)
 			if err != nil {

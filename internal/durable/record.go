@@ -53,7 +53,7 @@ const (
 	OpAdd OpKind = 1
 	// OpSet overwrites the shard value with Arg.
 	OpSet OpKind = 2
-	// OpCreate creates named object Obj of type Arg (kx05). For
+	// OpCreate creates named object Obj of type Arg. For
 	// snapshot objects Arg2 is the slot count. Idempotent per type.
 	OpCreate OpKind = 3
 	// OpMapPut stores Arg under Key in map Obj.
@@ -131,12 +131,10 @@ type Record struct {
 	// Epoch is the shard's failover epoch when the mutation applied
 	// (see ShardState.Epoch). Replay and replication order records by
 	// (Epoch, Ver): a record from a lower epoch than the state it
-	// meets is a discarded fork, never data. Records written before
-	// epochs existed decode as epoch 0.
+	// meets is a discarded fork, never data.
 	Epoch uint64
-	// Obj and Key address a named object and map key (kx05 kinds;
-	// empty for the legacy root-register kinds, which keep their
-	// byte-identical legacy record layout).
+	// Obj and Key address a named object and map key (empty for the
+	// root-register kinds, which have their own fixed-width layout).
 	Obj string
 	Key string
 	// Arg2 is the secondary argument (cas expected value, snapshot
@@ -154,22 +152,20 @@ type Record struct {
 // Record framing: [4-byte big-endian body length][4-byte CRC-32C of
 // body][body]. The body opens with a type byte.
 const (
-	recHeaderLen   = 8
-	recTypeOpV1    = 1 // an applied mutation, pre-epoch layout (opBodyLenV1 bytes)
+	recHeaderLen = 8
+	// The type bytes. WAL and snapshot frames share one type-byte space
+	// so a snapshot body can never be mistaken for a log record. 1, 3, 4
+	// and 6 are retired, not free: a new layout must take a new number,
+	// so they keep answering errCorrupt like any unknown type.
 	recTypeRestart = 2 // a process (re)start marker (1 byte)
-	// 3 and 4 are snapshot body types (see snapshot.go); WAL and
-	// snapshot frames share one type-byte space so a snapshot body can
-	// never be mistaken for a log record.
-	recTypeOp = 5 // an applied mutation with its epoch (opBodyLen bytes)
-	// 6 is the current snapshot body type and 7 its object-table
-	// successor (see snapshot.go).
-	recTypeObjOp  = 8 // a typed-object mutation (opObjBodyLen fixed bytes + name + key)
-	recTypeAtomic = 9 // an atomic group: [type][u16 count] then count × [u16 len][op body]
+	recTypeOp      = 5 // a root-register mutation (opBodyLen bytes)
+	recTypeSnapObj = 7 // a snapshot body (see snapshot.go)
+	recTypeObjOp   = 8 // a typed-object mutation (opObjBodyLen fixed bytes + name + key)
+	recTypeAtomic  = 9 // an atomic group: [type][u16 count] then count × [u16 len][op body]
 
-	// opBodyLenV1: type + session + seq + shard + kind + arg + val + ver.
-	opBodyLenV1 = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8
-	// opBodyLen appends the 8-byte epoch.
-	opBodyLen = opBodyLenV1 + 8
+	// opBodyLen: type + session + seq + shard + kind + arg + val + ver +
+	// epoch.
+	opBodyLen = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8
 	// opObjBodyLen is the fixed prefix of a typed-object record: type +
 	// session + seq + shard + kind + arg + arg2 + val + ver + epoch +
 	// ok + nameLen(u8) + keyLen(u16); name and key bytes follow.
@@ -231,10 +227,10 @@ func encodeOp(r Record) []byte {
 }
 
 // EncodeRecordBody serializes an op record body without the CRC frame
-// — the shared codec for WAL appends and replication shipping. Legacy
-// root-register kinds keep the pre-kx05 layout byte-for-byte; typed
-// kinds use the object layout; a record with Atomic set becomes one
-// atomic-group body.
+// — the shared codec for WAL appends and replication shipping.
+// Root-register kinds use the fixed-width type-5 layout, typed kinds
+// the object layout; a record with Atomic set becomes one atomic-group
+// body.
 func EncodeRecordBody(r Record) []byte {
 	if len(r.Atomic) > 0 {
 		body := []byte{recTypeAtomic}
@@ -246,12 +242,10 @@ func EncodeRecordBody(r Record) []byte {
 		}
 		return body
 	}
-	// Legacy register kinds always succeed (applyOp has no rejecting
-	// path for add/set), so the OK-less legacy layout loses nothing:
-	// decode normalizes their OK to true.
+	// Root-register kinds always succeed (applyOp has no rejecting path
+	// for add/set), so the OK-less type-5 layout loses nothing: decode
+	// normalizes their OK to true.
 	if (r.Kind == OpAdd || r.Kind == OpSet) && r.Obj == "" && r.Key == "" && r.Arg2 == 0 {
-		// Legacy layout, unchanged: pre-kx05 WALs and this one stay
-		// interchangeable for register-only traffic.
 		body := make([]byte, opBodyLen)
 		body[0] = recTypeOp
 		binary.BigEndian.PutUint64(body[1:], r.Session)
@@ -312,13 +306,9 @@ func encodeRestart() []byte {
 // restart marker (restart reports ok with isRestart true).
 func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 	switch body[0] {
-	case recTypeOp, recTypeOpV1:
-		want := opBodyLen
-		if body[0] == recTypeOpV1 {
-			want = opBodyLenV1 // pre-epoch record: epoch decodes as 0
-		}
-		if len(body) != want {
-			return Record{}, false, fmt.Errorf("%w: op body is %d bytes, want %d", errCorrupt, len(body), want)
+	case recTypeOp:
+		if len(body) != opBodyLen {
+			return Record{}, false, fmt.Errorf("%w: op body is %d bytes, want %d", errCorrupt, len(body), opBodyLen)
 		}
 		rec = Record{
 			Session: binary.BigEndian.Uint64(body[1:]),
@@ -328,11 +318,9 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 			Arg:     int64(binary.BigEndian.Uint64(body[22:])),
 			Val:     int64(binary.BigEndian.Uint64(body[30:])),
 			Ver:     binary.BigEndian.Uint64(body[38:]),
+			Epoch:   binary.BigEndian.Uint64(body[46:]),
+			OK:      true, // root-register kinds always apply with an OK verdict
 		}
-		if body[0] == recTypeOp {
-			rec.Epoch = binary.BigEndian.Uint64(body[46:])
-		}
-		rec.OK = true // legacy kinds always applied with an OK verdict
 		if rec.Kind != OpAdd && rec.Kind != OpSet {
 			return Record{}, false, fmt.Errorf("%w: unknown op kind %d", errCorrupt, body[21])
 		}

@@ -20,14 +20,7 @@ import (
 //	    [named-object table — object.AppendTable bytes]
 //
 // Each dedup entry carries the session's recent-op history, newest
-// first (opCount ≥ 1; op 0 is the entry's inline newest). Three legacy
-// layouts still decode so a server upgraded in place recovers its old
-// snapshot: type 6 is the pre-kx05 layout (24-byte dedup ops with no
-// verdict byte — every recorded op decodes as OK — and no object
-// table), type 4 the pre-epoch layout (additionally no [8 epoch]
-// field — epochs start at 0) and type 3 the pre-pipelining one
-// (additionally one fixed 32-byte op per session; histories refill as
-// sessions mutate).
+// first (opCount ≥ 1; op 0 is the entry's inline newest).
 //
 // coverLSN is the log end captured BEFORE the shard images are read:
 // every record at or below it is reflected in the images; records
@@ -36,14 +29,9 @@ import (
 // live here because the markers themselves get pruned with their
 // segments.
 const (
-	recTypeSnapshotV1 = 3
-	recTypeSnapshotV2 = 4
-	recTypeSnapshot   = 6 // 5 is recTypeOp (WAL); one type-byte space
-	// recTypeSnapObj extends the type-6 layout for kx05: every dedup op
-	// gains a trailing [1 ok] verdict byte (25-byte ops) and every shard
-	// is followed by its named-object table (object.AppendTable bytes).
-	// 8 and 9 are WAL record types (record.go).
-	recTypeSnapObj = 7
+	snapShardHdr = 4 + 8 + 8 + 8 + 4 // [id][epoch][ver][val][dedupCount]
+	snapDedupHdr = 8 + 4             // [session][opCount]
+	snapOpSize   = 8 + 8 + 8 + 1     // [seq][val][ver][ok]
 )
 
 func encodeSnapshot(cover, markers uint64, shards map[uint32]ShardState) []byte {
@@ -100,21 +88,8 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 	fail := func(what string) (uint64, uint64, map[uint32]ShardState, error) {
 		return 0, 0, nil, fmt.Errorf("%w: snapshot %s", errCorrupt, what)
 	}
-	if len(body) < 21 ||
-		(body[0] != recTypeSnapObj && body[0] != recTypeSnapshot &&
-			body[0] != recTypeSnapshotV2 && body[0] != recTypeSnapshotV1) {
+	if len(body) < 21 || body[0] != recTypeSnapObj {
 		return fail("header malformed")
-	}
-	legacy := body[0] == recTypeSnapshotV1
-	hasEpoch := body[0] == recTypeSnapshot || body[0] == recTypeSnapObj
-	hasObjs := body[0] == recTypeSnapObj
-	opSize := 24 // [8 seq][8 val][8 ver]
-	if hasObjs {
-		opSize = 25 // + [1 ok]
-	}
-	shardHdr := 24 // [4 id][8 ver][8 val][4 dedupCount]
-	if hasEpoch {
-		shardHdr = 32 // + [8 epoch] after the id
 	}
 	cover = binary.BigEndian.Uint64(body[1:])
 	markers = binary.BigEndian.Uint64(body[9:])
@@ -124,85 +99,54 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 	// the remaining body cannot hold is corruption — checked BEFORE the
 	// count becomes a map allocation hint, or a CRC-valid but crafted
 	// frame could demand an allocation sized for 2^32 entries.
-	if nShards > (len(body)-off)/shardHdr {
+	if nShards > (len(body)-off)/snapShardHdr {
 		return fail("shard count exceeds body size")
+	}
+	readOp := func() DedupOp {
+		op := DedupOp{
+			Seq: binary.BigEndian.Uint64(body[off:]),
+			Val: int64(binary.BigEndian.Uint64(body[off+8:])),
+			Ver: binary.BigEndian.Uint64(body[off+16:]),
+			OK:  body[off+24] == 1,
+		}
+		off += snapOpSize
+		return op
 	}
 	shards = make(map[uint32]ShardState, nShards)
 	for i := 0; i < nShards; i++ {
-		if len(body)-off < shardHdr {
+		if len(body)-off < snapShardHdr {
 			return fail("shard header truncated")
 		}
 		id := binary.BigEndian.Uint32(body[off:])
-		off += 4
-		var s ShardState
-		if hasEpoch {
-			s.Epoch = binary.BigEndian.Uint64(body[off:])
-			off += 8
+		s := ShardState{
+			Epoch: binary.BigEndian.Uint64(body[off+4:]),
+			Ver:   binary.BigEndian.Uint64(body[off+12:]),
+			Val:   int64(binary.BigEndian.Uint64(body[off+20:])),
 		}
-		s.Ver = binary.BigEndian.Uint64(body[off:])
-		s.Val = int64(binary.BigEndian.Uint64(body[off+8:]))
-		nDedup := int(binary.BigEndian.Uint32(body[off+16:]))
-		off += 20
+		nDedup := int(binary.BigEndian.Uint32(body[off+28:]))
+		off += snapShardHdr
 		if nDedup > 0 {
-			// A session entry is at least 12 bytes (v2+) / exactly 32 (v1);
-			// bound the allocation hint before trusting the count.
-			minEntry := 12
-			if legacy {
-				minEntry = 32
-			}
-			if nDedup > (len(body)-off)/minEntry {
+			// Bound the allocation hint before trusting the count.
+			if nDedup > (len(body)-off)/snapDedupHdr {
 				return fail("dedup entries truncated")
 			}
 			s.Dedup = make(map[uint64]DedupEntry, nDedup)
 			for j := 0; j < nDedup; j++ {
-				var e DedupEntry
-				var sess uint64
-				if legacy {
-					if len(body)-off < 32 {
-						return fail("dedup entries truncated")
-					}
-					sess = binary.BigEndian.Uint64(body[off:])
-					e = DedupEntry{
-						Seq: binary.BigEndian.Uint64(body[off+8:]),
-						Val: int64(binary.BigEndian.Uint64(body[off+16:])),
-						Ver: binary.BigEndian.Uint64(body[off+24:]),
-						OK:  true,
-					}
-					off += 32
-				} else {
-					if len(body)-off < 12 {
-						return fail("dedup entries truncated")
-					}
-					sess = binary.BigEndian.Uint64(body[off:])
-					nOps := int(binary.BigEndian.Uint32(body[off+8:]))
-					off += 12
-					if nOps < 1 || nOps > (len(body)-off)/opSize {
-						return fail("dedup history truncated")
-					}
-					e = DedupEntry{
-						Seq: binary.BigEndian.Uint64(body[off:]),
-						Val: int64(binary.BigEndian.Uint64(body[off+8:])),
-						Ver: binary.BigEndian.Uint64(body[off+16:]),
-						OK:  true, // pre-kx05 entries all carried OK verdicts
-					}
-					if hasObjs {
-						e.OK = body[off+24] == 1
-					}
-					off += opSize
-					if nOps > 1 {
-						e.Recent = make([]DedupOp, nOps-1)
-						for k := range e.Recent {
-							e.Recent[k] = DedupOp{
-								Seq: binary.BigEndian.Uint64(body[off:]),
-								Val: int64(binary.BigEndian.Uint64(body[off+8:])),
-								Ver: binary.BigEndian.Uint64(body[off+16:]),
-								OK:  true,
-							}
-							if hasObjs {
-								e.Recent[k].OK = body[off+24] == 1
-							}
-							off += opSize
-						}
+				if len(body)-off < snapDedupHdr {
+					return fail("dedup entries truncated")
+				}
+				sess := binary.BigEndian.Uint64(body[off:])
+				nOps := int(binary.BigEndian.Uint32(body[off+8:]))
+				off += snapDedupHdr
+				if nOps < 1 || nOps > (len(body)-off)/snapOpSize {
+					return fail("dedup history truncated")
+				}
+				newest := readOp()
+				e := DedupEntry{Seq: newest.Seq, Val: newest.Val, Ver: newest.Ver, OK: newest.OK}
+				if nOps > 1 {
+					e.Recent = make([]DedupOp, nOps-1)
+					for k := range e.Recent {
+						e.Recent[k] = readOp()
 					}
 				}
 				s.Dedup[sess] = e
@@ -211,14 +155,12 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 				return fail("has repeated dedup sessions")
 			}
 		}
-		if hasObjs {
-			objs, n, derr := object.DecodeTable(body[off:])
-			if derr != nil {
-				return 0, 0, nil, fmt.Errorf("%w: snapshot shard %d: %v", errCorrupt, id, derr)
-			}
-			s.Objs = objs
-			off += n
+		objs, n, derr := object.DecodeTable(body[off:])
+		if derr != nil {
+			return 0, 0, nil, fmt.Errorf("%w: snapshot shard %d: %v", errCorrupt, id, derr)
 		}
+		s.Objs = objs
+		off += n
 		if _, dup := shards[id]; dup {
 			return fail("has repeated shard ids")
 		}

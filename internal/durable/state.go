@@ -29,7 +29,7 @@ type ShardState struct {
 	Epoch uint64
 	// Val is the shard's visible value.
 	Val int64
-	// Objs is the shard's named-object table (kx05): registers, maps,
+	// Objs is the shard's named-object table: registers, maps,
 	// queues, and snapshot objects keyed by name. Nil until the first
 	// create. Clone copies the map but shares the object states; a
 	// mutation clones the one object it touches and swaps the pointer,
@@ -84,8 +84,8 @@ type DedupOp struct {
 	Ver uint64
 }
 
-// Op is one typed mutation against a shard: the legacy root-register
-// kinds (OpAdd/OpSet, empty Obj) or a kx05 named-object kind. It is
+// Op is one typed mutation against a shard: the root-register kinds
+// (OpAdd/OpSet, empty Obj) or a named-object kind. It is
 // the in-memory twin of a WAL op record's mutation fields.
 type Op struct {
 	// Kind selects the mutation.
@@ -169,7 +169,8 @@ func Step(s *ShardState, window int, session, seq uint64, kind OpKind, arg int64
 }
 
 // StepOp is the typed-object generalization of Step: every mutation —
-// legacy and kx05 alike — funnels through it, live and in replay.
+// root-register and named-object alike — funnels through it, live and
+// in replay.
 //
 // A mutation with an op ID ALWAYS applies (Ver advances and a record
 // is logged) even when it is logically rejected (OK false: cas

@@ -488,7 +488,7 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 // before the count is used as an allocation hint (a crafted count of
 // 2^32-1 would otherwise demand a multi-GiB map at recovery time).
 func TestDecodeSnapshotHugeShardCountRejected(t *testing.T) {
-	body := []byte{recTypeSnapshot}
+	body := []byte{recTypeSnapObj}
 	body = binary.BigEndian.AppendUint64(body, 0) // cover
 	body = binary.BigEndian.AppendUint64(body, 0) // markers
 	body = binary.BigEndian.AppendUint32(body, ^uint32(0))

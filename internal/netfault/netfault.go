@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kexclusion/internal/wire"
 )
 
 // Action is the fault a Rule injects.
@@ -137,6 +139,7 @@ func NewPlan(seed int64, conns int, kinds ...Action) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(conns)
 	p := Plan{Seed: seed}
+	unit := requestBytes()
 	for i, kind := range kinds {
 		if i >= len(perm) {
 			break
@@ -144,15 +147,25 @@ func NewPlan(seed int64, conns int, kinds ...Action) Plan {
 		p.Rules = append(p.Rules, Rule{
 			Conn: perm[i],
 			Act:  kind,
-			// One full request is 41 upstream bytes (4-byte length
-			// prefix + 37-byte payload): fire inside request 2..4 so
-			// the victim completes at least one operation first.
-			After:   41 + rng.Int63n(3*41),
+			// Fire inside request 2..4 so the victim completes at least
+			// one operation first.
+			After:   unit + rng.Int63n(3*unit),
 			Latency: time.Duration(1+rng.Int63n(5)) * time.Millisecond,
 		})
 	}
 	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Conn < p.Rules[j].Conn })
 	return p
+}
+
+// requestBytes is the upstream size of one root-register add in a
+// single-op frame: the 4-byte length prefix plus the encoded payload.
+// Derived from the codec so plans cannot drift from the framing.
+func requestBytes() int64 {
+	payload, err := wire.EncodeObjRequest(wire.Request{Kind: wire.KindAdd})
+	if err != nil {
+		panic(fmt.Sprintf("netfault: encoding a root-register add failed: %v", err))
+	}
+	return int64(4 + len(payload))
 }
 
 // rule finds the rule armed for connection index conn.

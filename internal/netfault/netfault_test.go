@@ -90,8 +90,8 @@ func TestPlanDeterminism(t *testing.T) {
 			t.Fatalf("two rules on conn %d", r.Conn)
 		}
 		conns[r.Conn] = true
-		if r.After < 41 {
-			t.Fatalf("rule fires at %dB, inside the handshake window", r.After)
+		if r.After < 53 || r.After >= 4*53 {
+			t.Fatalf("rule fires at %dB, outside requests 2..4 (53B each)", r.After)
 		}
 	}
 	if s := a.String(); !strings.Contains(s, "seed=42") {
@@ -112,7 +112,7 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 	srv, addr := startServer(t, server.Config{N: 2, K: 1, Shards: 1, IdleTimeout: idle})
 	// Partition conn 0 the moment its first request has fully passed.
 	px := startProxy(t, addr, netfault.Plan{Seed: 2, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Partition, After: 41},
+		{Conn: 0, Act: netfault.Partition, After: 53},
 	}})
 
 	victim, err := client.Dial(px.Addr())
@@ -155,7 +155,7 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 	}()
 
 	// The victim's first Add reaches the server (the partition fires
-	// after the request's 41 bytes) but its response vanishes: the op
+	// after the request's 53 bytes) but its response vanishes: the op
 	// deadline must surface the silence instead of hanging.
 	if _, err := victim.Add(0, 1); err == nil {
 		t.Fatal("victim's op succeeded across a partition")
@@ -205,7 +205,7 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 func TestResetHealsThroughReconnect(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 2, K: 1, Shards: 1})
 	px := startProxy(t, addr, netfault.Plan{Seed: 3, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Reset, After: 41},
+		{Conn: 0, Act: netfault.Reset, After: 53},
 	}})
 
 	r, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{Seed: 7, BaseDelay: time.Millisecond}, 2*time.Second)
@@ -232,9 +232,9 @@ func TestResetHealsThroughReconnect(t *testing.T) {
 // truncated frame can never be parsed as an operation.
 func TestTruncateMidFrame(t *testing.T) {
 	srv, addr := startServer(t, server.Config{N: 1, K: 1, Shards: 1})
-	// 46 bytes: request 1 (41B) passes whole, request 2 is cut at 5 bytes.
+	// 58 bytes: request 1 (53B) passes whole, request 2 is cut at 5 bytes.
 	px := startProxy(t, addr, netfault.Plan{Seed: 4, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Truncate, After: 46},
+		{Conn: 0, Act: netfault.Truncate, After: 58},
 	}})
 
 	c, err := client.Dial(px.Addr())
@@ -248,7 +248,7 @@ func TestTruncateMidFrame(t *testing.T) {
 	if _, err := c.Add(0, 1); err == nil {
 		t.Fatal("op succeeded across a truncated frame")
 	}
-	if st := px.Stats(); st.Truncations != 1 || st.BytesUp != 46 {
+	if st := px.Stats(); st.Truncations != 1 || st.BytesUp != 58 {
 		t.Fatalf("proxy stats %+v", st)
 	}
 

@@ -9,7 +9,7 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// Atomic groups (the kx05 0xC2 frame) commit up to wire.MaxAtomicOps
+// Atomic groups (the 0xC2 frame) commit up to wire.MaxAtomicOps
 // mutations all-or-nothing, across shards, under ONE WAL record.
 //
 // The protocol is validate-then-install. The group takes the table's

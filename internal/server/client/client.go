@@ -6,9 +6,9 @@
 // on one client are serialized, matching the paper's model of a process
 // as a sequential thread of operations.
 //
-// Operations may be pipelined: Go issues an operation and returns a
-// Pending promise, Flush writes the queued burst (as kx04 batch frames
-// when the server negotiated them, plain kx03 frames otherwise), and
+// Operations may be pipelined: Go and GoObj issue an operation and
+// return a Pending promise, Flush writes the queued burst (one op as a
+// single-op frame, several as pipeline frames — see wire/frame.go), and
 // Pending.Wait resolves responses in issue order. A pipeline is still
 // one sequential thread of operations — the server applies them in
 // issue order under the session's single identity — it just keeps the
@@ -68,22 +68,18 @@ type Client struct {
 	broken    bool
 	brokenBy  error
 
-	// Pipelining state. batch records whether the server's hello
-	// advertised kx04 batch frames, objects whether it advertised kx05
-	// object frames; queued holds operations issued with Go but not yet
-	// written; frames is the FIFO of response framings still owed by
+	// Pipelining state. queued holds operations issued with Go but not
+	// yet written; frames is the FIFO of response framings still owed by
 	// the server (one entry per request frame written); pending is the
 	// FIFO of unresolved operations, oldest first.
-	batch   bool
-	objects bool
 	queued  []wire.Request
 	frames  []outFrame
 	pending []*Pending
 }
 
 // outFrame records the framing of one written request frame, which is
-// the framing the server's answer will arrive in: a plain Request
-// frame is answered by one Response frame, a BatchRequest frame by
+// the framing the server's answer will arrive in: a single-op frame is
+// answered by one Response frame, a pipeline or atomic-group frame by
 // BatchResponse frames carrying its n responses in order.
 type outFrame struct {
 	batched bool
@@ -156,6 +152,13 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		}
 		return nil, we
 	}
+	// The hello comes from outside the program: ShardFor divides by
+	// Shards, and every identity argument assumes 1 <= K <= N.
+	if hello.Shards < 1 || hello.K < 1 || hello.K > hello.N {
+		conn.Close()
+		return nil, fmt.Errorf("client: handshake: server announced an impossible shape (N=%d, K=%d, shards=%d)",
+			hello.N, hello.K, hello.Shards)
+	}
 	conn.SetDeadline(time.Time{})
 	if tcp, ok := conn.(*net.TCPConn); ok {
 		tcp.SetNoDelay(true)
@@ -166,16 +169,8 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		bw:      bufio.NewWriter(conn),
 		hello:   hello,
 		session: randomSession(),
-		batch:   hello.SupportsBatch(),
-		objects: hello.SupportsObjects(),
 	}, nil
 }
-
-// Batched reports whether the server negotiated kx04 batch frames.
-// When false (a kx03 server) pipelining still works — each queued
-// operation goes out as its own plain frame — but a flush is several
-// frames instead of one.
-func (c *Client) Batched() bool { return c.batch }
 
 // Session reports the client's op-ID session identity.
 func (c *Client) Session() uint64 {
@@ -214,36 +209,53 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Go issues one operation without waiting for its response: the
-// request is queued (written on the next Flush — Wait flushes
-// implicitly) and a Pending promise is returned. Issuing several
-// operations before waiting is how a caller pipelines: the server
-// reads the whole burst, applies it under ONE durability wait, and
-// answers in one flush. seq is the op-ID sequence number for
+// Go issues one root-register or control operation without waiting for
+// its response: the request is queued (written on the next Flush —
+// Wait flushes implicitly) and a Pending promise is returned. Issuing
+// several operations before waiting is how a caller pipelines: the
+// server reads the whole burst, applies it under ONE durability wait,
+// and answers in one flush. seq is the op-ID sequence number for
 // mutations (zero for idempotent kinds, which are never deduplicated
 // or logged). Responses resolve strictly in issue order.
 func (c *Client) Go(kind wire.Kind, shard uint32, arg int64, seq uint64) (*Pending, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.goLocked(kind, shard, arg, seq)
+	return c.GoObj(kind, "", "", shard, arg, 0, seq)
 }
 
-func (c *Client) goLocked(kind wire.Kind, shard uint32, arg int64, seq uint64) (*Pending, error) {
+// GoObj is Go for a named-object operation: obj names the object, key
+// a map entry, arg2 the second operand (see wire.Request).
+func (c *Client) GoObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (*Pending, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.goObjLocked(kind, obj, key, shard, arg, arg2, seq)
+}
+
+func (c *Client) goObjLocked(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (*Pending, error) {
 	if c.broken {
 		return nil, c.brokenErrLocked()
 	}
 	c.nextID++
-	req := wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg, Session: c.session, Seq: seq}
+	req := wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg,
+		Session: c.session, Seq: seq, Obj: obj, Key: key, Arg2: arg2}
 	c.queued = append(c.queued, req)
 	p := &Pending{c: c, id: req.ID}
 	c.pending = append(c.pending, p)
 	return p, nil
 }
 
-// Flush writes every queued operation to the connection. On a kx04
-// server a multi-op flush goes out as batch frames; a single-op flush
-// (and every flush to a kx03 server) is a plain frame, byte-identical
-// to the serialized client's stream.
+// doObj is one serialized exchange: issue, flush, wait.
+func (c *Client) doObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (wire.Response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, err := c.goObjLocked(kind, obj, key, shard, arg, arg2, seq)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	return c.waitLocked(p)
+}
+
+// Flush writes every queued operation to the connection: a single op
+// as a 0xC0 frame (answered by one Response), several as 0xC1 pipeline
+// frames (answered by BatchResponse frames).
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,45 +269,24 @@ func (c *Client) flushLocked() error {
 	if len(c.queued) == 0 {
 		return nil
 	}
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	needObj := false
-	for _, req := range c.queued {
-		if req.Kind.IsObject() {
-			needObj = true
-			break
+	c.armDeadlineLocked()
+	for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
+		reqs := c.queued[off:min(off+wire.MaxBatchOps, len(c.queued))]
+		var payload []byte
+		var err error
+		if len(reqs) == 1 {
+			payload, err = wire.EncodeObjRequest(reqs[0])
+		} else {
+			payload, err = wire.ObjBatch{Reqs: reqs}.Encode()
 		}
-	}
-	switch {
-	case needObj:
-		// At least one queued op speaks kx05: the whole flush goes out
-		// in object frames (legacy kinds ride along unchanged). goObj
-		// refuses object ops on a non-kx05 server, so c.objects holds.
-		if err := c.flushObjLocked(); err != nil {
+		if err != nil {
+			// The ops are already queued as pendings; those must fail
+			// rather than hang.
+			c.poisonLocked(err)
 			return err
 		}
-	case !c.batch || len(c.queued) == 1:
-		for _, req := range c.queued {
-			if err := wire.WriteRequest(c.bw, req); err != nil {
-				c.poisonLocked(err)
-				return err
-			}
-			c.frames = append(c.frames, outFrame{batched: false, n: 1})
-		}
-	default:
-		for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
-			end := off + wire.MaxBatchOps
-			if end > len(c.queued) {
-				end = len(c.queued)
-			}
-			if err := wire.WriteBatchRequest(c.bw, wire.BatchRequest{Reqs: c.queued[off:end]}); err != nil {
-				c.poisonLocked(err)
-				return err
-			}
-			c.frames = append(c.frames, outFrame{batched: true, n: end - off})
+		if err := c.writeFrameLocked(payload, outFrame{batched: len(reqs) > 1, n: len(reqs)}); err != nil {
+			return err
 		}
 	}
 	c.queued = c.queued[:0]
@@ -306,39 +297,23 @@ func (c *Client) flushLocked() error {
 	return nil
 }
 
-// flushObjLocked writes the queued operations in kx05 object frames: a
-// single op as a 0xC0 frame (answered by a plain Response), several as
-// 0xC1 pipeline frames (answered by BatchResponse frames).
-func (c *Client) flushObjLocked() error {
-	if len(c.queued) == 1 {
-		payload, err := wire.EncodeObjRequest(c.queued[0])
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		if err := wire.WriteFrame(c.bw, payload); err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		c.frames = append(c.frames, outFrame{batched: false, n: 1})
-		return nil
+// armDeadlineLocked bounds the next write or read by the op timeout.
+func (c *Client) armDeadlineLocked() {
+	if c.opTimeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
+	} else {
+		c.conn.SetDeadline(time.Time{})
 	}
-	for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
-		end := off + wire.MaxBatchOps
-		if end > len(c.queued) {
-			end = len(c.queued)
-		}
-		payload, err := (wire.ObjBatch{Reqs: c.queued[off:end]}).Encode()
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		if err := wire.WriteFrame(c.bw, payload); err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		c.frames = append(c.frames, outFrame{batched: true, n: end - off})
+}
+
+// writeFrameLocked buffers one encoded request frame and records the
+// answer shape the server now owes.
+func (c *Client) writeFrameLocked(payload []byte, f outFrame) error {
+	if err := wire.WriteFrame(c.bw, payload); err != nil {
+		c.poisonLocked(err)
+		return err
 	}
+	c.frames = append(c.frames, f)
 	return nil
 }
 
@@ -394,11 +369,7 @@ func (c *Client) readFrameLocked() error {
 		c.poisonLocked(err)
 		return err
 	}
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
+	c.armDeadlineLocked()
 	f := c.frames[0]
 	if !f.batched {
 		resp, err := wire.ReadResponse(c.br)
@@ -409,7 +380,7 @@ func (c *Client) readFrameLocked() error {
 		c.frames = c.frames[1:]
 		return c.resolveLocked(resp)
 	}
-	// A batch request frame is answered by one or more BatchResponse
+	// A pipeline or group frame is answered by one or more BatchResponse
 	// frames totalling f.n responses (the server splits frames that
 	// would exceed wire.MaxFrame).
 	got := 0
@@ -488,27 +459,15 @@ func (c *Client) brokenErrLocked() error {
 	return ErrBroken
 }
 
-// do runs one serialized request/response exchange on the pipelined
-// machinery: issue, flush, wait.
-func (c *Client) do(kind wire.Kind, shard uint32, arg int64, seq uint64) (wire.Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.goLocked(kind, shard, arg, seq)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return c.waitLocked(p)
-}
-
 // Ping round-trips a no-op.
 func (c *Client) Ping() error {
-	_, err := c.do(wire.KindPing, 0, 0, 0)
+	_, err := c.doObj(wire.KindPing, "", "", 0, 0, 0, 0)
 	return err
 }
 
 // Get reads shard's value, linearized with all updates.
 func (c *Client) Get(shard uint32) (int64, error) {
-	resp, err := c.do(wire.KindGet, shard, 0, 0)
+	resp, err := c.doObj(wire.KindGet, "", "", shard, 0, 0, 0)
 	return resp.Value, err
 }
 
@@ -532,7 +491,7 @@ func (c *Client) Add(shard uint32, delta int64) (int64, error) {
 // with the same seq (after a lost response) returns the original
 // result with WasDuplicate set instead of adding again.
 func (c *Client) AddOp(shard uint32, delta int64, seq uint64) (OpResult, error) {
-	resp, err := c.do(wire.KindAdd, shard, delta, seq)
+	resp, err := c.doObj(wire.KindAdd, "", "", shard, delta, 0, seq)
 	return OpResult{Value: resp.Value, WasDuplicate: resp.Flags&wire.FlagDuplicate != 0}, err
 }
 
@@ -544,13 +503,13 @@ func (c *Client) Set(shard uint32, v int64) error {
 
 // SetOp is Set with a caller-managed op sequence number (see AddOp).
 func (c *Client) SetOp(shard uint32, v int64, seq uint64) (OpResult, error) {
-	resp, err := c.do(wire.KindSet, shard, v, seq)
+	resp, err := c.doObj(wire.KindSet, "", "", shard, v, 0, seq)
 	return OpResult{Value: resp.Value, WasDuplicate: resp.Flags&wire.FlagDuplicate != 0}, err
 }
 
 // Stats fetches the server's metrics snapshot.
 func (c *Client) Stats() (wire.Stats, error) {
-	resp, err := c.do(wire.KindStats, 0, 0, 0)
+	resp, err := c.doObj(wire.KindStats, "", "", 0, 0, 0, 0)
 	if err != nil {
 		return wire.Stats{}, err
 	}

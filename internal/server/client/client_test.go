@@ -29,6 +29,46 @@ func fakeEndpoint(t *testing.T, serve func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// opStream lets a scripted endpoint consume the client's operations one
+// at a time, whatever frames they arrived in.
+type opStream struct {
+	conn  net.Conn
+	frame wire.ReqFrame
+	next  int
+}
+
+// admit sends the admission hello of a 1-process, 1-shard server.
+func admit(conn net.Conn) *opStream {
+	wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+	return &opStream{conn: conn}
+}
+
+// read returns the client's next operation, reading a frame when the
+// previous one is used up.
+func (s *opStream) read() (wire.Request, error) {
+	if s.next == len(s.frame.Reqs) {
+		f, err := wire.ReadRequestFrame(s.conn)
+		if err != nil {
+			return wire.Request{}, err
+		}
+		s.frame, s.next = f, 0
+	}
+	s.next++
+	return s.frame.Reqs[s.next-1], nil
+}
+
+// answer replies to the operation read last in the shape its frame is
+// owed. A pipeline's responses go out one BatchResponse frame each —
+// legal, since the client consumes them by count — so a script that
+// hangs up mid-burst leaves the earlier answers delivered.
+func (s *opStream) answer(resp wire.Response) {
+	if s.frame.Batched {
+		wire.WriteBatchResponses(s.conn, []wire.Response{resp})
+	} else {
+		wire.WriteResponse(s.conn, resp)
+	}
+}
+
 func TestDialRejectsNonProtocolEndpoint(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
 		// A frame whose payload is not a Hello (wrong magic).
@@ -59,6 +99,28 @@ func TestDialSurfacesBusy(t *testing.T) {
 	}
 }
 
+// TestDialRejectsImpossibleShape: an OK hello is outside input. A shard
+// count of zero would make ShardFor divide by zero, and k-exclusion
+// needs 1 <= K <= N; such a hello fails the dial instead.
+func TestDialRejectsImpossibleShape(t *testing.T) {
+	for _, h := range []wire.Hello{
+		{Status: wire.StatusOK, N: 4, K: 2, Shards: 0},
+		{Status: wire.StatusOK, N: 4, K: 0, Shards: 1},
+		{Status: wire.StatusOK, N: 2, K: 3, Shards: 1},
+		{Status: wire.StatusOK},
+	} {
+		addr := fakeEndpoint(t, func(conn net.Conn) { wire.WriteHello(conn, h) })
+		c, err := DialTimeout(addr, 2*time.Second)
+		if err == nil {
+			c.Close()
+			t.Fatalf("hello %+v admitted; ShardFor would divide by %d", h, h.Shards)
+		}
+		if !strings.Contains(err.Error(), "impossible shape") {
+			t.Fatalf("hello %+v: want shape error, got %v", h, err)
+		}
+	}
+}
+
 func TestDialHandshakeTimeout(t *testing.T) {
 	// Endpoint accepts but never sends a Hello.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
@@ -76,12 +138,12 @@ func TestDialHandshakeTimeout(t *testing.T) {
 
 func TestResponseIDMismatch(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
+		ops := admit(conn)
+		req, err := ops.read()
 		if err != nil {
 			return
 		}
-		wire.WriteResponse(conn, wire.Response{ID: req.ID + 99, Status: wire.StatusOK})
+		ops.answer(wire.Response{ID: req.ID + 99, Status: wire.StatusOK})
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
 	if err != nil {

@@ -4,30 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"kexclusion/internal/object"
 	"kexclusion/internal/wire"
 )
 
-// This file is the kx05 side of the client: typed operations on named
+// This file is the typed side of the client: operations on named
 // objects (registers, maps, queues, k-slot snapshots) and atomic
-// multi-shard groups. All of it funnels through the same pipelined
-// exchange machinery as the legacy kinds — an object op is just a
-// Request with Obj/Key/Arg2 that travels in an object frame.
-
-// ErrNoObjects marks an object operation issued against a server whose
-// hello did not advertise the kx05 object extension.
-var ErrNoObjects = errors.New("client: server does not speak the kx05 object extension")
+// multi-shard groups, all funnelled through client.go's pipelined
+// exchange machinery.
 
 // ErrAtomicAborted marks an atomic group none of whose members were
 // applied: some member would have been logically rejected. The op IDs
 // are unspent; the caller may fix the group and re-issue it.
 var ErrAtomicAborted = errors.New("client: atomic group aborted; no member was applied")
-
-// SupportsObjects reports whether the server negotiated kx05 object
-// frames.
-func (c *Client) SupportsObjects() bool { return c.objects }
 
 // ShardFor maps an object name onto a shard deterministically (FNV-1a
 // over the name, mod the server's shard count). Nothing in the
@@ -61,41 +51,6 @@ func objResult(resp wire.Response) ObjResult {
 		Found:        resp.Flags&wire.FlagFound != 0,
 		WasDuplicate: resp.Flags&wire.FlagDuplicate != 0,
 	}
-}
-
-// GoObj issues one kx05 operation without waiting (the object twin of
-// Go). seq is the op-ID sequence number for mutations; reads pass 0.
-func (c *Client) GoObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (*Pending, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.goObjLocked(kind, obj, key, shard, arg, arg2, seq)
-}
-
-func (c *Client) goObjLocked(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (*Pending, error) {
-	if !c.objects {
-		return nil, ErrNoObjects
-	}
-	if c.broken {
-		return nil, c.brokenErrLocked()
-	}
-	c.nextID++
-	req := wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg,
-		Session: c.session, Seq: seq, Obj: obj, Key: key, Arg2: arg2}
-	c.queued = append(c.queued, req)
-	p := &Pending{c: c, id: req.ID}
-	c.pending = append(c.pending, p)
-	return p, nil
-}
-
-// doObj is one serialized kx05 exchange: issue, flush, wait.
-func (c *Client) doObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (wire.Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.goObjLocked(kind, obj, key, shard, arg, arg2, seq)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return c.waitLocked(p)
 }
 
 // Create ensures an object named name of class typ exists on the
@@ -258,7 +213,7 @@ type AtomicOp struct {
 	Seq      uint64
 }
 
-// Atomic issues ops as one all-or-nothing group (a kx05 0xC2 frame):
+// Atomic issues ops as one all-or-nothing group (a 0xC2 frame):
 // either every member applies — across shards, under one WAL record —
 // or none does and the call fails with ErrAtomicAborted, leaving every
 // member's op ID unspent. Members must be mutations; each needs its
@@ -267,9 +222,6 @@ type AtomicOp struct {
 func (c *Client) Atomic(ops []AtomicOp) ([]ObjResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.objects {
-		return nil, ErrNoObjects
-	}
 	if c.broken {
 		return nil, c.brokenErrLocked()
 	}
@@ -298,16 +250,10 @@ func (c *Client) Atomic(ops []AtomicOp) ([]ObjResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if err := wire.WriteFrame(c.bw, payload); err != nil {
-		c.poisonLocked(err)
+	c.armDeadlineLocked()
+	if err := c.writeFrameLocked(payload, outFrame{batched: true, n: len(reqs)}); err != nil {
 		return nil, err
 	}
-	c.frames = append(c.frames, outFrame{batched: true, n: len(reqs)})
 	c.pending = append(c.pending, pendings...)
 	if err := c.bw.Flush(); err != nil {
 		c.poisonLocked(err)

@@ -11,28 +11,24 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// kx04Hello is the admission a batch-capable server sends.
-func kx04Hello() wire.Hello {
-	return wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1, Msg: wire.FeatureBatch}
-}
-
-// serveBatchEcho admits with kx04 and answers every request frame
-// (plain or batch) with echo semantics (Value = Arg), mirroring the
-// framing. It records how many request frames it read.
-func serveBatchEcho(frames *atomic.Int64) func(net.Conn) {
+// serveEcho admits and answers every request frame with echo semantics
+// (Value = Arg), mirroring the framing. It records how many request
+// frames it read and how many of them were pipeline frames.
+func serveEcho(frames, pipelines *atomic.Int64) func(net.Conn) {
 	return func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
+		admit(conn)
 		for {
-			reqs, batched, err := wire.ReadRequests(conn)
+			f, err := wire.ReadRequestFrame(conn)
 			if err != nil {
 				return
 			}
 			frames.Add(1)
-			resps := make([]wire.Response, len(reqs))
-			for i, req := range reqs {
+			resps := make([]wire.Response, len(f.Reqs))
+			for i, req := range f.Reqs {
 				resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg}
 			}
-			if batched {
+			if f.Batched {
+				pipelines.Add(1)
 				wire.WriteBatchResponses(conn, resps)
 			} else {
 				wire.WriteResponse(conn, resps[0])
@@ -41,17 +37,17 @@ func serveBatchEcho(frames *atomic.Int64) func(net.Conn) {
 	}
 }
 
-func TestPipelineBatchFraming(t *testing.T) {
-	var frames atomic.Int64
-	addr := fakeEndpoint(t, serveBatchEcho(&frames))
+// TestPipelineFraming: a multi-op flush is one pipeline frame, a
+// single-op flush one single-op frame — the client's only two request
+// shapes outside Atomic.
+func TestPipelineFraming(t *testing.T) {
+	var frames, pipelines atomic.Int64
+	addr := fakeEndpoint(t, serveEcho(&frames, &pipelines))
 	c, err := DialTimeout(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Batched() {
-		t.Fatal("kx04 hello not negotiated")
-	}
 	var ps []*Pending
 	for i := 1; i <= 4; i++ {
 		p, err := c.Go(wire.KindAdd, 0, int64(i*10), uint64(i))
@@ -72,84 +68,14 @@ func TestPipelineBatchFraming(t *testing.T) {
 			t.Fatalf("op %d: got %d, want %d (responses out of order?)", i, resp.Value, (i+1)*10)
 		}
 	}
-	if got := frames.Load(); got != 1 {
-		t.Fatalf("4-op flush used %d request frames, want 1 batch frame", got)
+	if f, p := frames.Load(), pipelines.Load(); f != 1 || p != 1 {
+		t.Fatalf("4-op flush used %d request frames (%d pipelines), want 1 pipeline frame", f, p)
 	}
-}
-
-func TestPipelineSingleOpStaysPlainFrame(t *testing.T) {
-	// A single-op flush must be byte-identical to the kx03 serialized
-	// client even when the server negotiated batching — the server sees
-	// a plain Request frame, not a 1-op batch.
-	var sawBatch atomic.Bool
-	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
-		for {
-			reqs, batched, err := wire.ReadRequests(conn)
-			if err != nil {
-				return
-			}
-			if batched {
-				sawBatch.Store(true)
-			}
-			for _, req := range reqs {
-				wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-			}
-		}
-	})
-	c, err := DialTimeout(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	if v, err := c.Add(0, 7); err != nil || v != 7 {
 		t.Fatalf("Add = %d, %v", v, err)
 	}
-	if sawBatch.Load() {
-		t.Fatal("single-op exchange used a batch frame")
-	}
-}
-
-func TestPipelineKx03Fallback(t *testing.T) {
-	// Against a server that never advertised kx04, a pipelined burst
-	// degrades to one plain frame per op — still pipelined (written
-	// back-to-back before any read), never batch-framed.
-	var plainFrames atomic.Int64
-	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		for {
-			req, err := wire.ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			plainFrames.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-		}
-	})
-	c, err := DialTimeout(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Batched() {
-		t.Fatal("batching negotiated against a kx03 hello")
-	}
-	var ps []*Pending
-	for i := 1; i <= 3; i++ {
-		p, err := c.Go(wire.KindAdd, 0, int64(i), uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps = append(ps, p)
-	}
-	for i, p := range ps {
-		resp, err := p.Wait()
-		if err != nil || resp.Value != int64(i+1) {
-			t.Fatalf("op %d: got %d, %v", i, resp.Value, err)
-		}
-	}
-	if got := plainFrames.Load(); got != 3 {
-		t.Fatalf("server saw %d plain frames, want 3", got)
+	if f, p := frames.Load(), pipelines.Load(); f != 2 || p != 1 {
+		t.Fatalf("single-op exchange: %d frames, %d pipelines; want one more single-op frame", f, p)
 	}
 }
 
@@ -158,14 +84,12 @@ func TestPipelinePoisonFailsAllPendings(t *testing.T) {
 	// waited-on op succeeds, every later pending fails with ErrBroken,
 	// and new issues are refused.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
-		reqs, _, err := wire.ReadRequests(conn)
-		if err != nil || len(reqs) == 0 {
+		ops := admit(conn)
+		req, err := ops.read()
+		if err != nil {
 			return
 		}
-		wire.WriteBatchResponses(conn, []wire.Response{
-			{ID: reqs[0].ID, Status: wire.StatusOK, Value: 1},
-		})
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: 1})
 		conn.Close()
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
@@ -228,26 +152,16 @@ func TestReconnectingPipelineTerminalPerOp(t *testing.T) {
 	// A typed refusal fails only its own op; the rest of the burst
 	// succeeds, and Flush surfaces the failed op's error.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
+		ops := admit(conn)
 		for {
-			reqs, batched, err := wire.ReadRequests(conn)
+			req, err := ops.read()
 			if err != nil {
 				return
 			}
-			resps := make([]wire.Response, len(reqs))
-			for i, req := range reqs {
-				if req.Arg == 666 {
-					resps[i] = wire.Response{ID: req.ID, Status: wire.StatusBadShard, Data: []byte("no such shard")}
-				} else {
-					resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg}
-				}
-			}
-			if batched {
-				wire.WriteBatchResponses(conn, resps)
+			if req.Arg == 666 {
+				ops.answer(wire.Response{ID: req.ID, Status: wire.StatusBadShard, Data: []byte("no such shard")})
 			} else {
-				for _, resp := range resps {
-					wire.WriteResponse(conn, resp)
-				}
+				ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 			}
 		}
 	})
@@ -276,8 +190,8 @@ func TestReconnectingPipelineTerminalPerOp(t *testing.T) {
 }
 
 func TestPipelineAutoFlushAtDepth(t *testing.T) {
-	var frames atomic.Int64
-	addr := fakeEndpoint(t, serveBatchEcho(&frames))
+	var frames, pipelines atomic.Int64
+	addr := fakeEndpoint(t, serveEcho(&frames, &pipelines))
 	r, err := DialReconnecting(addr, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

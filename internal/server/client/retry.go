@@ -437,8 +437,8 @@ func (r *Reconnecting) Stats() (wire.Stats, error) {
 }
 
 // Pipeline returns a pipelined view of the session: enqueued
-// operations accumulate and go to the server as one burst (kx04 batch
-// frames when negotiated), each with the same per-op retry state a
+// operations accumulate and go to the server as one burst (pipeline
+// frames), each with the same per-op retry state a
 // serialized operation gets — a mutation's op ID is assigned at
 // enqueue and re-issued verbatim across retries and redials, so a
 // burst that dies mid-flight heals exactly-once. depth is the

@@ -41,14 +41,14 @@ func scriptedEndpoint(t *testing.T, scripts ...func(net.Conn, *atomic.Int64)) (s
 // (Value = Arg), then returns (closing the conn).
 func serveOK(n int) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+		ops := admit(conn)
 		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
+			req, err := ops.read()
 			if err != nil {
 				return
 			}
 			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+			ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 		}
 	}
 }
@@ -63,15 +63,15 @@ func serveBusy(hintMillis uint32) func(net.Conn, *atomic.Int64) {
 // serveDropAfterRequest admits, reads one request, and closes without
 // answering — the ambiguous transport failure.
 func serveDropAfterRequest(conn net.Conn, reqs *atomic.Int64) {
-	wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-	if _, err := wire.ReadRequest(conn); err == nil {
+	ops := admit(conn)
+	if _, err := ops.read(); err == nil {
 		reqs.Add(1)
 	}
 }
 
 func TestSetOpTimeoutPoisonsConnection(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+		admit(conn)
 		time.Sleep(5 * time.Second) // never answer
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
@@ -215,22 +215,22 @@ func TestReconnectingRetriesShedOpOnSameConnection(t *testing.T) {
 	const hintMillis = 60
 	addr, reqs := scriptedEndpoint(t,
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+			ops := admit(conn)
 			// First op: shed with a hint in Value. Second op: applied.
 			for i := 0; ; i++ {
-				req, err := wire.ReadRequest(conn)
+				req, err := ops.read()
 				if err != nil {
 					return
 				}
 				reqs.Add(1)
 				if i == 0 {
-					wire.WriteResponse(conn, wire.Response{
+					ops.answer(wire.Response{
 						ID: req.ID, Status: wire.StatusBusy, Value: hintMillis,
 						Data: []byte("server shedding load"),
 					})
 					continue
 				}
-				wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+				ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 			}
 		},
 	)
@@ -268,22 +268,22 @@ func TestReconnectingRetriesWritesWithStableOpID(t *testing.T) {
 	}
 	addr, reqs := scriptedEndpoint(t,
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-			if req, err := wire.ReadRequest(conn); err == nil {
+			ops := admit(conn)
+			if req, err := ops.read(); err == nil {
 				reqs.Add(1)
 				capture(req)
 			}
 		},
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+			ops := admit(conn)
 			for {
-				req, err := wire.ReadRequest(conn)
+				req, err := ops.read()
 				if err != nil {
 					return
 				}
 				reqs.Add(1)
 				capture(req)
-				wire.WriteResponse(conn, wire.Response{
+				ops.answer(wire.Response{
 					ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagDuplicate, Value: 7,
 				})
 			}
@@ -394,14 +394,14 @@ func TestReconnectingBudgetExhausts(t *testing.T) {
 // cluster redirect carrying hint as the owning primary's address.
 func serveNotPrimary(n int, hint string) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+		ops := admit(conn)
 		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
+			req, err := ops.read()
 			if err != nil {
 				return
 			}
 			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(hint)})
+			ops.answer(wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(hint)})
 		}
 	}
 }
@@ -512,19 +512,19 @@ func TestPipelineFollowsNotPrimaryRedirect(t *testing.T) {
 // answer internal for up to a lease interval before the node demotes.
 func TestReconnectingRetriesInternalOnSameConnection(t *testing.T) {
 	addr, reqs := scriptedEndpoint(t, func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
+		ops := admit(conn)
+		req, err := ops.read()
 		if err != nil {
 			return
 		}
 		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusInternal, Data: []byte("leader lease lost")})
-		req, err = wire.ReadRequest(conn)
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusInternal, Data: []byte("leader lease lost")})
+		req, err = ops.read()
 		if err != nil {
 			return
 		}
 		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 	})
 	r, err := DialReconnecting(addr, RetryPolicy{Seed: 11, MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)
 	if err != nil {
@@ -552,21 +552,21 @@ func TestReconnectingRetriesInternalOnSameConnection(t *testing.T) {
 // "try again in a lease interval"), then serves.
 func serveNotPrimaryRetryAfter(n int, millis int64) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+		ops := admit(conn)
 		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
+			req, err := ops.read()
 			if err != nil {
 				return
 			}
 			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Value: millis})
+			ops.answer(wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Value: millis})
 		}
-		req, err := wire.ReadRequest(conn)
+		req, err := ops.read()
 		if err != nil {
 			return
 		}
 		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 	}
 }
 
@@ -618,19 +618,19 @@ func TestReconnectingIgnoresSelfHint(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
+		ops := admit(conn)
+		req, err := ops.read()
 		if err != nil {
 			return
 		}
 		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(self)})
-		req, err = wire.ReadRequest(conn)
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(self)})
+		req, err = ops.read()
 		if err != nil {
 			return
 		}
 		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+		ops.answer(wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
 	}()
 
 	r, err := DialReconnecting(self, RetryPolicy{Seed: 17, MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)

@@ -11,7 +11,7 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// TestObjectClassesEndToEnd drives all four kx05 object classes over a
+// TestObjectClassesEndToEnd drives all four object classes over a
 // real socket, checks the per-class counters and the read fast path,
 // then restarts the server and verifies every object recovered.
 func TestObjectClassesEndToEnd(t *testing.T) {
@@ -20,9 +20,6 @@ func TestObjectClassesEndToEnd(t *testing.T) {
 	_, addr, stop := startStoppable(t, cfg)
 	c := dial(t, addr)
 	c.SetSession(0x51e5)
-	if !c.SupportsObjects() {
-		t.Fatal("server hello did not advertise kx05")
-	}
 
 	// Register.
 	if res, err := c.Create("hits", object.TypeRegister, 0); err != nil || !res.Found {
@@ -151,7 +148,7 @@ func TestObjectClassesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestObjectPipelineFrames exercises the kx05 0xC1 pipeline: a mixed
+// TestObjectPipelineFrames exercises the 0xC1 pipeline: a mixed
 // burst of legacy and object ops in one flush resolves in issue order.
 func TestObjectPipelineFrames(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 4, K: 2, Shards: 2})

@@ -3,26 +3,23 @@ package server_test
 import (
 	"context"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"kexclusion/internal/object"
 	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
 	"kexclusion/internal/wire"
 )
 
-// TestPipelineBatchEndToEnd drives a pipelined burst over a real kx04
+// TestPipelineBatchEndToEnd drives a pipelined burst over a real
 // server: one flush, one durability wait server-side, responses in
 // issue order.
 func TestPipelineBatchEndToEnd(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 2, K: 2, Shards: 2, DataDir: t.TempDir()})
 	c := dial(t, addr)
 	defer c.Close()
-	if !c.Batched() {
-		t.Fatal("server did not advertise kx04 batching")
-	}
 	const depth = 16
 	var ps []*client.Pending
 	for i := 1; i <= depth; i++ {
@@ -206,50 +203,143 @@ func TestDrainLandsMidBatch(t *testing.T) {
 	}
 }
 
-// TestStockKx03ClientRoundTrips speaks raw kx03 against the kx04
-// server — plain Request frames, Hello.Msg ignored, exactly what a
-// pre-batching client binary does — and must see unchanged behavior.
-func TestStockKx03ClientRoundTrips(t *testing.T) {
-	_, addr := startServer(t, server.Config{N: 2, K: 2, Shards: 2})
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+// TestEveryKindEveryFrameEndToEnd speaks the raw protocol against a
+// live server: every kind as a single-op frame, all of them again as
+// one pipeline frame, and every mutation kind as one atomic group. Each
+// op must be answered OK, in order, in the shape its frame is owed.
+func TestEveryKindEveryFrameEndToEnd(t *testing.T) {
+	srv, addr := startServer(t, server.Config{N: 2, K: 2, Shards: 2})
+	setup := dial(t, addr)
+	for name, typ := range map[string]object.Type{"m": object.TypeMap, "q": object.TypeQueue, "s": object.TypeSnapshot} {
+		if res, err := setup.CreateOn(0, name, typ, 2, setup.NextSeq()); err != nil || !res.Found {
+			t.Fatalf("create %s: %+v %v", name, res, err)
+		}
 	}
+	setup.Close()
+
+	// One pass leaves every object as it found it (put/cas/del one key,
+	// enqueue/dequeue one element), so the passes can repeat; mutations
+	// precede the conditional ops that depend on them, which an atomic
+	// group needs to commit.
+	mutation := func(k wire.Kind) bool { return !k.IsRead() && k != wire.KindPing && k != wire.KindStats }
+	var id, seq uint64
+	pass := func(keep func(wire.Kind) bool) []wire.Request {
+		var reqs []wire.Request
+		for k := wire.KindPing; k <= wire.KindSnapScan; k++ {
+			if !keep(k) {
+				continue
+			}
+			id++
+			r := wire.Request{ID: id, Kind: k, Arg: 5}
+			switch {
+			case k == wire.KindCreate:
+				r.Obj, r.Arg = "r", int64(object.TypeRegister)
+			case k >= wire.KindRegGet && k <= wire.KindRegSet:
+				r.Obj = "r"
+			case k >= wire.KindMapGet && k <= wire.KindMapDel:
+				r.Obj, r.Key = "m", "k"
+				if k == wire.KindMapCAS {
+					r.Arg, r.Arg2 = 6, 5
+				}
+			case k >= wire.KindQEnq && k <= wire.KindQLen:
+				r.Obj = "q"
+			case k >= wire.KindSnapUpdate:
+				r.Obj = "s"
+			}
+			if mutation(k) {
+				seq++
+				r.Session, r.Seq = 0x5eed, seq
+			}
+			reqs = append(reqs, r)
+		}
+		return reqs
+	}
+	every := func(wire.Kind) bool { return true }
+
+	conn := rawDial(t, addr)
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	check := func(frame string, req wire.Request, resp wire.Response) {
+		t.Helper()
+		if resp.ID != req.ID || resp.Status != wire.StatusOK {
+			t.Fatalf("%s %v: got %+v (%s), want OK for id %d", frame, req.Kind, resp, resp.Data, req.ID)
+		}
+	}
+	readBatch := func(frame string, reqs []wire.Request) {
+		t.Helper()
+		for got := 0; got < len(reqs); {
+			br, err := wire.ReadBatchResponse(conn)
+			if err != nil {
+				t.Fatalf("%s: after %d of %d responses: %v", frame, got, len(reqs), err)
+			}
+			for _, resp := range br.Resps {
+				check(frame, reqs[got], resp)
+				got++
+			}
+		}
+	}
 
-	hello, err := wire.ReadHello(conn)
-	if err != nil {
-		t.Fatalf("kx03 hello parse: %v", err)
-	}
-	if hello.Status != wire.StatusOK {
-		t.Fatalf("admission refused: %+v", hello)
-	}
-	// The capability token rides in Msg, where a kx03 client that reads
-	// it sees advisory text and nothing else changed.
-	if !strings.Contains(hello.Msg, wire.FeatureBatch) {
-		t.Fatalf("hello.Msg = %q: kx04 capability not advertised", hello.Msg)
-	}
-
-	for i, tc := range []struct {
-		kind wire.Kind
-		arg  int64
-		want int64
-	}{
-		{wire.KindAdd, 41, 41},
-		{wire.KindAdd, 1, 42},
-		{wire.KindGet, 0, 42},
-	} {
-		req := wire.Request{ID: uint64(i + 1), Kind: tc.kind, Shard: 1, Arg: tc.arg, Session: 0x5eed, Seq: uint64(i + 1)}
-		if err := wire.WriteRequest(conn, req); err != nil {
+	for _, req := range pass(every) {
+		payload, err := wire.EncodeObjRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, payload); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := wire.ReadResponse(conn)
 		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
+			t.Fatalf("0xC0 %v: %v", req.Kind, err)
 		}
-		if resp.ID != req.ID || resp.Status != wire.StatusOK || resp.Value != tc.want {
-			t.Fatalf("op %d: got %+v, want value %d", i, resp, tc.want)
+		check("0xC0", req, resp)
+	}
+	for _, tc := range []struct {
+		frame  string
+		reqs   []wire.Request
+		atomic bool
+	}{{"0xC1", pass(every), false}, {"0xC2", pass(mutation), true}} {
+		payload, err := wire.ObjBatch{Reqs: tc.reqs, Atomic: tc.atomic}.Encode()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := wire.WriteFrame(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		readBatch(tc.frame, tc.reqs)
+	}
+	if st := srv.Stats(); st.BatchAtomic != 1 || st.AppliedDupes != 0 {
+		t.Fatalf("batch_atomic = %d, applied_dupes = %d; want one committed group and no dupes", st.BatchAtomic, st.AppliedDupes)
+	}
+}
+
+// TestRetiredFramingsRefused: the kx03 plain request and the kx04 0xB4
+// batch are not request shapes any more. A live server hangs up on
+// either without an answer, and the identity goes back to the pool
+// (N=1 proves it).
+func TestRetiredFramingsRefused(t *testing.T) {
+	srv, addr := startServer(t, server.Config{N: 1, K: 1, Shards: 1})
+	kx03 := make([]byte, 37) // id, kind, shard, arg, session, seq
+	kx03[7], kx03[8], kx03[20] = 1, byte(wire.KindAdd), 1
+	kx04 := append([]byte{0xB4, 0, 0, 0, 1}, kx03...)
+	for i, payload := range [][]byte{kx03, kx04} {
+		conn := rawDial(t, addr)
+		if err := wire.WriteFrame(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if b, err := wire.ReadFrame(conn); err == nil {
+			t.Fatalf("retired framing %d answered with %x", i, b)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("retired framing %d: server kept the session open", i)
+		}
+		conn.Close()
+		awaitStats(t, srv, "retired-framing reclaim", func(st wire.Stats) bool {
+			return st.ActiveSessions == 0 && st.Reclaimed >= int64(i+1)
+		})
+	}
+	c := dial(t, addr)
+	defer c.Close()
+	if v, err := c.Get(0); err != nil || v != 0 {
+		t.Fatalf("register after refused frames = %d, %v; want untouched 0", v, err)
 	}
 }

@@ -76,10 +76,10 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	gauge("lease_held", "1 while a quorum of peers witnesses this node's leader lease (vacuously 1 off-cluster and at quorum 1).", b01(st.LeaseHeld))
 	gauge("n", "Process identities (max concurrent sessions).", int64(st.N))
 	counter("notprimary_redirects_total", "Operations refused with the owning primary's address (never applied here).", st.NotPrimaryRedirects)
-	counter("obj_map_ops_total", "Completed kx05 operations on map objects.", st.ObjMapOps)
-	counter("obj_queue_ops_total", "Completed kx05 operations on queue objects.", st.ObjQueueOps)
-	counter("obj_register_ops_total", "Completed kx05 operations on named register objects.", st.ObjRegisterOps)
-	counter("obj_snapshot_ops_total", "Completed kx05 operations on k-slot snapshot objects.", st.ObjSnapshotOps)
+	counter("obj_map_ops_total", "Completed operations on map objects.", st.ObjMapOps)
+	counter("obj_queue_ops_total", "Completed operations on queue objects.", st.ObjQueueOps)
+	counter("obj_register_ops_total", "Completed operations on named register objects.", st.ObjRegisterOps)
+	counter("obj_snapshot_ops_total", "Completed operations on k-slot snapshot objects.", st.ObjSnapshotOps)
 	counter("op_deadlines_total", "Operations withdrawn on per-op deadline expiry (never applied).", st.OpDeadlines)
 	gauge("open_fds", "Open file descriptors in the server process (-1 if unreadable).", int64(openFDs))
 

@@ -557,10 +557,6 @@ func (s *Server) handle(conn net.Conn) {
 		N:        uint32(s.cfg.N),
 		K:        uint32(s.cfg.K),
 		Shards:   uint32(s.cfg.Shards),
-		// Advertise the kx04 batch and kx05 object extensions; kx03
-		// clients ignore Msg on an OK hello, kx04 clients switch to
-		// batch framing, kx05 clients additionally speak object frames.
-		Msg: wire.FeatureBatch + " " + wire.FeatureObjects,
 	}
 	s.armWrite(conn)
 	if err := wire.WriteHello(bw, hello); err != nil {
@@ -611,7 +607,7 @@ func (s *Server) handle(conn net.Conn) {
 			// deadline: either way the session is over.
 			return
 		}
-		frames := []inFrame{{reqs: frame.Reqs, batched: frame.Batched, atomic: frame.Atomic}}
+		frames := []wire.ReqFrame{frame}
 		total := len(frame.Reqs)
 		// Drain the pipeline: only frames already complete in the read
 		// buffer — never a blocking read, so the watchdog semantics stay
@@ -623,7 +619,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			frames = append(frames, inFrame{reqs: more.Reqs, batched: more.Batched, atomic: more.Atomic})
+			frames = append(frames, more)
 			total += len(more.Reqs)
 		}
 
@@ -631,16 +627,14 @@ func (s *Server) handle(conn net.Conn) {
 		s.armWrite(conn)
 		i, werr := 0, error(nil)
 		for _, f := range frames {
-			if f.batched {
-				werr = wire.WriteBatchResponses(bw, resps[i:i+len(f.reqs)])
+			// The answer mirrors the request shape: a single-op frame
+			// carries exactly one request.
+			if f.Batched {
+				werr = wire.WriteBatchResponses(bw, resps[i:i+len(f.Reqs)])
 			} else {
-				for j := range f.reqs {
-					if werr == nil {
-						werr = wire.WriteResponse(bw, resps[i+j])
-					}
-				}
+				werr = wire.WriteResponse(bw, resps[i])
 			}
-			i += len(f.reqs)
+			i += len(f.Reqs)
 			if werr != nil {
 				return
 			}
@@ -671,15 +665,6 @@ const maxPipelineOps = 1024
 // connection.
 const readBufSize = 64 << 10
 
-// inFrame is one inbound request frame: its operations, whether they
-// arrived batched (responses mirror the framing), and whether they
-// form a kx05 atomic group.
-type inFrame struct {
-	reqs    []wire.Request
-	batched bool
-	atomic  bool
-}
-
 // completeFrameBuffered reports whether the reader already holds one
 // entire frame, so reading it cannot block. Oversized announcements
 // report false: the blocking path owns the typed refusal.
@@ -704,11 +689,11 @@ func completeFrameBuffered(br *bufio.Reader) bool {
 // so one fsync acknowledges the whole pipeline. Responses come back in
 // request order, one per request. closing reports that the connection
 // should end after the responses are flushed (drain answered).
-func (s *Server) serveCycle(p int, frames []inFrame, total int) (resps []wire.Response, closing bool) {
+func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []wire.Response, closing bool) {
 	resps = make([]wire.Response, 0, total)
 	if s.draining() {
 		for _, f := range frames {
-			for _, req := range f.reqs {
+			for _, req := range f.Reqs {
 				resps = append(resps, errResponse(req.ID, wire.StatusDraining, "server draining"))
 			}
 		}
@@ -717,7 +702,7 @@ func (s *Server) serveCycle(p int, frames []inFrame, total int) (resps []wire.Re
 
 	objOps := 0
 	for _, f := range frames {
-		for _, req := range f.reqs {
+		for _, req := range f.Reqs {
 			if req.Kind != wire.KindPing && req.Kind != wire.KindStats {
 				objOps++
 			}
@@ -744,21 +729,21 @@ func (s *Server) serveCycle(p int, frames []inFrame, total int) (resps []wire.Re
 		applied int
 	)
 	for _, f := range frames {
-		if f.atomic {
+		if f.Atomic {
 			// An atomic group is one unit: validated, committed and logged
 			// under one record by applyAtomicGroup; its durability wait
 			// joins the pipeline's single finishWait below.
 			base := len(resps)
 			var aresps []wire.Response
 			if !admitted {
-				for _, req := range f.reqs {
+				for _, req := range f.Reqs {
 					aresps = append(aresps, busyResponse(req.ID, shedHint))
 				}
 			} else {
 				var aacks []atomicAck
 				var alsn uint64
 				var afresh int
-				aresps, aacks, alsn, afresh = s.applyAtomicGroup(p, f.reqs)
+				aresps, aacks, alsn, afresh = s.applyAtomicGroup(p, f.Reqs)
 				for _, a := range aacks {
 					waiting = append(waiting, pendingAck{idx: base + a.idx, id: a.id, shard: a.shard, epoch: a.epoch})
 				}
@@ -766,14 +751,14 @@ func (s *Server) serveCycle(p int, frames []inFrame, total int) (resps []wire.Re
 					maxLsn = alsn
 				}
 				applied += afresh
-				for i, req := range f.reqs {
+				for i, req := range f.Reqs {
 					s.countObjOp(req, aresps[i])
 				}
 			}
 			resps = append(resps, aresps...)
 			continue
 		}
-		for _, req := range f.reqs {
+		for _, req := range f.Reqs {
 			var resp wire.Response
 			switch {
 			case req.Kind == wire.KindPing:
@@ -891,7 +876,7 @@ func (s *Server) applyObjOp(p int, req wire.Request) (resp wire.Response, lsn, e
 	return resp, lsn, epoch, wait, fresh
 }
 
-// countObjOp charges a completed (StatusOK) kx05 object operation to
+// countObjOp charges a completed (StatusOK) object operation to
 // its object class's counter; creates count toward the class being
 // created.
 func (s *Server) countObjOp(req wire.Request, resp wire.Response) {

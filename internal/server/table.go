@@ -279,8 +279,7 @@ func durableOp(req wire.Request) (durable.Op, bool) {
 }
 
 // foundFlag lifts an outcome's logical verdict into the response flags
-// for object kinds; legacy kinds never carry it (their responses stay
-// byte-identical to kx04).
+// for object kinds; control and root-register kinds never carry it.
 func foundFlag(k wire.Kind, ok bool) wire.Flags {
 	if k.IsObject() && ok {
 		return wire.FlagFound

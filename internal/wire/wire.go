@@ -11,7 +11,8 @@
 //     server's (N, k, shards) shape) or it rejects with backpressure
 //     (StatusBusy) and closes.
 //   - Request: client → server. An operation against one shard of the
-//     object table, or a control operation (ping, stats).
+//     object table, or a control operation (ping, stats), in one of the
+//     three marker-led request frames (see frame.go).
 //   - Response: server → client. Status, a value, and an optional opaque
 //     Data payload (stats JSON, error detail).
 //
@@ -38,14 +39,12 @@ import (
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // Magic opens every Hello frame; it doubles as the protocol version
-// ("kx03" — bump the digit on incompatible change; 02 added the
-// RetryAfterMillis field to Hello, 03 added the client-assigned op ID
-// (Session, Seq) to Request and the Flags byte to Response). The kx04
-// batch extension (see batch.go) is a compatible superset — its frames
-// are opt-in, negotiated via the FeatureBatch token in Hello.Msg — so
-// the magic deliberately stays at kx03: a stock kx03 client must keep
-// parsing a kx04 server's Hello unchanged.
-const Magic uint32 = 0x6b783033
+// ("kx06" — bump the digit on incompatible change; 06 made the
+// marker-led request frames of frame.go the only request framing). A
+// peer built against another version fails at the handshake with
+// ParseHello's "old protocol version?" error, so nothing past the Hello
+// is ever negotiated.
+const Magic uint32 = 0x6b783036
 
 // MaxFrame bounds a frame payload; a peer announcing more is treated as
 // corrupt rather than trusted with an allocation.
@@ -66,10 +65,8 @@ const (
 	// KindStats returns the server's metrics snapshot as JSON in Data.
 	KindStats
 
-	// kx05 object kinds (see object.go): operations on named, typed
-	// objects. They never travel in plain kx03 request frames — the
-	// object frames carry the Obj/Key/Arg2 fields the legacy layout has
-	// no room for.
+	// Object kinds: operations on named, typed objects, addressed by
+	// the request's Obj/Key/Arg2 fields.
 
 	// KindCreate creates object Obj of type Arg (object.Type); Arg2 is
 	// the slot count for snapshot objects. Idempotent per type.
@@ -97,7 +94,7 @@ const (
 	KindSnapScan
 )
 
-// IsObject reports whether the kind is a kx05 named-object operation.
+// IsObject reports whether the kind is a named-object operation.
 func (k Kind) IsObject() bool { return k >= KindCreate && k <= KindSnapScan }
 
 // IsRead reports whether the kind is a pure read: no state movement,
@@ -252,12 +249,10 @@ type Request struct {
 	// Either being zero opts the operation out of deduplication.
 	Session uint64
 	Seq     uint64
-	// Obj names the target object for kx05 object kinds (see object.go);
-	// Key addresses a map entry; Arg2 is the second operand (CAS expected
-	// value, snapshot slot index, snapshot slot count on create). These
-	// travel only in object frames — the plain kx03 request layout has no
-	// room for them and Encode/ParseRequest deliberately ignore them, so
-	// legacy exchanges stay byte-identical.
+	// Obj names the target object for object kinds; Key addresses a map
+	// entry; Arg2 is the second operand (CAS expected value, snapshot
+	// slot index, snapshot slot count on create). All three are zero for
+	// control and root-register kinds.
 	Obj  string
 	Key  string
 	Arg2 int64
@@ -275,8 +270,8 @@ const (
 	// key exists, a successful CAS, a delete that removed a key, a
 	// dequeue that yielded an element, and every unconditional success.
 	// Clear means the op completed but observed "miss" (Value then
-	// carries the observed/zero value). Only meaningful on kx05 object
-	// responses; legacy responses never set it.
+	// carries the observed/zero value). Only meaningful on object-kind
+	// responses; control and root-register responses never set it.
 	FlagFound
 )
 
@@ -304,10 +299,10 @@ type Response struct {
 // one means the refusing node knows no better primary (its own lease
 // expired), so the client should back off rather than rotate.
 func (r Response) Err() error {
-	e := &Error{Status: r.Status, Msg: string(r.Data)}
 	if r.Status == StatusOK {
 		return nil
 	}
+	e := &Error{Status: r.Status, Msg: string(r.Data)}
 	if (r.Status == StatusBusy || r.Status == StatusNotPrimary) && r.Value > 0 {
 		e.RetryAfterMillis = uint32(r.Value)
 	}
@@ -328,10 +323,7 @@ type Hello struct {
 	// from the configured admission parking window so rejected clients
 	// come back when an identity is plausibly free.
 	RetryAfterMillis uint32
-	// Msg carries rejection detail on non-OK hellos. On an admission
-	// (StatusOK) hello it is a space-separated capability token list
-	// (see FeatureBatch); kx03 clients ignore it, which is what makes
-	// the kx04 extension negotiable without a layout change.
+	// Msg carries rejection detail on non-OK hellos.
 	Msg string
 }
 
@@ -383,7 +375,7 @@ type Stats struct {
 	// node in the cluster placement (never applied; zero off-cluster).
 	NotPrimaryRedirects int64 `json:"notprimary_redirects"`
 	// ObjMapOps, ObjQueueOps, ObjRegisterOps and ObjSnapshotOps count
-	// completed kx05 object operations by object class (reads and
+	// completed object operations by object class (reads and
 	// mutations both; creates count toward the class being created).
 	ObjMapOps      int64 `json:"obj_map_ops"`
 	ObjQueueOps    int64 `json:"obj_queue_ops"`
@@ -489,45 +481,22 @@ func ReadFrameLimit(r io.Reader, limit int) ([]byte, error) {
 	return payload, nil
 }
 
-const requestLen = 8 + 1 + 4 + 8 + 8 + 8
-
-// Encode serializes the request payload.
-func (r Request) Encode() []byte {
-	b := make([]byte, requestLen)
-	binary.BigEndian.PutUint64(b[0:], r.ID)
-	b[8] = byte(r.Kind)
-	binary.BigEndian.PutUint32(b[9:], r.Shard)
-	binary.BigEndian.PutUint64(b[13:], uint64(r.Arg))
-	binary.BigEndian.PutUint64(b[21:], r.Session)
-	binary.BigEndian.PutUint64(b[29:], r.Seq)
-	return b
-}
-
-// ParseRequest decodes a request payload.
-func ParseRequest(b []byte) (Request, error) {
-	if len(b) != requestLen {
-		return Request{}, fmt.Errorf("wire: request payload is %d bytes, want %d", len(b), requestLen)
-	}
-	return Request{
-		ID:      binary.BigEndian.Uint64(b[0:]),
-		Kind:    Kind(b[8]),
-		Shard:   binary.BigEndian.Uint32(b[9:]),
-		Arg:     int64(binary.BigEndian.Uint64(b[13:])),
-		Session: binary.BigEndian.Uint64(b[21:]),
-		Seq:     binary.BigEndian.Uint64(b[29:]),
-	}, nil
-}
-
 // Encode serializes the response payload.
 func (r Response) Encode() []byte {
-	b := make([]byte, 8+1+1+8+4+len(r.Data))
-	binary.BigEndian.PutUint64(b[0:], r.ID)
-	b[8] = byte(r.Status)
-	b[9] = byte(r.Flags)
-	binary.BigEndian.PutUint64(b[10:], uint64(r.Value))
-	binary.BigEndian.PutUint32(b[18:], uint32(len(r.Data)))
-	copy(b[22:], r.Data)
-	return b
+	return r.appendTo(make([]byte, 0, r.encodedLen()))
+}
+
+// encodedLen is the size of the response payload: id + status + flags +
+// value + dataLen, then Data.
+func (r Response) encodedLen() int { return 8 + 1 + 1 + 8 + 4 + len(r.Data) }
+
+// appendTo appends the response payload to b.
+func (r Response) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.ID)
+	b = append(b, byte(r.Status), byte(r.Flags))
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Value))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Data)))
+	return append(b, r.Data...)
 }
 
 // ParseResponse decodes a response payload.
@@ -588,18 +557,6 @@ func ParseHello(b []byte) (Hello, error) {
 		RetryAfterMillis: binary.BigEndian.Uint32(b[21:]),
 		Msg:              string(b[29:]),
 	}, nil
-}
-
-// WriteRequest frames and writes one request.
-func WriteRequest(w io.Writer, r Request) error { return WriteFrame(w, r.Encode()) }
-
-// ReadRequest reads and decodes one request frame.
-func ReadRequest(r io.Reader) (Request, error) {
-	b, err := ReadFrame(r)
-	if err != nil {
-		return Request{}, err
-	}
-	return ParseRequest(b)
 }
 
 // WriteResponse frames and writes one response.
