@@ -1,0 +1,107 @@
+package durable
+
+import (
+	"fmt"
+	"testing"
+
+	"kexclusion/internal/object"
+)
+
+// benchShapes are the state sizes the per-op costs are on record for:
+// dedup sessions × named objects, the first object a map of mapKeys
+// keys (the target of every benchmarked put), the rest registers.
+var benchShapes = []struct {
+	name                       string
+	sessions, objects, mapKeys int
+}{
+	{"2sess_3obj_1kkeys", 2, 3, 1 << 10},
+	{"1024sess_64obj_1kkeys", 1024, 64, 1 << 10},
+	{"1024sess_64obj_100kkeys", 1024, 64, 100_000},
+}
+
+const benchWindow = 1024
+
+var benchStates = map[string]ShardState{}
+
+// benchState builds (once per shape) a state of the given size; its
+// sessions are 1..sessions and its map keys benchKey(0..mapKeys-1).
+func benchState(name string, sessions, objects, mapKeys int) ShardState {
+	if st, ok := benchStates[name]; ok {
+		return st
+	}
+	var st ShardState
+	StepOp(&st, benchWindow, 0, 0, Op{Kind: OpCreate, Obj: "map:0", Arg: int64(object.TypeMap)})
+	for i := 1; i < objects; i++ {
+		StepOp(&st, benchWindow, 0, 0, Op{Kind: OpCreate, Obj: fmt.Sprintf("reg:%d", i), Arg: int64(object.TypeRegister)})
+	}
+	for i := 0; i < mapKeys; i++ {
+		StepOp(&st, benchWindow, 0, 0, Op{Kind: OpMapPut, Obj: "map:0", Key: benchKey(i), Arg: int64(i)})
+	}
+	for s := 1; s <= sessions; s++ {
+		StepOp(&st, benchWindow, uint64(s), 1, Op{Kind: OpAdd, Arg: 1})
+	}
+	benchStates[name] = st
+	return st
+}
+
+func benchKey(i int) string { return fmt.Sprintf("k%06d", i) }
+
+var (
+	sinkState   ShardState
+	sinkOutcome Outcome
+)
+
+func BenchmarkClone(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			st := benchState(sh.name, sh.sessions, sh.objects, sh.mapKeys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkState = st.Clone()
+			}
+		})
+	}
+}
+
+// BenchmarkStepOp is one op as the universal construction runs it:
+// clone the committed state, step the clone, publish it. The op is a
+// map put by a session the window already holds.
+func BenchmarkStepOp(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			st := benchState(sh.name, sh.sessions, sh.objects, sh.mapKeys)
+			prev, _ := st.Dedup.Get(1)
+			keys := make([]string, 1024)
+			for i := range keys {
+				keys[i] = benchKey((i * 97) % sh.mapKeys)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := st.Clone()
+				sinkOutcome = StepOp(&c, benchWindow, 1, prev.Seq+1+uint64(i),
+					Op{Kind: OpMapPut, Obj: "map:0", Key: keys[i%len(keys)], Arg: int64(i)})
+				st = c
+			}
+		})
+	}
+}
+
+// BenchmarkStepOpEvict is the cost evictOldest leaves on the books:
+// every op comes from a session new to a full window, so every op
+// scans the window for its oldest entry.
+func BenchmarkStepOpEvict(b *testing.B) {
+	sh := benchShapes[1]
+	st := benchState(sh.name, sh.sessions, sh.objects, sh.mapKeys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := st.Clone()
+		sinkOutcome = StepOp(&c, benchWindow, uint64(1<<40+i), 1, Op{Kind: OpAdd, Arg: 1})
+		st = c
+	}
+	if st.Dedup.Len() != benchWindow {
+		b.Fatalf("window holds %d sessions, want %d", st.Dedup.Len(), benchWindow)
+	}
+}

@@ -36,9 +36,9 @@ func TestOpRecordEpochRoundTrip(t *testing.T) {
 
 func TestStateImageEpochRoundTrip(t *testing.T) {
 	want := map[uint32]ShardState{
-		0: {Epoch: 2, Ver: 9, Val: 42, Dedup: map[uint64]DedupEntry{
+		0: {Epoch: 2, Ver: 9, Val: 42, Dedup: dedupOf(map[uint64]DedupEntry{
 			11: {Seq: 3, Val: 42, Ver: 9},
-		}},
+		})},
 		5: {Epoch: 0, Ver: 1, Val: -1},
 	}
 	got, err := DecodeState(EncodeState(want))
@@ -51,7 +51,7 @@ func TestStateImageEpochRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: got %+v, want %+v", id, g, w)
 		}
 	}
-	if e := got[0].Dedup[11]; e.Seq != 3 || e.Val != 42 || e.Ver != 9 {
+	if e, _ := got[0].Dedup.Get(11); e.Seq != 3 || e.Val != 42 || e.Ver != 9 {
 		t.Fatalf("shard 0 dedup entry: %+v", e)
 	}
 }
@@ -106,8 +106,8 @@ func TestLayoutsGolden(t *testing.T) {
 		"0000000000000006" + "0000000000000005" + "0000000000000006" +
 		"000000000000000d" + "0000000000000001" + "01" + "01" + "0002" + "6d" + "6b31"
 	snapshot := encodeSnapshot(17, 4, map[uint32]ShardState{2: {Epoch: 1, Ver: 8, Val: 80,
-		Dedup: map[uint64]DedupEntry{0xAABB: {Seq: 3, Val: 80, Ver: 8, OK: true,
-			Recent: []DedupOp{{Seq: 2, Val: 79, Ver: 7}}}}}})
+		Dedup: dedupOf(map[uint64]DedupEntry{0xAABB: {Seq: 3, Val: 80, Ver: 8, OK: true,
+			Recent: []DedupOp{{Seq: 2, Val: 79, Ver: 7}}}})}})
 	const wantSnap = "07" + "0000000000000011" + "0000000000000004" + "00000001" +
 		"00000002" + "0000000000000001" + "0000000000000008" + "0000000000000050" + "00000001" +
 		"000000000000aabb" + "00000002" +

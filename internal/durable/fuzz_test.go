@@ -22,7 +22,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(encodeOp(Record{Atomic: []Record{reg, obj}}))
 	f.Add(encodeRestart())
 	f.Add(appendFrame(nil, encodeSnapshot(9, 1, map[uint32]ShardState{2: {Ver: 8, Val: 80,
-		Dedup: map[uint64]DedupEntry{7: {Seq: 3, Val: 80, Ver: 8, OK: true}}}})))
+		Dedup: dedupOf(map[uint64]DedupEntry{7: {Seq: 3, Val: 80, Ver: 8, OK: true}})}})))
 	for _, retired := range []byte{1, 3, 4, 6} {
 		body := EncodeRecordBody(reg)
 		body[0] = retired

@@ -115,7 +115,7 @@ func TestStepOpCASReissueFromWindow(t *testing.T) {
 		t.Fatalf("re-issued cas miss: %+v, want rejected duplicate val 2", re)
 	}
 	// And the re-issues must not have moved the state.
-	if v, _ := s.Objs["kv"].M.Get("x"); v != 1 {
+	if v, _ := objOf(s, "kv").M.Get("x"); v != 1 {
 		t.Fatalf("x = %d after re-issues, want 1", v)
 	}
 }
@@ -129,13 +129,13 @@ func TestShardStateCloneObjectIsolation(t *testing.T) {
 	StepOp(&c, 0, 1, 3, Op{Kind: OpQDeq, Obj: "q"})
 	StepOp(&c, 0, 1, 4, Op{Kind: OpCreate, Obj: "r", Arg: int64(object.TypeRegister)})
 
-	if s.Objs["q"].Q.Len() != 1 {
+	if objOf(s, "q").Q.Len() != 1 {
 		t.Fatal("clone's dequeue drained the original")
 	}
-	if _, ok := s.Objs["r"]; ok {
+	if _, ok := s.Objs.Get("r"); ok {
 		t.Fatal("clone's create leaked into the original")
 	}
-	if c.Objs["q"].Q.Len() != 0 {
+	if objOf(c, "q").Q.Len() != 0 {
 		t.Fatal("clone missing its own dequeue")
 	}
 }
@@ -244,13 +244,13 @@ func TestRecoveryReplaysObjectOps(t *testing.T) {
 	if got.Ver != s.Ver {
 		t.Fatalf("recovered ver %d, want %d", got.Ver, s.Ver)
 	}
-	if v, _ := got.Objs["kv"].M.Get("k"); v != 4 {
+	if v, _ := objOf(got, "kv").M.Get("k"); v != 4 {
 		t.Fatalf("kv[k] = %d, want 4", v)
 	}
-	if v, _ := got.Objs["kv"].M.Get("atomic"); v != 1 {
+	if v, _ := objOf(got, "kv").M.Get("atomic"); v != 1 {
 		t.Fatalf("kv[atomic] = %d, want 1", v)
 	}
-	if got.Objs["q"].Q.Len() != 1 || got.Objs["q"].Q.At(0) != 99 {
+	if objOf(got, "q").Q.Len() != 1 || objOf(got, "q").Q.At(0) != 99 {
 		t.Fatalf("queue state wrong after replay")
 	}
 	// The rejected cas's verdict survived: re-issuing seq 3 answers the
@@ -288,11 +288,11 @@ func TestSnapshotCarriesObjects(t *testing.T) {
 	l2, rec := mustOpen(t, Options{Dir: dir})
 	defer l2.Close()
 	got := rec.Shards[0]
-	if v, _ := got.Objs["kv"].M.Get("a"); v != 7 {
+	if v, _ := objOf(got, "kv").M.Get("a"); v != 7 {
 		t.Fatalf("kv[a] = %d", v)
 	}
-	if got.Objs["snap"].Slots[1] != 5 {
-		t.Fatalf("snap slots = %v", got.Objs["snap"].Slots)
+	if objOf(got, "snap").Slots[1] != 5 {
+		t.Fatalf("snap slots = %v", objOf(got, "snap").Slots)
 	}
 	// The rejected verdict round-tripped through the snapshot.
 	re := StepOp(&got, 0, 3, 5, Op{Kind: OpMapCAS, Obj: "kv", Key: "a", Arg: 1, Arg2: 99})

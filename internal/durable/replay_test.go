@@ -1,0 +1,156 @@
+package durable
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"kexclusion/internal/object"
+)
+
+// TestLiveAndReplayBitIdentical is the property recovery and
+// replication rest on: a state built live — every op speculated on a
+// Clone, the way the universal construction runs it — and a zero state
+// replaying only the records that live run logged end as the same
+// bytes, and those bytes survive decode → encode unchanged. The seeded
+// stream covers every OpKind, cas hits and misses, deletes of absent
+// keys, dequeues on empty, ops on missing and wrongly typed objects,
+// three times more sessions than the window holds, and re-issued op
+// IDs (duplicate, stale, and re-applied after eviction).
+func TestLiveAndReplayBitIdentical(t *testing.T) {
+	const window = 8
+	rng := rand.New(rand.NewSource(7))
+	names := []struct {
+		name string
+		typ  object.Type
+	}{
+		{"reg", object.TypeRegister}, {"kv", object.TypeMap}, {"kv2", object.TypeMap},
+		{"q", object.TypeQueue}, {"snap", object.TypeSnapshot}, {"never-created", 0},
+	}
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	randomOp := func() Op {
+		target := names[rng.Intn(len(names))]
+		op := Op{
+			Kind: OpKind(1 + rng.Intn(int(opKindMax))),
+			Obj:  target.name,
+			Key:  keys[rng.Intn(len(keys))],
+			Arg:  int64(rng.Intn(4)),
+			Arg2: int64(rng.Intn(4)),
+		}
+		switch op.Kind {
+		case OpAdd, OpSet:
+			op.Obj, op.Key = "", ""
+		case OpCreate:
+			op.Arg = int64(target.typ)
+			if rng.Intn(8) == 0 {
+				op.Arg = int64(object.TypeRegister) // a type conflict for most names
+			}
+		}
+		return op
+	}
+
+	type issued struct {
+		session, seq uint64
+		op           Op
+	}
+	var (
+		live    ShardState
+		log     []Record
+		history []issued
+		nextSeq = map[uint64]uint64{}
+		kinds   = map[OpKind]int{}
+		seen    struct{ dup, stale, evicted, casHit, casMiss, delMiss, deqEmpty int }
+		kept    []ShardState
+		keptImg [][]byte
+	)
+	for i := 0; i < 6000; i++ {
+		var is issued
+		if len(history) > 0 && rng.Intn(8) == 0 {
+			is = history[rng.Intn(len(history))]
+		} else {
+			is.session = uint64(1 + rng.Intn(3*window))
+			nextSeq[is.session]++
+			is.seq, is.op = nextSeq[is.session], randomOp()
+			history = append(history, is)
+		}
+		_, known := live.Dedup.Get(is.session)
+		full := live.Dedup.Len() == window
+
+		next := live.Clone()
+		out := StepOp(&next, window, is.session, is.seq, is.op)
+		if i%500 == 0 {
+			// Keep a committed state and its image: no later op, all
+			// of them run on its clones, may change it.
+			kept, keptImg = append(kept, live), append(keptImg, stateImage(live))
+		}
+		live = next
+
+		switch {
+		case out.Duplicate:
+			seen.dup++
+		case out.Stale:
+			seen.stale++
+		case out.Applied:
+			kinds[is.op.Kind]++
+			log = append(log, Record{Session: is.session, Seq: is.seq, Kind: is.op.Kind,
+				Obj: is.op.Obj, Key: is.op.Key, Arg: is.op.Arg, Arg2: is.op.Arg2,
+				Val: out.Val, OK: out.OK, Ver: out.Ver, Epoch: out.Epoch})
+			if full && !known {
+				seen.evicted++
+			}
+			switch {
+			case is.op.Kind == OpMapCAS && out.OK:
+				seen.casHit++
+			case is.op.Kind == OpMapCAS && is.op.Obj == "kv":
+				seen.casMiss++
+			case is.op.Kind == OpMapDel && !out.OK && is.op.Obj == "kv":
+				seen.delMiss++
+			case is.op.Kind == OpQDeq && !out.OK && is.op.Obj == "q":
+				seen.deqEmpty++
+			}
+		default:
+			t.Fatalf("op %d: outcome is none of applied/duplicate/stale: %+v", i, out)
+		}
+		if live.Dedup.Len() > window {
+			t.Fatalf("op %d: window holds %d sessions, cap %d", i, live.Dedup.Len(), window)
+		}
+	}
+	for k := OpAdd; k <= opKindMax; k++ {
+		if kinds[k] == 0 {
+			t.Errorf("stream never applied a %v", k)
+		}
+	}
+	if seen.dup == 0 || seen.stale == 0 || seen.evicted == 0 || seen.casHit == 0 ||
+		seen.casMiss == 0 || seen.delMiss == 0 || seen.deqEmpty == 0 {
+		t.Errorf("stream missed a case it exists to cover: %+v", seen)
+	}
+
+	img := stateImage(live)
+	decoded, err := DecodeState(img)
+	if err != nil {
+		t.Fatalf("decode of the live image: %v", err)
+	}
+	if again := EncodeState(decoded); !bytes.Equal(again, img) {
+		t.Fatalf("encode → decode → encode changed the image (%d vs %d bytes)", len(img), len(again))
+	}
+
+	rec := Recovery{Shards: map[uint32]ShardState{}}
+	for i, r := range log {
+		if err := replayOp(r, uint64(i+1), window, &rec); err != nil {
+			t.Fatalf("replay of record %d: %v", i, err)
+		}
+	}
+	if replayed := stateImage(rec.Shards[0]); !bytes.Equal(replayed, img) {
+		t.Fatalf("replay of %d records diverged from the live state (%d vs %d bytes)", len(log), len(replayed), len(img))
+	}
+	if !reflect.DeepEqual(rec.Shards[0], live) {
+		t.Fatal("replayed and live states encode alike but differ in memory")
+	}
+
+	for i, s := range kept {
+		if !bytes.Equal(stateImage(s), keptImg[i]) {
+			t.Fatalf("state kept at op %d changed under later ops on its clones", i*500)
+		}
+	}
+}

@@ -58,14 +58,10 @@ func encodeSnapshot(cover, markers uint64, shards map[uint32]ShardState) []byte 
 		body = binary.BigEndian.AppendUint64(body, s.Epoch)
 		body = binary.BigEndian.AppendUint64(body, s.Ver)
 		body = binary.BigEndian.AppendUint64(body, uint64(s.Val))
-		sessions := make([]uint64, 0, len(s.Dedup))
-		for sess := range s.Dedup {
-			sessions = append(sessions, sess)
-		}
-		sort.Slice(sessions, func(i, j int) bool { return sessions[i] < sessions[j] })
+		sessions := s.Dedup.SortedKeys()
 		body = binary.BigEndian.AppendUint32(body, uint32(len(sessions)))
 		for _, sess := range sessions {
-			e := s.Dedup[sess]
+			e, _ := s.Dedup.Get(sess)
 			body = binary.BigEndian.AppendUint64(body, sess)
 			body = binary.BigEndian.AppendUint32(body, uint32(1+len(e.Recent)))
 			body = binary.BigEndian.AppendUint64(body, e.Seq)
@@ -126,11 +122,10 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 		nDedup := int(binary.BigEndian.Uint32(body[off+28:]))
 		off += snapShardHdr
 		if nDedup > 0 {
-			// Bound the allocation hint before trusting the count.
+			// Bound the count before looping on it.
 			if nDedup > (len(body)-off)/snapDedupHdr {
 				return fail("dedup entries truncated")
 			}
-			s.Dedup = make(map[uint64]DedupEntry, nDedup)
 			for j := 0; j < nDedup; j++ {
 				if len(body)-off < snapDedupHdr {
 					return fail("dedup entries truncated")
@@ -149,9 +144,9 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 						e.Recent[k] = readOp()
 					}
 				}
-				s.Dedup[sess] = e
+				s.Dedup = s.Dedup.Set(sess, e)
 			}
-			if len(s.Dedup) != nDedup {
+			if s.Dedup.Len() != nDedup {
 				return fail("has repeated dedup sessions")
 			}
 		}

@@ -1,6 +1,9 @@
 package durable
 
-import "kexclusion/internal/object"
+import (
+	"kexclusion/internal/object"
+	"kexclusion/internal/pmap"
+)
 
 // ShardState is the value type the server's resilient.Shared table
 // holds per shard: the visible counter value plus the durability
@@ -30,19 +33,18 @@ type ShardState struct {
 	// Val is the shard's visible value.
 	Val int64
 	// Objs is the shard's named-object table: registers, maps,
-	// queues, and snapshot objects keyed by name. Nil until the first
-	// create. Clone copies the map but shares the object states; a
-	// mutation clones the one object it touches and swaps the pointer,
-	// so per-op cost is O(objects in shard) for the map copy plus the
-	// object's own COW cost, never O(total data).
-	Objs map[string]*object.State
+	// queues, and snapshot objects keyed by name. A mutation clones the
+	// one object it touches and rebinds its name, so per-op cost is one
+	// O(log₃₂ objects) path copy plus the object's own copy-on-write
+	// cost, never O(objects) or O(total data).
+	Objs object.Table
 	// Dedup maps a client session identity to its recent ops. One
 	// entry per session, holding the newest op inline plus a short
 	// history (see DedupDepth): a pipelined client can have several
 	// un-acked ops in flight at once, and after a mid-burst connection
 	// loss it re-issues all of them — each must be recognized, not just
 	// the newest.
-	Dedup map[uint64]DedupEntry
+	Dedup pmap.Map[uint64, DedupEntry, pmap.Uint64Hash]
 }
 
 // DedupDepth is how many recent ops per (session, shard) the dedup
@@ -132,30 +134,12 @@ type Outcome struct {
 	Epoch uint64
 }
 
-// Clone deep-copies the state. resilient.Shared calls it before every
-// speculative op execution, so Step may mutate its receiver freely.
-// Entries are copied by value; the Recent slices they point at are
-// shared, which is safe because Step treats them as immutable
-// (copy-on-write).
-func (s ShardState) Clone() ShardState {
-	c := s
-	if s.Dedup != nil {
-		c.Dedup = make(map[uint64]DedupEntry, len(s.Dedup))
-		for k, v := range s.Dedup {
-			c.Dedup[k] = v
-		}
-	}
-	if s.Objs != nil {
-		// The object states themselves are shared copy-on-write:
-		// applyOp clones the one object it mutates and swaps the
-		// pointer, so entries here are immutable once published.
-		c.Objs = make(map[string]*object.State, len(s.Objs))
-		for k, v := range s.Objs {
-			c.Objs[k] = v
-		}
-	}
-	return c
-}
+// Clone copies the state in O(1). resilient.Shared calls it before
+// every speculative op execution, so Step may mutate its receiver
+// freely: Dedup and Objs are persistent maps that Step rebinds, never
+// writes, and the Recent slices and object states they point at are
+// immutable once published (copy-on-write).
+func (s ShardState) Clone() ShardState { return s }
 
 // Step executes one mutation against s with dedup: the single source
 // of truth for both live ops (inside the universal construction's op
@@ -180,17 +164,20 @@ func Step(s *ShardState, window int, session, seq uint64, kind OpKind, arg int64
 // re-evaluated against state that has since moved — exactly-once for
 // failures, not just successes.
 func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
-	if session != 0 && seq != 0 {
-		if e, ok := s.Dedup[session]; ok {
-			if seq == e.Seq {
-				return Outcome{Val: e.Val, OK: e.OK, Duplicate: true, Ver: e.Ver, Epoch: s.Epoch}
+	dedup := session != 0 && seq != 0
+	var prev DedupEntry
+	var had bool
+	if dedup {
+		if prev, had = s.Dedup.Get(session); had {
+			if seq == prev.Seq {
+				return Outcome{Val: prev.Val, OK: prev.OK, Duplicate: true, Ver: prev.Ver, Epoch: s.Epoch}
 			}
-			if seq < e.Seq {
+			if seq < prev.Seq {
 				// An older seq: answer from the history if the window
 				// still holds it (a pipelined burst healing after a
 				// connection loss re-issues every un-acked op, oldest
 				// included), stale only once it has aged out.
-				for _, old := range e.Recent {
+				for _, old := range prev.Recent {
 					if old.Seq == seq {
 						return Outcome{Val: old.Val, OK: old.OK, Duplicate: true, Ver: old.Ver, Epoch: s.Epoch}
 					}
@@ -201,11 +188,7 @@ func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
 	}
 	val, ok := applyOp(s, op)
 	s.Ver++
-	if session != 0 && seq != 0 {
-		if s.Dedup == nil {
-			s.Dedup = make(map[uint64]DedupEntry)
-		}
-		prev, had := s.Dedup[session]
+	if dedup {
 		entry := DedupEntry{Seq: seq, Val: val, OK: ok, Ver: s.Ver}
 		if had {
 			// Push the superseded newest op into the history: a fresh
@@ -219,9 +202,9 @@ func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
 			entry.Recent = append(entry.Recent, DedupOp{Seq: prev.Seq, Val: prev.Val, OK: prev.OK, Ver: prev.Ver})
 			entry.Recent = append(entry.Recent, prev.Recent[:keep]...)
 		}
-		s.Dedup[session] = entry
-		if window > 0 && len(s.Dedup) > window {
-			evictOldest(s.Dedup)
+		s.Dedup = s.Dedup.Set(session, entry)
+		if window > 0 && s.Dedup.Len() > window {
+			evictOldest(s)
 		}
 	}
 	return Outcome{Val: val, OK: ok, Applied: true, Ver: s.Ver, Epoch: s.Epoch}
@@ -240,7 +223,7 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 		return s.Val, true
 	case OpCreate:
 		t := object.Type(op.Arg)
-		if cur, ok := s.Objs[op.Obj]; ok {
+		if cur, ok := s.Objs.Get(op.Obj); ok {
 			// Idempotent: re-creating with the same type succeeds and
 			// reports the type; a different type is a conflict.
 			return int64(cur.Type), cur.Type == t
@@ -252,13 +235,10 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 		if t == object.TypeSnapshot && (slots < 1 || slots > object.MaxSnapSlots) {
 			return 0, false
 		}
-		if s.Objs == nil {
-			s.Objs = make(map[string]*object.State)
-		}
-		s.Objs[op.Obj] = object.New(t, slots)
+		s.Objs = s.Objs.Set(op.Obj, object.New(t, slots))
 		return int64(t), true
 	}
-	cur, ok := s.Objs[op.Obj]
+	cur, ok := s.Objs.Get(op.Obj)
 	if !ok {
 		return 0, false
 	}
@@ -266,7 +246,7 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 	// previously published *State immutable for clones that share it.
 	mutate := func() *object.State {
 		c := cur.Clone()
-		s.Objs[op.Obj] = c
+		s.Objs = s.Objs.Set(op.Obj, c)
 		return c
 	}
 	switch op.Kind {
@@ -341,15 +321,17 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 
 // evictOldest drops the entry with the smallest shard version — the
 // session that has gone longest without touching this shard. Ties are
-// impossible: versions are unique per shard.
-func evictOldest(m map[uint64]DedupEntry) {
+// impossible: versions are unique per shard. It scans the whole window,
+// but runs only when a session new to a full window arrives, not per
+// op.
+func evictOldest(s *ShardState) {
 	var victim uint64
 	first := true
 	var minVer uint64
-	for sess, e := range m {
+	s.Dedup.Each(func(sess uint64, e DedupEntry) {
 		if first || e.Ver < minVer {
 			victim, minVer, first = sess, e.Ver, false
 		}
-	}
-	delete(m, victim)
+	})
+	s.Dedup = s.Dedup.Delete(victim)
 }

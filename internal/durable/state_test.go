@@ -1,7 +1,8 @@
 package durable
 
 import (
-	"fmt"
+	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestStepHistoryDepthBound(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		Step(&s, 0, 9, uint64(i), OpAdd, 1)
 	}
-	e := s.Dedup[9]
+	e, _ := s.Dedup.Get(9)
 	if got := 1 + len(e.Recent); got != DedupDepth {
 		t.Fatalf("history holds %d ops, want %d", got, DedupDepth)
 	}
@@ -94,7 +95,7 @@ func TestStepAnonymousOpsSkipDedup(t *testing.T) {
 			t.Fatalf("anonymous op %d: %+v", i, out)
 		}
 	}
-	if s.Val != 3 || len(s.Dedup) != 0 {
+	if s.Val != 3 || s.Dedup.Len() != 0 {
 		t.Fatalf("anonymous ops recorded dedup state: %+v", s)
 	}
 }
@@ -107,16 +108,16 @@ func TestDedupWindowEvictionUnderChurn(t *testing.T) {
 	// sessions (largest versions).
 	for sess := uint64(1); sess <= 100; sess++ {
 		Step(&s, window, sess, 1, OpAdd, 1)
-		if len(s.Dedup) > window {
-			t.Fatalf("after session %d: window holds %d entries, cap %d", sess, len(s.Dedup), window)
+		if s.Dedup.Len() > window {
+			t.Fatalf("after session %d: window holds %d entries, cap %d", sess, s.Dedup.Len(), window)
 		}
 	}
-	if len(s.Dedup) != window {
-		t.Fatalf("window not full after churn: %d", len(s.Dedup))
+	if s.Dedup.Len() != window {
+		t.Fatalf("window not full after churn: %d", s.Dedup.Len())
 	}
 	for sess := uint64(100 - window + 1); sess <= 100; sess++ {
-		if _, ok := s.Dedup[sess]; !ok {
-			t.Fatalf("recently active session %d was evicted; window: %v", sess, s.Dedup)
+		if _, ok := s.Dedup.Get(sess); !ok {
+			t.Fatalf("recently active session %d was evicted; window: %v", sess, s.Dedup.SortedKeys())
 		}
 	}
 	// An evicted session's retry is past the exactly-once window: it
@@ -132,22 +133,23 @@ func TestDedupWindowEvictionUnderChurn(t *testing.T) {
 	busy := uint64(200)
 	Step(&s, window, busy, 1, OpAdd, 1)
 	for sess := uint64(300); sess < 300+window; sess++ {
-		Step(&s, window, busy, s.Dedup[busy].Seq+1, OpAdd, 1)
+		e, _ := s.Dedup.Get(busy)
+		Step(&s, window, busy, e.Seq+1, OpAdd, 1)
 		Step(&s, window, sess, 1, OpAdd, 1)
 	}
-	if _, ok := s.Dedup[busy]; !ok {
+	if _, ok := s.Dedup.Get(busy); !ok {
 		t.Fatalf("busy session evicted while idle sessions churned")
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	s := ShardState{Ver: 3, Val: 9, Dedup: map[uint64]DedupEntry{4: {Seq: 2, Val: 9, Ver: 3}}}
+	s := ShardState{Ver: 3, Val: 9, Dedup: dedupOf(map[uint64]DedupEntry{4: {Seq: 2, Val: 9, Ver: 3}})}
 	c := s.Clone()
 	Step(&c, 0, 5, 1, OpAdd, 1)
-	if s.Val != 9 || s.Ver != 3 || len(s.Dedup) != 1 {
+	if s.Val != 9 || s.Ver != 3 || s.Dedup.Len() != 1 {
 		t.Fatalf("mutating the clone changed the original: %+v", s)
 	}
-	if c.Val != 10 || c.Ver != 4 || len(c.Dedup) != 2 {
+	if c.Val != 10 || c.Ver != 4 || c.Dedup.Len() != 2 {
 		t.Fatalf("clone: %+v", c)
 	}
 }
@@ -174,7 +176,7 @@ func TestStepReplayEquivalence(t *testing.T) {
 	for _, o := range ops {
 		Step(&b, 3, o.sess, o.seq, o.kind, o.arg)
 	}
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("replay diverged:\n a=%+v\n b=%+v", a, b)
+	if !reflect.DeepEqual(a, b) || !bytes.Equal(stateImage(a), stateImage(b)) {
+		t.Fatalf("replay diverged:\n a=%x\n b=%x", stateImage(a), stateImage(b))
 	}
 }

@@ -3,7 +3,6 @@ package object
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Table codec: the deterministic byte image of a shard's named-object
@@ -23,15 +22,11 @@ import (
 //	  snapshot: [u16 slots] then slots × [8 value]
 
 // AppendTable appends the table image of objs to dst.
-func AppendTable(dst []byte, objs map[string]*State) []byte {
-	names := make([]string, 0, len(objs))
-	for n := range objs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+func AppendTable(dst []byte, objs Table) []byte {
+	names := objs.SortedKeys()
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
 	for _, n := range names {
-		s := objs[n]
+		s, _ := objs.Get(n)
 		dst = append(dst, byte(len(n)))
 		dst = append(dst, n...)
 		dst = append(dst, byte(s.Type))
@@ -66,8 +61,8 @@ func AppendTable(dst []byte, objs map[string]*State) []byte {
 // table and the bytes consumed. Counts are validated against the
 // remaining bytes before any allocation trusts them; names and keys
 // must be strictly ascending (rejecting duplicates and pinning the
-// deterministic layout). A nil map is returned for an empty table.
-func DecodeTable(b []byte) (map[string]*State, int, error) {
+// deterministic layout).
+func DecodeTable(b []byte) (Table, int, error) {
 	pos := 0
 	need := func(n int) error {
 		if len(b)-pos < n {
@@ -76,32 +71,32 @@ func DecodeTable(b []byte) (map[string]*State, int, error) {
 		return nil
 	}
 	if err := need(4); err != nil {
-		return nil, 0, err
+		return Table{}, 0, err
 	}
 	count := int(binary.BigEndian.Uint32(b[pos:]))
 	pos += 4
 	// Each object costs at least nameLen(1)+name(1)+type(1)+payload(2).
 	if count < 0 || count > (len(b)-pos)/5 {
-		return nil, 0, fmt.Errorf("object: table count %d exceeds %d remaining bytes", count, len(b)-pos)
+		return Table{}, 0, fmt.Errorf("object: table count %d exceeds %d remaining bytes", count, len(b)-pos)
 	}
-	var objs map[string]*State
+	var objs Table
 	prevName := ""
 	for i := 0; i < count; i++ {
 		if err := need(1); err != nil {
-			return nil, 0, err
+			return Table{}, 0, err
 		}
 		nameLen := int(b[pos])
 		pos++
 		if nameLen == 0 || nameLen > MaxNameLen {
-			return nil, 0, fmt.Errorf("object: name length %d outside (0,%d]", nameLen, MaxNameLen)
+			return Table{}, 0, fmt.Errorf("object: name length %d outside (0,%d]", nameLen, MaxNameLen)
 		}
 		if err := need(nameLen + 1); err != nil {
-			return nil, 0, err
+			return Table{}, 0, err
 		}
 		name := string(b[pos : pos+nameLen])
 		pos += nameLen
 		if i > 0 && name <= prevName {
-			return nil, 0, fmt.Errorf("object: table names not strictly ascending at %q", name)
+			return Table{}, 0, fmt.Errorf("object: table names not strictly ascending at %q", name)
 		}
 		prevName = name
 		typ := Type(b[pos])
@@ -110,37 +105,37 @@ func DecodeTable(b []byte) (map[string]*State, int, error) {
 		switch typ {
 		case TypeRegister:
 			if err := need(8); err != nil {
-				return nil, 0, err
+				return Table{}, 0, err
 			}
 			s.Reg = int64(binary.BigEndian.Uint64(b[pos:]))
 			pos += 8
 		case TypeMap:
 			if err := need(4); err != nil {
-				return nil, 0, err
+				return Table{}, 0, err
 			}
 			n := int(binary.BigEndian.Uint32(b[pos:]))
 			pos += 4
 			// Each entry costs at least keyLen(2)+key(1)+value(8).
 			if n > (len(b)-pos)/11 {
-				return nil, 0, fmt.Errorf("object: map %q count %d exceeds %d remaining bytes", name, n, len(b)-pos)
+				return Table{}, 0, fmt.Errorf("object: map %q count %d exceeds %d remaining bytes", name, n, len(b)-pos)
 			}
 			prevKey := ""
 			for j := 0; j < n; j++ {
 				if err := need(2); err != nil {
-					return nil, 0, err
+					return Table{}, 0, err
 				}
 				keyLen := int(binary.BigEndian.Uint16(b[pos:]))
 				pos += 2
 				if keyLen == 0 || keyLen > MaxKeyLen {
-					return nil, 0, fmt.Errorf("object: key length %d outside (0,%d]", keyLen, MaxKeyLen)
+					return Table{}, 0, fmt.Errorf("object: key length %d outside (0,%d]", keyLen, MaxKeyLen)
 				}
 				if err := need(keyLen + 8); err != nil {
-					return nil, 0, err
+					return Table{}, 0, err
 				}
 				key := string(b[pos : pos+keyLen])
 				pos += keyLen
 				if j > 0 && key <= prevKey {
-					return nil, 0, fmt.Errorf("object: map %q keys not strictly ascending at %q", name, key)
+					return Table{}, 0, fmt.Errorf("object: map %q keys not strictly ascending at %q", name, key)
 				}
 				prevKey = key
 				s.M.Put(key, int64(binary.BigEndian.Uint64(b[pos:])))
@@ -148,12 +143,12 @@ func DecodeTable(b []byte) (map[string]*State, int, error) {
 			}
 		case TypeQueue:
 			if err := need(4); err != nil {
-				return nil, 0, err
+				return Table{}, 0, err
 			}
 			n := int(binary.BigEndian.Uint32(b[pos:]))
 			pos += 4
 			if n > (len(b)-pos)/8 {
-				return nil, 0, fmt.Errorf("object: queue %q count %d exceeds %d remaining bytes", name, n, len(b)-pos)
+				return Table{}, 0, fmt.Errorf("object: queue %q count %d exceeds %d remaining bytes", name, n, len(b)-pos)
 			}
 			for j := 0; j < n; j++ {
 				s.Q.PushBack(int64(binary.BigEndian.Uint64(b[pos:])))
@@ -161,15 +156,15 @@ func DecodeTable(b []byte) (map[string]*State, int, error) {
 			}
 		case TypeSnapshot:
 			if err := need(2); err != nil {
-				return nil, 0, err
+				return Table{}, 0, err
 			}
 			n := int(binary.BigEndian.Uint16(b[pos:]))
 			pos += 2
 			if n > MaxSnapSlots {
-				return nil, 0, fmt.Errorf("object: snapshot %q slot count %d exceeds %d", name, n, MaxSnapSlots)
+				return Table{}, 0, fmt.Errorf("object: snapshot %q slot count %d exceeds %d", name, n, MaxSnapSlots)
 			}
 			if err := need(8 * n); err != nil {
-				return nil, 0, err
+				return Table{}, 0, err
 			}
 			s.Slots = make([]int64, n)
 			for j := range s.Slots {
@@ -177,12 +172,9 @@ func DecodeTable(b []byte) (map[string]*State, int, error) {
 				pos += 8
 			}
 		default:
-			return nil, 0, fmt.Errorf("object: unknown object type %d for %q", uint8(typ), name)
+			return Table{}, 0, fmt.Errorf("object: unknown object type %d for %q", uint8(typ), name)
 		}
-		if objs == nil {
-			objs = make(map[string]*State, count)
-		}
-		objs[name] = s
+		objs = objs.Set(name, s)
 	}
 	return objs, pos, nil
 }

@@ -1,128 +1,38 @@
 package object
 
-import "sort"
+import "kexclusion/internal/pmap"
 
-// mapBuckets is the fixed bucket fan-out of the COW map: Clone shares
-// all buckets and a mutation copies exactly one, so per-mutation copy
-// cost is O(len/mapBuckets) instead of O(len).
-const mapBuckets = 64
-
-// mapBucket holds one bucket's entries in parallel slices. Buckets are
-// immutable once shared between clones: every mutation builds a fresh
-// bucket and swaps the pointer.
-type mapBucket struct {
-	keys []string
-	vals []int64
-}
-
-// Map is a copy-on-write string→int64 map. The zero value is an empty
-// map; Clone is a value copy of the bucket-pointer array. After Clone,
-// mutate only the clone (the resilient.Shared clone contract).
+// Map is the string→int64 payload of a TypeMap object: a persistent
+// trie (internal/pmap) behind the mutate-in-place surface the other
+// payloads have. The zero value is an empty map; Clone is a value copy,
+// Get walks O(log₃₂ n) nodes and Put/Delete copy that one path, so no
+// cost here grows linearly with the number of keys. A clone and its
+// original never see each other's later mutations.
 type Map struct {
-	buckets [mapBuckets]*mapBucket
-	size    int
-}
-
-// bucketOf hashes key with FNV-1a (32-bit) into a bucket index.
-func bucketOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % mapBuckets)
+	t pmap.Map[string, int64, pmap.StringHash]
 }
 
 // Len reports the number of keys.
-func (m *Map) Len() int { return m.size }
+func (m *Map) Len() int { return m.t.Len() }
 
-// Clone copies the map sharing every bucket. It never writes the
-// receiver.
+// Clone copies the map. It never writes the receiver.
 func (m Map) Clone() Map { return m }
 
 // Get reads key.
-func (m *Map) Get(key string) (int64, bool) {
-	b := m.buckets[bucketOf(key)]
-	if b == nil {
-		return 0, false
-	}
-	for i, k := range b.keys {
-		if k == key {
-			return b.vals[i], true
-		}
-	}
-	return 0, false
-}
+func (m *Map) Get(key string) (int64, bool) { return m.t.Get(key) }
 
-// Put stores v under key, copying only the affected bucket.
-func (m *Map) Put(key string, v int64) {
-	i := bucketOf(key)
-	old := m.buckets[i]
-	if old == nil {
-		m.buckets[i] = &mapBucket{keys: []string{key}, vals: []int64{v}}
-		m.size++
-		return
-	}
-	fresh := &mapBucket{
-		keys: append(make([]string, 0, len(old.keys)+1), old.keys...),
-		vals: append(make([]int64, 0, len(old.vals)+1), old.vals...),
-	}
-	for j, k := range fresh.keys {
-		if k == key {
-			fresh.vals[j] = v
-			m.buckets[i] = fresh
-			return
-		}
-	}
-	fresh.keys = append(fresh.keys, key)
-	fresh.vals = append(fresh.vals, v)
-	m.buckets[i] = fresh
-	m.size++
-}
+// Put stores v under key.
+func (m *Map) Put(key string, v int64) { m.t = m.t.Set(key, v) }
 
-// Delete removes key, reporting whether it was present. The affected
-// bucket is rebuilt without the key.
+// Delete removes key, reporting the value it held and whether it was
+// present.
 func (m *Map) Delete(key string) (old int64, existed bool) {
-	i := bucketOf(key)
-	b := m.buckets[i]
-	if b == nil {
-		return 0, false
+	if old, existed = m.t.Get(key); existed {
+		m.t = m.t.Delete(key)
 	}
-	at := -1
-	for j, k := range b.keys {
-		if k == key {
-			at = j
-			break
-		}
-	}
-	if at < 0 {
-		return 0, false
-	}
-	old = b.vals[at]
-	if len(b.keys) == 1 {
-		m.buckets[i] = nil
-	} else {
-		fresh := &mapBucket{
-			keys: make([]string, 0, len(b.keys)-1),
-			vals: make([]int64, 0, len(b.vals)-1),
-		}
-		fresh.keys = append(append(fresh.keys, b.keys[:at]...), b.keys[at+1:]...)
-		fresh.vals = append(append(fresh.vals, b.vals[:at]...), b.vals[at+1:]...)
-		m.buckets[i] = fresh
-	}
-	m.size--
-	return old, true
+	return old, existed
 }
 
 // SortedKeys returns every key in ascending order — the deterministic
 // iteration the durable codec needs.
-func (m *Map) SortedKeys() []string {
-	out := make([]string, 0, m.size)
-	for _, b := range m.buckets {
-		if b != nil {
-			out = append(out, b.keys...)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (m *Map) SortedKeys() []string { return m.t.SortedKeys() }

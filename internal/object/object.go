@@ -3,20 +3,28 @@
 // shard's linearized state and travel through the universal
 // construction's clone-and-CAS cycle.
 //
-// Every type here is copy-on-write: Clone is O(1) in the object's size
-// (it shares immutable structure with the receiver) and mutating a
-// clone never changes the original. That is the contract
-// resilient.Shared needs — the wait-free core's helpers may clone one
-// committed state concurrently and speculatively mutate each clone, so
-// Clone must not write its receiver and clones must not alias mutable
-// storage.
+// Every payload here is copy-on-write: Clone shares immutable
+// structure with the receiver and mutating a clone never changes the
+// original. That is the contract resilient.Shared needs — the wait-free
+// core's helpers may clone one committed state concurrently and
+// speculatively mutate each clone, so Clone must not write its receiver
+// and clones must not alias mutable storage. The keyed structures — Map
+// and the name→object Table — are one persistent trie (internal/pmap):
+// clone is a value copy, a lookup walks O(log₃₂ n) nodes and a
+// mutation copies that one path. Deque clones its chunk spine
+// (O(len/64) pointers) and copies at most one chunk per push; a
+// snapshot object copies its slots (≤ MaxSnapSlots).
 //
 // The package is deliberately free of dependencies on the durability or
 // wire layers; internal/durable imports it to embed object tables in
 // shard state, never the other way around.
 package object
 
-import "fmt"
+import (
+	"fmt"
+
+	"kexclusion/internal/pmap"
+)
 
 // Type identifies an object class on the wire and in durable state.
 type Type uint8
@@ -83,6 +91,11 @@ type State struct {
 	Slots []int64
 }
 
+// Table is a shard's named-object table. Published *State values are
+// immutable: a mutation clones the one object it touches and rebinds
+// its name.
+type Table = pmap.Map[string, *State, pmap.StringHash]
+
 // New returns a fresh object of the given type. slots sizes a snapshot
 // object and is ignored for the other types.
 func New(t Type, slots int) *State {
@@ -93,7 +106,7 @@ func New(t Type, slots int) *State {
 	return s
 }
 
-// Clone copies the object. Shared structure (map buckets, queue
+// Clone copies the object. Shared structure (map nodes, queue
 // chunks) is reused copy-on-write; mutating the clone never changes
 // the receiver, and Clone itself never writes the receiver.
 func (s *State) Clone() *State {

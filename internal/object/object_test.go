@@ -197,7 +197,7 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	}
 	objs["snap"].Slots[2] = 77
 
-	b := AppendTable(nil, objs)
+	b := AppendTable(nil, tableOf(objs))
 	// Determinism: re-encoding a decoded table yields identical bytes.
 	got, n, err := DecodeTable(b)
 	if err != nil {
@@ -209,30 +209,30 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(AppendTable(nil, got), b) {
 		t.Fatal("re-encode of decoded table differs")
 	}
-	if got["counter"].Reg != -42 {
+	if at(got, "counter").Reg != -42 {
 		t.Fatal("register lost")
 	}
-	if v, ok := got["kv"].M.Get("beta"); !ok || v != -2 {
+	if v, ok := at(got, "kv").M.Get("beta"); !ok || v != -2 {
 		t.Fatal("map entry lost")
 	}
-	if got["jobs"].Q.Len() != 70 || got["jobs"].Q.At(69) != 69*3 {
+	if at(got, "jobs").Q.Len() != 70 || at(got, "jobs").Q.At(69) != 69*3 {
 		t.Fatal("queue lost")
 	}
-	if got["snap"].Slots[2] != 77 || len(got["snap"].Slots) != 4 {
+	if at(got, "snap").Slots[2] != 77 || len(at(got, "snap").Slots) != 4 {
 		t.Fatal("snapshot slots lost")
 	}
 
 	// Empty table round-trips too.
-	eb := AppendTable(nil, nil)
+	eb := AppendTable(nil, Table{})
 	em, n, err := DecodeTable(eb)
-	if err != nil || n != len(eb) || len(em) != 0 {
-		t.Fatalf("empty table: %v %d %d", err, n, len(em))
+	if err != nil || n != len(eb) || em.Len() != 0 {
+		t.Fatalf("empty table: %v %d %d", err, n, em.Len())
 	}
 }
 
 func TestTableCodecRejectsGarbage(t *testing.T) {
 	objs := map[string]*State{"a": {Type: TypeRegister, Reg: 1}, "b": {Type: TypeRegister, Reg: 2}}
-	good := AppendTable(nil, objs)
+	good := AppendTable(nil, tableOf(objs))
 	cases := [][]byte{
 		good[:len(good)-1],          // truncated payload
 		good[:3],                    // truncated count
@@ -246,8 +246,8 @@ func TestTableCodecRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Names out of order (duplicate) must be rejected.
-	dup := AppendTable(nil, map[string]*State{"a": {Type: TypeRegister}})
-	dup = append(dup, AppendTable(nil, map[string]*State{"a": {Type: TypeRegister}})[4:]...)
+	dup := AppendTable(nil, tableOf(map[string]*State{"a": {Type: TypeRegister}}))
+	dup = append(dup, AppendTable(nil, tableOf(map[string]*State{"a": {Type: TypeRegister}}))[4:]...)
 	// Patch the count to 2.
 	dup[3] = 2
 	if _, _, err := DecodeTable(dup); err == nil {
@@ -263,6 +263,20 @@ func TestStateClone(t *testing.T) {
 	if s.Slots[1] != 5 {
 		t.Fatal("slot mutation leaked into original")
 	}
+}
+
+// tableOf builds a Table from a map literal.
+func tableOf(objs map[string]*State) (t Table) {
+	for name, s := range objs {
+		t = t.Set(name, s)
+	}
+	return t
+}
+
+// at is the object bound to name, nil if there is none.
+func at(t Table, name string) *State {
+	s, _ := t.Get(name)
+	return s
 }
 
 func equal(a, b []int64) bool {

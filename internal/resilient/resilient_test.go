@@ -155,44 +155,50 @@ func TestQueueFIFOPerProducer(t *testing.T) {
 			}
 		}(p)
 	}
-	var mu sync.Mutex
-	got := make(map[int][]int)
+	// Each consumer records what it dequeued, in its own dequeue order:
+	// that order is a subsequence of the queue's linearization, which a
+	// log shared between consumers (appended to after Dequeue returns)
+	// is not.
+	got := make([][][2]int, n)
+	var consumed atomic.Int64
 	for p := producers; p < n; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for {
+			for consumed.Load() < int64(producers*items) {
 				v, ok := q.Dequeue(p)
 				if !ok {
-					mu.Lock()
-					total := 0
-					for _, s := range got {
-						total += len(s)
-					}
-					mu.Unlock()
-					if total == producers*items {
-						return
-					}
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				mu.Lock()
-				got[v[0]] = append(got[v[0]], v[1])
-				mu.Unlock()
+				got[p] = append(got[p], v)
+				consumed.Add(1)
 			}
 		}(p)
 	}
 	wg.Wait()
-	for p := 0; p < producers; p++ {
-		seq := got[p]
-		if len(seq) != items {
-			t.Fatalf("producer %d: %d items consumed, want %d", p, len(seq), items)
+	// FIFO implies: every consumer sees each producer's items strictly
+	// increasing, and together they see every item exactly once.
+	seen := make(map[[2]int]int)
+	for c := producers; c < n; c++ {
+		last := make(map[int]int)
+		for _, v := range got[c] {
+			if prev, ok := last[v[0]]; ok && v[1] <= prev {
+				t.Fatalf("consumer %d saw producer %d out of order: %v", c, v[0], got[c])
+			}
+			last[v[0]] = v[1]
+			seen[v]++
 		}
-		for i := 1; i < len(seq); i++ {
-			if seq[i] <= seq[i-1] {
-				t.Fatalf("producer %d order violated: %v", p, seq)
+	}
+	for p := 0; p < producers; p++ {
+		for i := 0; i < items; i++ {
+			if seen[[2]int{p, i}] != 1 {
+				t.Fatalf("item %d of producer %d consumed %d times, want 1", i, p, seen[[2]int{p, i}])
 			}
 		}
+	}
+	if len(seen) != producers*items {
+		t.Fatalf("%d distinct items consumed, want %d", len(seen), producers*items)
 	}
 }
 

@@ -362,7 +362,7 @@ func replSkipConsistent(st durable.ShardState, r durable.Record) bool {
 	if r.Session == 0 || r.Seq == 0 {
 		return true
 	}
-	e, ok := st.Dedup[r.Session]
+	e, ok := st.Dedup.Get(r.Session)
 	if !ok {
 		return true // session evicted: cannot check
 	}

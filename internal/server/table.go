@@ -302,7 +302,7 @@ func (t *table) readFast(req wire.Request) wire.Response {
 			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards)))
 	}
 	st := t.shards[req.Shard].obj.Peek()
-	o := st.Objs[req.Obj]
+	o, _ := st.Objs.Get(req.Obj)
 	miss := wire.Response{ID: req.ID, Status: wire.StatusOK}
 	switch req.Kind {
 	case wire.KindRegGet:
