@@ -225,6 +225,7 @@ type Node struct {
 
 	leaseExpirations atomic.Int64 // held -> expired transitions
 	leaseDemotions   atomic.Int64 // shards self-demoted on lease expiry
+	pullsServed      atomic.Int64 // replication pulls answered from the WAL
 
 	stopCh chan struct{}
 	wg     sync.WaitGroup
@@ -383,6 +384,9 @@ func (n *Node) LeaseExpirations() int64 { return n.leaseExpirations.Load() }
 
 // LeaseDemotions counts shards self-demoted on lease expiry.
 func (n *Node) LeaseDemotions() int64 { return n.leaseDemotions.Load() }
+
+// PullsServed counts replication pulls this node has answered.
+func (n *Node) PullsServed() int64 { return n.pullsServed.Load() }
 
 // PrimaryAddr returns the client address of the node currently
 // believed to own shard ("" when unknown), for the NotPrimary redirect

@@ -335,6 +335,7 @@ func (n *Node) serveRepl(conn net.Conn) {
 // progress + retention pin + liveness), then read a batch from the
 // local WAL, long-polling when the follower is caught up.
 func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
+	n.pullsServed.Add(1)
 	n.registerAck(from, req.AckLSN)
 
 	max := int(req.MaxRecords)

@@ -105,3 +105,45 @@ func BenchmarkStepOpEvict(b *testing.B) {
 		b.Fatalf("window holds %d sessions, want %d", st.Dedup.Len(), benchWindow)
 	}
 }
+
+var sinkRecords []Record
+
+// BenchmarkReadRecordsTail is a caught-up follower's pull: the last 8
+// records of the active segment. Its time, allocation and diskB/op
+// (bytes read off disk per pull) must not depend on how full the
+// segment is; every size leaves the tail half a stride past an index
+// entry, so the three rows read the same window.
+func BenchmarkReadRecordsTail(b *testing.B) {
+	const tail = 8
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"64KiB", 64 << 10}, {"1MiB", 1 << 20}, {"4MiB", 4<<20 - 64<<10}} {
+		b.Run(size.name, func(b *testing.B) {
+			l, _, err := Open(Options{Dir: b.TempDir(), Policy: SyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			frame := len(encodeOp(Record{Kind: OpAdd, Ver: 1}))
+			records := size.bytes/frame/indexStride*indexStride + indexStride/2
+			for ver := uint64(1); l.End() < uint64(records); ver++ {
+				if _, err := l.Append(Record{Session: 1, Seq: ver, Kind: OpAdd, Arg: 1, Val: int64(ver), Ver: ver}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := l.End() - tail
+			read0 := l.ReadBytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recs, pos, err := l.ReadRecords(from, tail)
+				if err != nil || len(recs) != tail || pos != l.End() {
+					b.Fatalf("%d records to pos %d, err %v", len(recs), pos, err)
+				}
+				sinkRecords = recs
+			}
+			b.ReportMetric(float64(l.ReadBytes()-read0)/float64(b.N), "diskB/op")
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,9 +22,11 @@ const (
 	// under a single disk write.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval group-commits: a background ticker fsyncs the log
-	// and acknowledgements wait for the covering sync. An acked op
-	// survives a process crash immediately (the write has left the
-	// process) and a host crash after at most one interval.
+	// and acknowledgements wait for the covering sync. WaitDurable parks
+	// every ack until that sync, so an acked op is on disk exactly as
+	// under SyncAlways and survives process and host crashes alike: the
+	// policy trades ack latency (up to one interval) for fewer fsyncs,
+	// not durability.
 	SyncInterval
 	// SyncNever writes without fsync and acknowledges immediately: the
 	// OS page cache is the only durability. A process crash typically
@@ -108,9 +111,24 @@ type Recovery struct {
 	DroppedBytes int64
 }
 
+// indexStride is how many records apart a segment's index entries sit:
+// a read seeks to the nearest entry at or below its first LSN and
+// decodes at most indexStride-1 frames it does not return.
+const indexStride = 64
+
+// readChunk bounds one disk read of ReadRecords. It is no smaller than
+// the largest frame, so one extension completes any straddling frame.
+const readChunk = recHeaderLen + maxBody
+
 type segment struct {
 	start uint64 // LSN of the segment's first record
 	path  string
+	size  int64 // bytes of whole frames in the file
+	// index[i] is the byte offset of record start+i*indexStride. It is
+	// filled where the offset is already known (appendLocked for the
+	// active segment, replaySegment's scan for segments found at Open),
+	// only ever appended to, and dropped with its segment at prune.
+	index []int64
 }
 
 // Log is an open write-ahead log. Appends are assigned consecutive
@@ -120,18 +138,19 @@ type Log struct {
 	opts Options
 	dirF *os.File
 
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when durable advances or the log closes
-	endCond  *sync.Cond // broadcast when end advances (WaitEnd long-polls)
-	f        *os.File   // active segment
-	segs     []segment  // all live segments, ascending; last is active
-	segBytes int64      // bytes written to the active segment
-	end      uint64     // last assigned LSN
-	durable  uint64     // last LSN covered by an fsync
-	markers  uint64     // restart markers ever appended (incl. pruned)
-	syncs    uint64     // fsyncs issued (observability for group commit)
-	closed   bool
-	fail     error // sticky: set by the first failed append/fsync, fatal
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast when durable advances or the log closes
+	endCond *sync.Cond // broadcast when end advances (WaitEnd long-polls)
+	f       *os.File   // active segment
+	segs    []segment  // all live segments, ascending; last is active
+	end     uint64     // last assigned LSN
+	durable uint64     // last LSN covered by an fsync
+	markers uint64     // restart markers ever appended (incl. pruned)
+	syncs   uint64     // fsyncs issued (observability for group commit)
+	closed  bool
+	fail    error // sticky: set by the first failed append/fsync, fatal
+
+	readBytes atomic.Uint64 // bytes ReadRecords has read off disk
 
 	// pins maps a pin handle to the LSN its holder has consumed up to:
 	// segments holding records above any pin survive pruning, so a
@@ -224,7 +243,8 @@ func (l *Log) recover() (Recovery, error) {
 	if len(segs) > 0 {
 		next = segs[0].start
 	}
-	for i, sg := range segs {
+	for i := range segs {
+		sg := &segs[i]
 		if sg.start != next {
 			return Recovery{}, fmt.Errorf("durable: segment %s: want first LSN %d, got %d (gap in log)",
 				filepath.Base(sg.path), next, sg.start)
@@ -241,17 +261,11 @@ func (l *Log) recover() (Recovery, error) {
 
 	// Resume appending into the last segment, or start segment 1.
 	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return Recovery{}, err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return Recovery{}, err
-		}
-		l.f, l.segs, l.segBytes = f, segs, st.Size()
+		l.f, l.segs = f, segs
 	} else {
 		if err := l.openSegmentLocked(1); err != nil {
 			return Recovery{}, err
@@ -265,10 +279,11 @@ func (l *Log) recover() (Recovery, error) {
 }
 
 // replaySegment applies one segment's records to rec, returning how
-// many records it held. Torn or corrupt data in the final segment is
-// truncated away (a crash mid-write); the same damage in an earlier
-// segment is a hard error, because records after it were acknowledged.
-func (l *Log) replaySegment(sg segment, last bool, snapCover uint64, rec *Recovery) (uint64, error) {
+// many records it held and filling sg's size and index from the scan.
+// Torn or corrupt data in the final segment is truncated away (a crash
+// mid-write); the same damage in an earlier segment is a hard error,
+// because records after it were acknowledged.
+func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recovery) (uint64, error) {
 	data, err := os.ReadFile(sg.path)
 	if err != nil {
 		return 0, err
@@ -302,9 +317,13 @@ func (l *Log) replaySegment(sg segment, last bool, snapCover uint64, rec *Recove
 				return 0, err
 			}
 		}
+		if n%indexStride == 0 {
+			sg.index = append(sg.index, int64(off))
+		}
 		off += sz
 		n++
 	}
+	sg.size = int64(off)
 	return n, nil
 }
 
@@ -365,7 +384,7 @@ func replayOp(r Record, lsn uint64, window int, rec *Recovery) error {
 
 // truncateTail cuts a torn or corrupt tail off the final segment,
 // keeping every record before it.
-func (l *Log) truncateTail(sg segment, data []byte, off int, cause error, rec *Recovery) error {
+func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *Recovery) error {
 	dropped := int64(len(data) - off)
 	l.opts.Logf("durable: dropping %d torn byte(s) at end of %s: %v", dropped, filepath.Base(sg.path), cause)
 	if err := os.Truncate(sg.path, int64(off)); err != nil {
@@ -375,6 +394,7 @@ func (l *Log) truncateTail(sg segment, data []byte, off int, cause error, rec *R
 		return err
 	}
 	rec.DroppedBytes += dropped
+	sg.size = int64(off)
 	return nil
 }
 
@@ -427,7 +447,7 @@ func (l *Log) poisonLocked(err error) {
 // appendLocked writes one framed record, rotating first if the active
 // segment is full.
 func (l *Log) appendLocked(frame []byte) error {
-	if l.segBytes >= l.opts.SegmentBytes {
+	if l.segs[len(l.segs)-1].size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -435,7 +455,11 @@ func (l *Log) appendLocked(frame []byte) error {
 	if _, err := l.f.Write(frame); err != nil {
 		return err
 	}
-	l.segBytes += int64(len(frame))
+	sg := &l.segs[len(l.segs)-1]
+	if (l.end+1-sg.start)%indexStride == 0 {
+		sg.index = append(sg.index, sg.size)
+	}
+	sg.size += int64(len(frame))
 	l.end++
 	l.endCond.Broadcast()
 	if l.opts.Policy == SyncNever {
@@ -473,7 +497,6 @@ func (l *Log) openSegmentLocked(start uint64) error {
 	}
 	l.f = f
 	l.segs = append(l.segs, segment{start: start, path: path})
-	l.segBytes = 0
 	return nil
 }
 
@@ -693,8 +716,16 @@ func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 // caller resuming at end never re-reads them). A from below the oldest
 // live segment returns ErrPruned — the tail was pruned behind a
 // snapshot and the reader needs a state image instead. Safe against
-// concurrent appends: only frames at or below the end captured at entry
-// are decoded, and appends never mutate written bytes.
+// concurrent appends: the end, the segment list and every segment's
+// byte length are captured together at entry, nothing past them is
+// read, and appends never mutate written bytes.
+//
+// The read costs O(batch), not O(segment): it seeks through the
+// segment's sparse index to the nearest indexed record at or below
+// from+1 and reads forward from there in bounded chunks. Every frame
+// read is CRC-checked, stepped over or returned, and the returned ones
+// parsed; bytes before the seek point were verified when written or
+// recovered.
 func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -715,46 +746,21 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 
 	var out []Record
 	pos := from
-	for _, sg := range segs {
-		last := sg.start - 1 // LSN of the last record decoded so far in this segment
-		if nextSegStart(segs, sg) <= from+1 {
-			continue // segment entirely at or below from
+	// Start in the segment holding from+1: the last one starting at or
+	// below it.
+	first := sort.Search(len(segs), func(i int) bool { return segs[i].start > from+1 }) - 1
+	for i := first; i < len(segs) && pos < end; i++ {
+		// A sealed segment ends where its successor starts; the active
+		// one at the captured end.
+		stop := end
+		if i+1 < len(segs) {
+			stop = segs[i+1].start - 1
 		}
-		data, err := os.ReadFile(sg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				// The segment list was snapshotted under the mutex, but a
-				// concurrent snapshot prune unlinked the file before the
-				// read: same answer as arriving after the prune — the
-				// reader needs a state image, not a broken stream.
-				return nil, from, fmt.Errorf("%w: segment %s pruned mid-read", ErrPruned, filepath.Base(sg.path))
-			}
+		var err error
+		if out, pos, err = l.readSegment(segs[i], pos, stop, maxRecords, out); err != nil {
 			return nil, from, err
 		}
-		off := 0
-		for off < len(data) && last < end {
-			body, sz, err := decodeFrame(data[off:], maxBody)
-			if err != nil {
-				return nil, from, fmt.Errorf("durable: reading %s at offset %d: %w", filepath.Base(sg.path), off, err)
-			}
-			last++
-			off += sz
-			if last <= from {
-				continue
-			}
-			rec, isRestart, err := parseBody(body)
-			if err != nil {
-				return nil, from, fmt.Errorf("durable: reading %s at offset %d: %w", filepath.Base(sg.path), off-sz, err)
-			}
-			pos = last
-			if !isRestart {
-				out = append(out, rec)
-				if len(out) >= maxRecords {
-					return out, pos, nil
-				}
-			}
-		}
-		if last >= end {
+		if len(out) >= maxRecords {
 			break
 		}
 	}
@@ -769,16 +775,72 @@ func oldestStart(segs []segment) uint64 {
 	return segs[0].start
 }
 
-// nextSegStart returns the first LSN after sg: the next segment's
-// start, or infinity for the active (last) segment.
-func nextSegStart(segs []segment, sg segment) uint64 {
-	for i := range segs {
-		if segs[i].start == sg.start {
-			if i+1 < len(segs) {
-				return segs[i+1].start
+// readSegment appends sg's op records with LSNs in (pos, stop] to out,
+// stopping early once out holds maxRecords, and returns the grown batch
+// with the last LSN consumed. sg is a copy captured under l.mu, so its
+// size and index describe whole frames only.
+func (l *Log) readSegment(sg segment, pos, stop uint64, maxRecords int, out []Record) ([]Record, uint64, error) {
+	f, err := os.Open(sg.path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			// The segment list was captured under the mutex, but a
+			// concurrent snapshot prune unlinked the file before the
+			// open: same answer as arriving after the prune — the
+			// reader needs a state image, not a broken stream.
+			return nil, pos, fmt.Errorf("%w: segment %s pruned mid-read", ErrPruned, filepath.Base(sg.path))
+		}
+		return nil, pos, err
+	}
+	defer f.Close()
+
+	entry := (pos + 1 - sg.start) / indexStride
+	off := sg.index[entry]                   // file offset of buf[0]
+	last := sg.start + entry*indexStride - 1 // LSN of the last frame decoded
+	var buf []byte                           // bytes read and not yet decoded
+	for last < stop {
+		body, sz, err := decodeFrame(buf, maxBody)
+		if errors.Is(err, errTorn) {
+			// The frame straddles the end of what has been read: read
+			// the next chunk behind it. Nothing left to read means the
+			// file holds fewer records than the log accounts for.
+			next := off + int64(len(buf)) // first byte not read yet
+			n := min(readChunk, sg.size-next)
+			if n <= 0 {
+				return nil, pos, fmt.Errorf("durable: reading %s at offset %d: %w: segment ends at LSN %d, want %d",
+					filepath.Base(sg.path), off, errCorrupt, last, stop)
 			}
-			return ^uint64(0)
+			grown := make([]byte, len(buf)+int(n))
+			copy(grown, buf)
+			if _, err := f.ReadAt(grown[len(buf):], next); err != nil {
+				return nil, pos, fmt.Errorf("durable: reading %s at offset %d: %w", filepath.Base(sg.path), next, err)
+			}
+			l.readBytes.Add(uint64(n))
+			buf = grown
+			continue
+		}
+		if err != nil {
+			return nil, pos, fmt.Errorf("durable: reading %s at offset %d: %w", filepath.Base(sg.path), off, err)
+		}
+		last++
+		off += int64(sz)
+		buf = buf[sz:]
+		if last <= pos {
+			continue // between the index entry and the first LSN wanted
+		}
+		rec, isRestart, err := parseBody(body)
+		if err != nil {
+			return nil, pos, fmt.Errorf("durable: reading %s at offset %d: %w", filepath.Base(sg.path), off-int64(sz), err)
+		}
+		pos = last
+		if !isRestart {
+			out = append(out, rec)
+			if len(out) >= maxRecords {
+				break
+			}
 		}
 	}
-	return ^uint64(0)
+	return out, pos, nil
 }
+
+// ReadBytes reports how many bytes ReadRecords has read off disk.
+func (l *Log) ReadBytes() uint64 { return l.readBytes.Load() }

@@ -404,16 +404,18 @@ func (l *link) fire() {
 		// Nothing is closed: both peers now face pure silence.
 		l.proxy.partitions.Add(1)
 	case Reset:
+		// Count before closing: a peer that sees the close must also
+		// see the counter.
+		l.proxy.resets.Add(1)
 		if tcp, ok := l.client.(*net.TCPConn); ok {
 			tcp.SetLinger(0)
 		}
 		l.client.Close()
 		l.server.Close()
-		l.proxy.resets.Add(1)
 	case Truncate:
+		l.proxy.truncations.Add(1)
 		l.client.Close()
 		l.server.Close()
-		l.proxy.truncations.Add(1)
 	}
 }
 

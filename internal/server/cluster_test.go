@@ -29,7 +29,7 @@ type cnode struct {
 // immediate reuse. The tiny window before the server rebinds it is the
 // standard test trade-off for needing every address in every node's
 // config before any node exists.
-func reservePort(t *testing.T) string {
+func reservePort(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +43,7 @@ func reservePort(t *testing.T) string {
 // startTestCluster boots a size-node cluster on ephemeral ports with a
 // tight failure detector, and registers cleanup for whatever the test
 // has not already killed.
-func startTestCluster(t *testing.T, size, shards, quorum int) []*cnode {
+func startTestCluster(t testing.TB, size, shards, quorum int) []*cnode {
 	t.Helper()
 	peers := make([]cluster.Peer, size)
 	for i := range peers {
@@ -106,7 +106,7 @@ func startTestCluster(t *testing.T, size, shards, quorum int) []*cnode {
 }
 
 // ownerOf finds the live node currently serving shard.
-func ownerOf(t *testing.T, nodes []*cnode, shard uint32) *cnode {
+func ownerOf(t testing.TB, nodes []*cnode, shard uint32) *cnode {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -53,8 +53,9 @@ func goldenStats() wire.Stats {
 		ObjRegisterOps: 8, ObjSnapshotOps: 2, OpDeadlines: 1,
 		PerShard: []obs.Snapshot{snap, idle},
 		Phase:    "degraded", ReadFastpath: 33, Reclaimed: 39,
-		RecoveredOps: 17, Rejected: 6, RestartCount: 3, Shards: 2,
-		ShedAdmissions: 11, ShedOps: 9,
+		RecoveredOps: 17, Rejected: 6, ReplPullsServed: 14, RestartCount: 3,
+		Shards: 2, ShedAdmissions: 11, ShedOps: 9,
+		WALFsyncs: 15, WALReadBytes: 4096,
 	}
 }
 

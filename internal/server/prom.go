@@ -96,6 +96,7 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	counter("reclaimed_total", "Identity leases returned to the pool.", st.Reclaimed)
 	gauge("recovered_ops", "Mutations reconstructed from the data directory at startup.", st.RecoveredOps)
 	counter("rejected_total", "Connections rejected by admission backpressure.", st.Rejected)
+	counter("repl_pulls_served_total", "Replication pulls answered from this node's WAL (0 off-cluster).", st.ReplPullsServed)
 	gauge("replica_lag_lsn", "Worst follower lag behind this node's WAL end, in records (0 off-cluster).", st.ReplicaLagLSN)
 	gauge("restart_count", "Prior incarnations that opened this data directory.", st.RestartCount)
 
@@ -122,6 +123,8 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	gauge("shards", "Independent objects in the table.", int64(st.Shards))
 	counter("shed_admissions_total", "Connections refused by the load-shedding watermark policy.", st.ShedAdmissions)
 	counter("shed_ops_total", "Operations refused by the in-flight ceiling (never applied).", st.ShedOps)
+	counter("wal_fsyncs_total", "Fsyncs the WAL has issued (0 without a data directory).", st.WALFsyncs)
+	counter("wal_read_bytes_total", "Bytes log readers (replication pulls) have read back from WAL segments.", st.WALReadBytes)
 
 	return []byte(b.String())
 }

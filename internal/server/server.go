@@ -462,7 +462,12 @@ func (s *Server) Stats() wire.Stats {
 		Draining:            s.draining(),
 		PerShard:            s.tab.snapshots(),
 	}
+	if s.log != nil {
+		st.WALFsyncs = int64(s.log.Syncs())
+		st.WALReadBytes = int64(s.log.ReadBytes())
+	}
 	if s.node != nil {
+		st.ReplPullsServed = s.node.PullsServed()
 		st.ReplicaLagLSN = int64(s.node.ReplicaLag())
 		st.LeaseHeld = s.node.LeaseHeld()
 		st.LeaseExpirations = s.node.LeaseExpirations()

@@ -39,7 +39,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	return srv, addr.String()
 }
 
-func dial(t *testing.T, addr string) *client.Client {
+func dial(t testing.TB, addr string) *client.Client {
 	t.Helper()
 	c, err := client.Dial(addr)
 	if err != nil {

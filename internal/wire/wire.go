@@ -401,6 +401,10 @@ type Stats struct {
 	// the server runs without durability or booted fresh.
 	RecoveredOps int64 `json:"recovered_ops"`
 	Rejected     int64 `json:"rejected"`
+	// ReplPullsServed counts replication pulls this node answered from
+	// its WAL (zero off-cluster); with WALReadBytes it gives the bytes
+	// a pull costs, which must not grow with the segment.
+	ReplPullsServed int64 `json:"repl_pulls_served"`
 	// ReplicaLagLSN is the instantaneous worst-case replication lag:
 	// this node's log end minus the lowest follower-acknowledged LSN
 	// (zero off-cluster, when fully caught up, or with no followers).
@@ -414,6 +418,12 @@ type Stats struct {
 	// refused by the in-flight ceiling (never applied).
 	ShedAdmissions int64 `json:"shed_admissions"`
 	ShedOps        int64 `json:"shed_ops"`
+	// WALFsyncs counts fsyncs the WAL has issued (group commit makes it
+	// far smaller than the mutation count); WALReadBytes counts bytes
+	// log readers — replication pulls — have read back off disk. Both
+	// are zero without a data directory.
+	WALFsyncs    int64 `json:"wal_fsyncs"`
+	WALReadBytes int64 `json:"wal_read_bytes"`
 }
 
 // JSON marshals the stats deterministically.
