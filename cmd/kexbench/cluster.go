@@ -14,6 +14,7 @@ import (
 	"kexclusion/internal/durable"
 	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
+	"kexclusion/internal/wire"
 )
 
 // clusterBenchConfig shapes one -cluster sweep: the same pipelined
@@ -211,16 +212,17 @@ func clusterCell(cfg clusterBenchConfig, label string, acks int) (clusterRow, er
 		}
 	}
 
-	conns := make([]*client.Reconnecting, cfg.Conns)
+	conns := make([]*client.Client, cfg.Conns)
 	for i := range conns {
-		c, err := client.DialReconnecting(peers[owner].ClientAddr, client.RetryPolicy{
-			Seed: int64(i) + 1, Session: uint64(i)<<1 | 1,
-			MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond,
-		}, 30*time.Second)
+		c, err := client.DialRetry(peers[owner].ClientAddr, client.RetryPolicy{
+			Seed: int64(i) + 1, MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond,
+		})
 		if err != nil {
 			return clusterRow{}, err
 		}
+		c.SetOpTimeout(30 * time.Second)
 		defer c.Close()
+		c.SetSession(uint64(i)<<1 | 1)
 		conns[i] = c
 	}
 
@@ -229,10 +231,9 @@ func clusterCell(cfg clusterBenchConfig, label string, acks int) (clusterRow, er
 	start := time.Now()
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
-			p := c.Pipeline(cfg.Depth)
-			pend := make([]*client.PipelineOp, 0, cfg.Depth)
+			pend := make([]*client.Pending, 0, cfg.Depth)
 			drain := func() {
 				for _, op := range pend {
 					if _, err := op.Wait(); err != nil {
@@ -242,8 +243,12 @@ func clusterCell(cfg clusterBenchConfig, label string, acks int) (clusterRow, er
 				pend = pend[:0]
 			}
 			for op := 0; op < cfg.OpsPerConn; op++ {
-				pend = append(pend, p.Add(0, 1))
-				if len(pend) >= cfg.Depth {
+				p, err := c.Go(wire.KindAdd, 0, 1, c.NextSeq())
+				if err != nil {
+					errCounts[i]++
+					continue
+				}
+				if pend = append(pend, p); len(pend) >= cfg.Depth {
 					drain()
 				}
 			}

@@ -226,22 +226,23 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 			followers = append(followers, i)
 		}
 	}
-	conns := make([]*client.Reconnecting, cfg.n)
+	conns := make([]*client.Client, cfg.n)
 	for i := range conns {
 		home := proxies[followers[i%len(followers)]].Addr()
-		c, err := client.DialReconnecting(home, client.RetryPolicy{
-			Seed: cfg.seed + int64(i) + 1,
-			// Deterministic, per-client-distinct op-ID identities keep
-			// the run reproducible; |1 keeps them nonzero.
-			Session:     uint64(cfg.seed+int64(i))<<1 | 1,
+		c, err := client.DialRetry(home, client.RetryPolicy{
+			Seed:        cfg.seed + int64(i) + 1,
 			MaxAttempts: 20,
 			BaseDelay:   10 * time.Millisecond,
 			MaxDelay:    500 * time.Millisecond,
-		}, 2*time.Second)
+		})
 		if err != nil {
 			return fmt.Errorf("client %d admission: %w", i, err)
 		}
+		c.SetOpTimeout(2 * time.Second)
 		defer c.Close()
+		// Deterministic, per-client-distinct op-ID identities keep the
+		// run reproducible; |1 keeps them nonzero.
+		c.SetSession(uint64(cfg.seed+int64(i))<<1 | 1)
 		conns[i] = c
 	}
 
@@ -254,10 +255,10 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
 			for op := 0; op < cfg.ops; op++ {
-				if _, err := c.AddOp(0, 1); err != nil {
+				if _, err := c.Add(0, 1); err != nil {
 					errs[i] = fmt.Errorf("op %d: %w", op, err)
 					return
 				}

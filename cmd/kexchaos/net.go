@@ -88,21 +88,22 @@ func runNet(out io.Writer, cfg netConfig) error {
 	// Dial sequentially so client i is proxy connection i: the plan's
 	// conn indices name clients deterministically. Redials after a fault
 	// land on later (rule-free) connections.
-	conns := make([]*client.Reconnecting, cfg.n)
+	conns := make([]*client.Client, cfg.n)
 	for i := range conns {
-		c, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{
-			Seed: cfg.seed + int64(i) + 1,
-			// Deterministic, per-client-distinct op-ID identities keep
-			// the run reproducible; |1 keeps them nonzero.
-			Session:     uint64(cfg.seed+int64(i))<<1 | 1,
+		c, err := client.DialRetry(px.Addr(), client.RetryPolicy{
+			Seed:        cfg.seed + int64(i) + 1,
 			MaxAttempts: 10,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    cfg.idle,
-		}, 2*cfg.idle)
+		})
 		if err != nil {
 			return fmt.Errorf("client %d admission: %w", i, err)
 		}
+		c.SetOpTimeout(2 * cfg.idle)
 		defer c.Close()
+		// Deterministic, per-client-distinct op-ID identities keep the
+		// run reproducible; |1 keeps them nonzero.
+		c.SetSession(uint64(cfg.seed+int64(i))<<1 | 1)
 		conns[i] = c
 	}
 
@@ -121,7 +122,7 @@ func runNet(out io.Writer, cfg netConfig) error {
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
 			for op := 0; op < cfg.ops; op++ {
 				var err error

@@ -163,20 +163,21 @@ func runPartition(out io.Writer, cfg clusterConfig) error {
 			followers = append(followers, i)
 		}
 	}
-	conns := make([]*client.Reconnecting, cfg.n)
+	conns := make([]*client.Client, cfg.n)
 	for i := range conns {
 		home := proxies[followers[i%len(followers)]].Addr()
-		c, err := client.DialReconnecting(home, client.RetryPolicy{
+		c, err := client.DialRetry(home, client.RetryPolicy{
 			Seed:        cfg.seed + int64(i) + 1,
-			Session:     uint64(cfg.seed+int64(i))<<1 | 1,
 			MaxAttempts: 30,
 			BaseDelay:   10 * time.Millisecond,
 			MaxDelay:    500 * time.Millisecond,
-		}, 2*time.Second)
+		})
 		if err != nil {
 			return fmt.Errorf("client %d admission: %w", i, err)
 		}
+		c.SetOpTimeout(2 * time.Second)
 		defer c.Close()
+		c.SetSession(uint64(cfg.seed+int64(i))<<1 | 1)
 		conns[i] = c
 	}
 
@@ -186,10 +187,10 @@ func runPartition(out io.Writer, cfg clusterConfig) error {
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
 			for op := 0; op < cfg.ops; op++ {
-				if _, err := c.AddOp(0, 1); err != nil {
+				if _, err := c.Add(0, 1); err != nil {
 					errs[i] = fmt.Errorf("op %d: %w", op, err)
 					return
 				}
@@ -281,14 +282,15 @@ func runPartition(out io.Writer, cfg clusterConfig) error {
 	// that epoch replicates. One delta-0 write per shard (counters
 	// untouched) pushes every shard's current epoch through replication
 	// so the frontier-equality check below can demand exact agreement.
-	settle, err := client.DialReconnecting(proxies[0].Addr(), client.RetryPolicy{
-		Seed: cfg.seed + 1000, Session: uint64(cfg.seed)<<1 | (1 << 20) | 1,
-		MaxAttempts: 30, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond,
-	}, 2*time.Second)
+	settle, err := client.DialRetry(proxies[0].Addr(), client.RetryPolicy{
+		Seed: cfg.seed + 1000, MaxAttempts: 30, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond,
+	})
 	if err != nil {
 		return fmt.Errorf("settle client admission: %w", err)
 	}
+	settle.SetOpTimeout(2 * time.Second)
 	defer settle.Close()
+	settle.SetSession(uint64(cfg.seed)<<1 | (1 << 20) | 1)
 	for s := uint32(0); s < clusterShards; s++ {
 		if _, err := settle.Add(s, 0); err != nil {
 			return fmt.Errorf("settle write on shard %d: %w", s, err)

@@ -142,12 +142,17 @@ func runRestart(out io.Writer, cfg restartConfig) error {
 	const qName = "chaos:q"
 	qSession := uint64(cfg.seed)<<8 | 0x51
 	const qDeqSeq = 1_000_000
+	// A busy admission (the restarted server leases exactly n identities
+	// and releases one only when it notices a closed connection) is
+	// ridden out on the client's own budget.
+	qPolicy := client.RetryPolicy{Seed: cfg.seed, MaxAttempts: 40, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 	var qFirst int64
 	{
-		qc, err := client.DialTimeout(first.addr, 2*time.Second)
+		qc, err := client.DialRetry(first.addr, qPolicy)
 		if err != nil {
 			return fmt.Errorf("queue setup dial: %w", err)
 		}
+		qc.SetOpTimeout(2 * time.Second)
 		qc.SetSession(qSession)
 		if res, err := qc.CreateOn(0, qName, object.TypeQueue, 0, 1); err != nil || !res.Found {
 			qc.Close()
@@ -176,21 +181,22 @@ func runRestart(out io.Writer, cfg restartConfig) error {
 	}
 	defer px.Close()
 
-	conns := make([]*client.Reconnecting, cfg.n)
+	conns := make([]*client.Client, cfg.n)
 	for i := range conns {
-		c, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{
-			Seed: cfg.seed + int64(i) + 1,
-			// Deterministic, per-client-distinct op-ID identities keep
-			// the run reproducible; |1 keeps them nonzero.
-			Session:     uint64(cfg.seed+int64(i))<<1 | 1,
+		c, err := client.DialRetry(px.Addr(), client.RetryPolicy{
+			Seed:        cfg.seed + int64(i) + 1,
 			MaxAttempts: 12,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    250 * time.Millisecond,
-		}, 2*time.Second)
+		})
 		if err != nil {
 			return fmt.Errorf("client %d admission: %w", i, err)
 		}
+		c.SetOpTimeout(2 * time.Second)
 		defer c.Close()
+		// Deterministic, per-client-distinct op-ID identities keep the
+		// run reproducible; |1 keeps them nonzero.
+		c.SetSession(uint64(cfg.seed+int64(i))<<1 | 1)
 		conns[i] = c
 	}
 
@@ -203,10 +209,10 @@ func runRestart(out io.Writer, cfg restartConfig) error {
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
 			for op := 0; op < cfg.ops; op++ {
-				if _, err := c.AddOp(0, 1); err != nil {
+				if _, err := c.Add(0, 1); err != nil {
 					errs[i] = fmt.Errorf("op %d: %w", op, err)
 					return
 				}
@@ -301,17 +307,11 @@ func runRestart(out io.Writer, cfg restartConfig) error {
 		// holds one; give one back (Close is idempotent, the deferred
 		// close is a no-op) and ride out the lease release.
 		conns[cfg.n-1].Close()
-		var qc *client.Client
-		for attempt := 0; ; attempt++ {
-			qc, err = client.DialTimeout(first.addr, 2*time.Second)
-			if err == nil {
-				break
-			}
-			if attempt >= 40 {
-				return fmt.Errorf("queue verdict dial: %w", err)
-			}
-			time.Sleep(100 * time.Millisecond)
+		qc, err := client.DialRetry(first.addr, qPolicy)
+		if err != nil {
+			return fmt.Errorf("queue verdict dial: %w", err)
 		}
+		qc.SetOpTimeout(2 * time.Second)
 		qc.SetSession(qSession)
 		redo, err := qc.QDeqOp(0, qName, qDeqSeq)
 		if err != nil {

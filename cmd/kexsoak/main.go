@@ -5,7 +5,7 @@
 // The harness spawns a real kexserved with a WAL and an ops listener,
 // parks a netfault proxy in front of it so the dial address survives
 // the server's death, and drives a mixed workload (idempotent reads and
-// pings, op-ID-carrying adds) through Reconnecting clients while it
+// pings, op-ID-carrying adds) through retrying clients while it
 // SIGKILLs and restarts the server over and over — a rolling restart
 // performed with crash faults instead of graceful drains.
 //
@@ -336,23 +336,24 @@ func soak(out io.Writer, cfg soakConfig) error {
 	acked := make([]atomic.Int64, cfg.shards)
 	var stop atomic.Bool
 	errs := make([]error, cfg.clients)
-	conns := make([]*client.Reconnecting, cfg.clients)
+	conns := make([]*client.Client, cfg.clients)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.clients; i++ {
-		c, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{
+		c, err := client.DialRetry(px.Addr(), client.RetryPolicy{
 			Seed:        cfg.seed + int64(i) + 1,
-			Session:     uint64(cfg.seed+int64(i))<<1 | 1,
 			MaxAttempts: 30,
 			BaseDelay:   10 * time.Millisecond,
 			MaxDelay:    500 * time.Millisecond,
-		}, 5*time.Second)
+		})
 		if err != nil {
 			return fmt.Errorf("client %d admission: %w", i, err)
 		}
+		c.SetOpTimeout(5 * time.Second)
 		defer c.Close()
+		c.SetSession(uint64(cfg.seed+int64(i))<<1 | 1)
 		conns[i] = c
 		wg.Add(1)
-		go func(i int, c *client.Reconnecting) {
+		go func(i int, c *client.Client) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.seed + int64(i)*7919))
 			lastSeen := make([]int64, cfg.shards)
@@ -377,7 +378,7 @@ func soak(out io.Writer, cfg soakConfig) error {
 					}
 					lastSeen[shard] = v
 				default: // non-idempotent add under an op ID
-					if _, err := c.AddOp(uint32(shard), 1); err != nil {
+					if _, err := c.Add(uint32(shard), 1); err != nil {
 						errs[i] = fmt.Errorf("op %d add: %w", op, err)
 						return
 					}

@@ -459,6 +459,13 @@ func (l *link) pump(src, dst net.Conn, up bool) {
 				if keep < 0 {
 					keep = 0
 				}
+				if l.rule.Act == Partition {
+					// A partition closes nothing, so the silence can begin
+					// before the prefix goes out — and must: a server quick
+					// to answer the prefix would otherwise slip its reply
+					// through the other pump ahead of the fault.
+					l.fire()
+				}
 				if keep > 0 {
 					dst.Write(chunk[:keep])
 					counter.Add(keep)

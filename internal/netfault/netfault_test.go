@@ -3,14 +3,17 @@ package netfault_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"kexclusion/internal/netfault"
+	"kexclusion/internal/object"
 	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
+	"kexclusion/internal/wire"
 )
 
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
@@ -200,30 +203,257 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 }
 
 // TestResetHealsThroughReconnect: an injected RST mid-exchange is a
-// transport failure; the reconnecting client re-admits and completes
-// the idempotent read on a fresh link.
+// transport failure; the retrying client re-admits and completes the
+// idempotent read on a fresh link.
 func TestResetHealsThroughReconnect(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 2, K: 1, Shards: 1})
 	px := startProxy(t, addr, netfault.Plan{Seed: 3, Rules: []netfault.Rule{
 		{Conn: 0, Act: netfault.Reset, After: 53},
 	}})
 
-	r, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{Seed: 7, BaseDelay: time.Millisecond}, 2*time.Second)
+	r, err := client.DialRetry(px.Addr(), client.RetryPolicy{Seed: 7, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetOpTimeout(2 * time.Second)
 	defer r.Close()
 
-	// Conn 0 dies by RST the moment the Get's request bytes pass; the
-	// retry lands on conn 1, which has no rule.
-	if _, err := r.Get(0); err != nil {
-		t.Fatalf("Get did not heal through the reset: %v", err)
+	// Conn 0 dies by RST the moment the first Get's request bytes pass.
+	// Usually the RST eats the reply and that Get heals onto conn 1,
+	// which has no rule; now and then the server's reply wins the race,
+	// and it is the second Get that finds the dead link and heals. Both
+	// orderings end in the same place.
+	for i := 0; i < 2; i++ {
+		if _, err := r.Get(0); err != nil {
+			t.Fatalf("Get %d did not heal through the reset: %v", i, err)
+		}
 	}
 	if got := r.Reconnects(); got != 2 {
 		t.Fatalf("Reconnects = %d, want 2", got)
 	}
 	if st := px.Stats(); st.Resets != 1 || st.Accepted != 2 {
 		t.Fatalf("proxy stats %+v", st)
+	}
+}
+
+// frameBytes is the upstream size of one request frame: the 4-byte
+// length prefix plus the encoded payload.
+func frameBytes(t *testing.T, payload []byte, err error) int64 {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(4 + len(payload))
+}
+
+// loseReply makes the Reset rule armed on px's first connection eat a
+// reply for certain, and holds the victim's re-issue back until the
+// lost attempt has visibly landed. It blocks the server-to-client
+// direction, so the reply to the exchange that trips the rule is held
+// in the proxy while the RST goes out, and the hello of the victim's
+// redial is held too; once the reset has fired it runs landed — which
+// waits for the first attempt's effect and may then act on it from
+// another session — and heals, releasing the re-issue. Call it after
+// the victim has dialed; wait on the returned channel after the
+// victim's operation.
+func loseReply(t *testing.T, px *netfault.Proxy, landed func() error) <-chan struct{} {
+	t.Helper()
+	px.SetPartition(netfault.Down)
+	healed := make(chan struct{})
+	go func() {
+		defer close(healed)
+		defer px.Heal()
+		for deadline := time.Now().Add(5 * time.Second); px.Stats().Resets == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the reset never fired")
+				return
+			}
+		}
+		if err := landed(); err != nil {
+			t.Errorf("between the lost attempt and its re-issue: %v", err)
+		}
+	}()
+	return healed
+}
+
+// eventually polls get until it returns want.
+func eventually(want int64, get func() (int64, error)) error {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		v, err := get()
+		if err != nil || v == want {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("still %d after 5s, want %d", v, want)
+		}
+	}
+}
+
+// TestLostDequeueHealsExactlyOnce: dequeue is the non-idempotent
+// operation the dedup window exists for. The pop is applied, the RST
+// eats its reply, and the client's re-issue — same session × seq, on a
+// fresh link — is answered from the window with the value popped the
+// first time.
+func TestLostDequeueHealsExactlyOnce(t *testing.T) {
+	_, addr := startServer(t, server.Config{N: 4, K: 2, Shards: 1})
+	payload, err := wire.EncodeObjRequest(wire.Request{Kind: wire.KindQDeq, Obj: "q"})
+	px := startProxy(t, addr, netfault.Plan{Seed: 8, Rules: []netfault.Rule{
+		{Conn: 0, Act: netfault.Reset, After: frameBytes(t, payload, err)},
+	}})
+
+	direct, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if res, err := direct.Create("q", object.TypeQueue, 0); err != nil || !res.Found {
+		t.Fatalf("create: %+v, %v", res, err)
+	}
+	for _, v := range []int64{11, 22, 33} {
+		if _, err := direct.QEnq("q", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := client.DialRetry(px.Addr(), client.RetryPolicy{Seed: 8, BaseDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetOpTimeout(2 * time.Second)
+	defer r.Close()
+	healed := loseReply(t, px, func() error {
+		return eventually(2, func() (int64, error) { n, _, err := direct.QLen("q"); return n, err })
+	})
+	res, err := r.QDeq("q")
+	<-healed
+	if err != nil {
+		t.Fatalf("dequeue did not heal through the reset: %v", err)
+	}
+	if !res.Found || res.Value != 11 || !res.WasDuplicate {
+		t.Fatalf("re-issued dequeue = %+v, want the originally popped 11 as a duplicate ack", res)
+	}
+	if n, found, err := r.QLen("q"); err != nil || !found || n != 2 {
+		t.Fatalf("queue length = %d (found %v), %v; want 2: one pop, not two", n, found, err)
+	}
+	if r.DupeAcks() != 1 || r.Reconnects() != 2 {
+		t.Fatalf("DupeAcks = %d, Reconnects = %d; want 1 and 2", r.DupeAcks(), r.Reconnects())
+	}
+}
+
+// TestLostCASKeepsOriginalVerdict: a re-issued cas returns the verdict
+// of its first application even though another session has moved the
+// key in between.
+func TestLostCASKeepsOriginalVerdict(t *testing.T) {
+	_, addr := startServer(t, server.Config{N: 4, K: 2, Shards: 1})
+	payload, err := wire.EncodeObjRequest(wire.Request{Kind: wire.KindMapCAS, Obj: "m", Key: "k"})
+	px := startProxy(t, addr, netfault.Plan{Seed: 9, Rules: []netfault.Rule{
+		{Conn: 0, Act: netfault.Reset, After: frameBytes(t, payload, err)},
+	}})
+
+	other, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if res, err := other.Create("m", object.TypeMap, 0); err != nil || !res.Found {
+		t.Fatalf("create: %+v, %v", res, err)
+	}
+
+	r, err := client.DialRetry(px.Addr(), client.RetryPolicy{Seed: 9, BaseDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetOpTimeout(2 * time.Second)
+	defer r.Close()
+	healed := loseReply(t, px, func() error {
+		err := eventually(1, func() (int64, error) { v, _, err := other.MapGet("m", "k"); return v, err })
+		if err == nil {
+			_, err = other.MapPut("m", "k", 5)
+		}
+		return err
+	})
+	res, err := r.MapCAS("m", "k", 0, 1)
+	<-healed
+	if err != nil {
+		t.Fatalf("cas did not heal through the reset: %v", err)
+	}
+	if !res.Found || res.Value != 1 || !res.WasDuplicate {
+		t.Fatalf("re-issued cas = %+v, want the original verdict (swapped to 1) as a duplicate ack", res)
+	}
+	if v, _, err := other.MapGet("m", "k"); err != nil || v != 5 {
+		t.Fatalf("key = %d, %v; want the other session's 5 untouched by the re-issue", v, err)
+	}
+}
+
+// TestAtomicTransferThroughResetAppliesOnce: a two-shard atomic
+// transfer whose reply is lost is re-issued whole, as one group, and
+// answered from the dedup window: the sum is conserved and exactly one
+// group was committed.
+func TestAtomicTransferThroughResetAppliesOnce(t *testing.T) {
+	srv, addr := startServer(t, server.Config{N: 4, K: 2, Shards: 2})
+	direct, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	// One register per shard, by the placement every tool agrees on.
+	var names [2]string
+	for i := 0; names[0] == "" || names[1] == ""; i++ {
+		name := fmt.Sprintf("r%d", i)
+		names[direct.ShardFor(name)] = name
+	}
+	for _, name := range names {
+		if res, err := direct.Create(name, object.TypeRegister, 0); err != nil || !res.Found {
+			t.Fatalf("create %s: %+v, %v", name, res, err)
+		}
+	}
+	if _, err := direct.RegSet(names[0], 10); err != nil {
+		t.Fatal(err)
+	}
+
+	group := []client.AtomicOp{
+		{Kind: wire.KindRegAdd, Obj: names[0], Shard: 0, Arg: -3},
+		{Kind: wire.KindRegAdd, Obj: names[1], Shard: 1, Arg: 3},
+	}
+	payload, err := wire.ObjBatch{Atomic: true, Reqs: []wire.Request{
+		{Kind: wire.KindRegAdd, Obj: names[0]}, {Kind: wire.KindRegAdd, Obj: names[1]},
+	}}.Encode()
+	px := startProxy(t, addr, netfault.Plan{Seed: 10, Rules: []netfault.Rule{
+		{Conn: 0, Act: netfault.Reset, After: frameBytes(t, payload, err)},
+	}})
+	r, err := client.DialRetry(px.Addr(), client.RetryPolicy{Seed: 10, BaseDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetOpTimeout(2 * time.Second)
+	defer r.Close()
+	healed := loseReply(t, px, func() error {
+		return eventually(7, func() (int64, error) { v, _, err := direct.RegGet(names[0]); return v, err })
+	})
+	res, err := r.Atomic(r.AtomicSeqs(group))
+	<-healed
+	if err != nil {
+		t.Fatalf("transfer did not heal through the reset: %v", err)
+	}
+	if len(res) != 2 || res[0].Value != 7 || res[1].Value != 3 || !res[0].WasDuplicate || !res[1].WasDuplicate {
+		t.Fatalf("re-issued transfer = %+v, want 7 and 3 as duplicate acks", res)
+	}
+	from, _, err := direct.RegGet(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, _, err := direct.RegGet(names[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from != 7 || to != 3 {
+		t.Fatalf("registers = %d and %d, want 7 and 3: the sum of 10 moved once", from, to)
+	}
+	if st := srv.Stats(); st.BatchAtomic != 1 {
+		t.Fatalf("batch_atomic = %d, want 1 committed group", st.BatchAtomic)
+	}
+	if r.Reconnects() != 2 {
+		t.Fatalf("Reconnects = %d, want 2", r.Reconnects())
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package client is the Go client for kexserved. A Client is one
-// network process: Dial performs the admission handshake, receiving the
-// leased process identity p in [0, N) (or a wire.StatusBusy rejection —
-// backpressure, not failure), and every operation then runs under that
-// identity on the server. Methods are safe for concurrent use; requests
-// on one client are serialized, matching the paper's model of a process
-// as a sequential thread of operations.
+// network process: the dial performs the admission handshake, receiving
+// the leased process identity p in [0, N) (or a wire.StatusBusy
+// rejection — backpressure, not failure), and every operation then runs
+// under that identity on the server. Methods are safe for concurrent
+// use; requests on one client are serialized, matching the paper's
+// model of a process as a sequential thread of operations.
 //
 // Operations may be pipelined: Go and GoObj issue an operation and
 // return a Pending promise, Flush writes the queued burst (one op as a
@@ -13,27 +13,51 @@
 // one sequential thread of operations — the server applies them in
 // issue order under the session's single identity — it just keeps the
 // network and the WAL's group commit full while doing so.
+//
+// A Client is also the paper's recoverable process: it carries one
+// op-ID session for its whole life and a RetryPolicy, and every
+// operation — legacy register, typed object or atomic group, serialized
+// or pipelined — settles through one loop (waitLocked) that re-issues
+// an unresolved request verbatim, under the same session × seq, until
+// it has an answer or its budget is spent. Dial and DialTimeout give a
+// budget of one attempt: nothing is ever re-issued, a failed exchange
+// poisons the connection (ErrBroken) and the caller owns recovery.
+// DialRetry gives a real budget: the client redials through connection
+// loss, follows cluster redirects and backs off on refusals. What may
+// be re-issued, and where, is the outcome table in retry.go.
 package client
 
 import (
 	"bufio"
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kexclusion/internal/wire"
 )
 
-// ErrBroken marks a client whose connection state is unknowable: an
-// operation's deadline expired (or its transport failed) mid-exchange,
-// so a response may be stranded half-read in the stream. Every further
-// operation fails with this error immediately — the only recovery is a
-// fresh Dial, which is exactly what Reconnecting automates.
+// ErrBroken marks an exchange that died mid-flight: an operation's
+// deadline expired or its transport failed, so a response may be
+// stranded half-read in the stream and the operation may or may not
+// have been applied. On a client with a budget of one attempt the
+// connection is poisoned: every unresolved and every further operation
+// fails with this error immediately, and the only recovery is a fresh
+// dial. A client with a retry budget redials and re-issues instead, and
+// surfaces ErrBroken only for an operation it may not re-issue (a
+// mutation without an op ID) or whose budget ran out.
 var ErrBroken = errors.New("client: connection poisoned by a failed exchange; redial")
+
+// ErrClosed is the terminal error of an operation that was parked in a
+// backoff or a redial when Close was called, and of every later one.
+var ErrClosed = errors.New("client: closed")
 
 // BusyError is an admission rejection: the server's identity pool is
 // exhausted (or it is draining). RetryAfter carries the server's
@@ -54,58 +78,86 @@ func (e *BusyError) Error() string {
 // Unwrap exposes the wire-level error to errors.As/Is.
 func (e *BusyError) Unwrap() error { return e.Err }
 
-// Client is one admitted kexserved session.
+// Client is one kexserved session: one op-ID identity, one sequential
+// thread of operations, over however many connections its retry budget
+// lets it dial.
 type Client struct {
-	mu        sync.Mutex
-	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer
-	nextID    uint64
-	session   uint64
-	opSeq     uint64
-	hello     wire.Hello
-	opTimeout time.Duration
-	broken    bool
-	brokenBy  error
+	mu          sync.Mutex // serializes operations; held through backoffs and redials
+	addr        string     // current dial target (rotated by cluster redirects)
+	home        string     // the configured address, the fallback when addr dies
+	policy      RetryPolicy
+	dialTimeout time.Duration
+	opTimeout   time.Duration
+	rng         *rand.Rand
+	session     uint64
+	opSeq       uint64
+	nextID      uint64
+	broken      error // budget of one: the failure that poisoned the connection
 
-	// Pipelining state. queued holds operations issued with Go but not
-	// yet written; frames is the FIFO of response framings still owed by
-	// the server (one entry per request frame written); pending is the
-	// FIFO of unresolved operations, oldest first.
-	queued  []wire.Request
-	frames  []outFrame
+	// connMu guards conn and hello for the readers that must not wait
+	// for mu — Close above all, which has to reach the connection of an
+	// operation parked under mu. Both are written under mu AND connMu,
+	// so the operation path reads them under mu alone. cancel wakes a
+	// parked backoff or dial.
+	connMu sync.Mutex
+	conn   net.Conn // nil between a drop and the next successful redial
+	hello  wire.Hello
+	ctx    context.Context
+	cancel context.CancelFunc
+	br     *bufio.Reader
+	bw     *bufio.Writer
+
+	// Pipelining state. pending is the FIFO of unresolved operations,
+	// oldest first: its first sent entries are on the wire, in the order
+	// the server will answer them, and the rest are queued for the next
+	// flush. reqs and resps are the flush's and the read's scratch;
+	// verdict is what the outcomes since the last issue ask for, owed
+	// before the next one (payLocked).
 	pending []*Pending
+	sent    int
+	reqs    []wire.Request
+	resps   []wire.Response
+	verdict verdict
+
+	reconnects atomic.Int64
+	retries    atomic.Int64
+	dupeAcks   atomic.Int64
+	redirects  atomic.Int64
 }
 
-// outFrame records the framing of one written request frame, which is
-// the framing the server's answer will arrive in: a single-op frame is
-// answered by one Response frame, a pipeline or atomic-group frame by
-// BatchResponse frames carrying its n responses in order.
-type outFrame struct {
-	batched bool
-	n       int
-}
-
-// Pending is one in-flight pipelined operation: a promise for its
-// response. Obtain from Go, resolve with Wait.
+// Pending is one in-flight operation: its request, kept verbatim for
+// re-issue, and a promise for its response. Obtain from Go, resolve
+// with Wait.
 type Pending struct {
-	c    *Client
-	id   uint64
-	resp wire.Response
-	err  error
-	done bool
+	c   *Client
+	req wire.Request
+	// group, when non-nil, lists the members of the atomic group this
+	// request belongs to, itself included, in frame order. A group is ONE
+	// operation: it enters and leaves the pending queue whole, travels
+	// as one 0xC2 frame on every issue, spends its first member's budget
+	// and settles — resolved, requeued or failed — all members at once.
+	group []*Pending
+	frame int // on the first request of a written frame: how many it carries
+	tries int // attempts that ended in a refusal or a lost exchange
+	hops  int // cluster redirects followed
+	resp  wire.Response
+	err   error
+	done  bool
 }
 
-// OpResult is a mutation's outcome.
-type OpResult struct {
-	// Value is the acknowledged result (the shard value the mutation
-	// produced — originally, if it was a duplicate).
-	Value int64
-	// WasDuplicate reports that the server recognized the op ID as
-	// already applied and answered from its dedup window without
-	// touching the object again. A retried op seeing this is the
-	// exactly-once machinery working, not an error.
-	WasDuplicate bool
+// fail resolves every request of u with err.
+func fail(u []*Pending, err error) {
+	for _, p := range u {
+		p.resp, p.err, p.done = wire.Response{}, err, true
+	}
+}
+
+// unitAt returns the operation that starts at q[i] as the requests it
+// is made of: q[i] alone, or its whole atomic group. The first request
+// carries the operation's budget.
+func unitAt(q []*Pending, i int) []*Pending {
+	n := max(1, len(q[i].group))
+	return q[i : i+n : i+n]
 }
 
 // randomSession draws a nonzero session identity.
@@ -119,57 +171,124 @@ func randomSession() uint64 {
 	return uint64(time.Now().UnixNano()) | 1
 }
 
-// Dial connects and performs the admission handshake. A server-side
-// rejection (pool exhausted, draining) returns a *wire.Error with
-// wire.StatusBusy and no Client.
+// Dial connects and performs the admission handshake with a budget of
+// one attempt. A server-side rejection (pool exhausted, draining)
+// returns a *BusyError and no Client.
 func Dial(addr string) (*Client, error) {
 	return DialTimeout(addr, 10*time.Second)
 }
 
 // DialTimeout is Dial with a connect-and-handshake deadline.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
+	return dial(addr, RetryPolicy{MaxAttempts: 1}, timeout)
+}
+
+// DialRetry dials addr under policy's budget (so a busy server parks
+// the caller through backoff instead of failing the first admission).
+// The returned client spends the same budget on every operation: see
+// RetryPolicy.
+func DialRetry(addr string, policy RetryPolicy) (*Client, error) {
+	return dial(addr, policy.withDefaults(), 10*time.Second)
+}
+
+func dial(addr string, policy RetryPolicy, timeout time.Duration) (*Client, error) {
+	c := &Client{
+		addr:        addr,
+		home:        addr,
+		policy:      policy,
+		dialTimeout: timeout,
+		rng:         rand.New(rand.NewSource(policy.Seed)),
+		// One session identity for the client's whole life, so a mutation
+		// re-issued after a redial carries the op ID the lost copy did.
+		// Random — identity must be unique per client, so it is never
+		// derived from the (defaultable, shareable) jitter seed; a caller
+		// that needs it deterministic uses SetSession and owns uniqueness.
+		session: randomSession(),
+	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tries := 0
+	if err := c.connectLocked(&tries); err != nil {
+		c.cancel()
 		return nil, err
 	}
+	return c, nil
+}
+
+// dialLocked makes one connection attempt at c.addr: connect, then the
+// admission handshake.
+func (c *Client) dialLocked() error {
+	d := net.Dialer{Timeout: c.dialTimeout}
+	conn, err := d.DialContext(c.ctx, "tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	// Published before the handshake so that Close can interrupt it.
+	c.connMu.Lock()
+	if c.ctx.Err() != nil {
+		c.connMu.Unlock()
+		conn.Close()
+		return ErrClosed
+	}
+	c.conn = conn
+	c.connMu.Unlock()
+	br := bufio.NewReader(conn)
+	hello, err := handshake(conn, br, c.dialTimeout)
+	if err != nil {
+		c.dropLocked()
+		return err
+	}
+	c.connMu.Lock()
+	c.hello = hello
+	c.connMu.Unlock()
+	c.br, c.bw = br, bufio.NewWriter(conn)
+	c.reconnects.Add(1)
+	return nil
+}
+
+// handshake reads and checks the server's Hello within timeout.
+func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration) (wire.Hello, error) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 	}
-	br := bufio.NewReader(conn)
 	hello, err := wire.ReadHello(br)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
+		return hello, fmt.Errorf("client: handshake: %w", err)
 	}
 	if hello.Status != wire.StatusOK {
-		conn.Close()
 		we := &wire.Error{Status: hello.Status, Msg: hello.Msg}
 		if hello.Status == wire.StatusBusy {
-			return nil, &BusyError{
+			return hello, &BusyError{
 				RetryAfter: time.Duration(hello.RetryAfterMillis) * time.Millisecond,
 				Err:        we,
 			}
 		}
-		return nil, we
+		return hello, we
 	}
 	// The hello comes from outside the program: ShardFor divides by
 	// Shards, and every identity argument assumes 1 <= K <= N.
 	if hello.Shards < 1 || hello.K < 1 || hello.K > hello.N {
-		conn.Close()
-		return nil, fmt.Errorf("client: handshake: server announced an impossible shape (N=%d, K=%d, shards=%d)",
+		return hello, fmt.Errorf("client: handshake: server announced an impossible shape (N=%d, K=%d, shards=%d)",
 			hello.N, hello.K, hello.Shards)
 	}
 	conn.SetDeadline(time.Time{})
 	if tcp, ok := conn.(*net.TCPConn); ok {
 		tcp.SetNoDelay(true)
 	}
-	return &Client{
-		conn:    conn,
-		br:      br,
-		bw:      bufio.NewWriter(conn),
-		hello:   hello,
-		session: randomSession(),
-	}, nil
+	return hello, nil
+}
+
+// dropLocked discards the connection. Nothing may be on the wire: the
+// caller has either read every owed answer or requeued the operations
+// that lost theirs (failConnLocked).
+func (c *Client) dropLocked() {
+	c.connMu.Lock()
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+	c.connMu.Unlock()
 }
 
 // Session reports the client's op-ID session identity.
@@ -179,10 +298,11 @@ func (c *Client) Session() uint64 {
 	return c.session
 }
 
-// SetSession overrides the op-ID session identity (Dial assigns a
-// random one). A wrapper that redials uses a stable session so a
-// retried mutation is recognized across connections; zero disables
-// deduplication entirely. Set before issuing operations.
+// SetSession overrides the op-ID session identity (the dial assigns a
+// random one), for harnesses that need it deterministic; the caller
+// then owns uniqueness across concurrently live clients. Zero disables
+// deduplication entirely. An operation carries the session in force
+// when it was issued (Go), on every re-issue.
 func (c *Client) SetSession(s uint64) {
 	c.mu.Lock()
 	c.session = s
@@ -190,19 +310,22 @@ func (c *Client) SetSession(s uint64) {
 }
 
 // Identity reports the process identity p the server leased to this
-// session.
-func (c *Client) Identity() int { return int(c.hello.Identity) }
+// session's current connection.
+func (c *Client) Identity() int { return int(c.Hello().Identity) }
 
-// Hello reports the full admission handshake (server shape included).
-func (c *Client) Hello() wire.Hello { return c.hello }
+// Hello reports the latest admission handshake (server shape included).
+func (c *Client) Hello() wire.Hello {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	return c.hello
+}
 
-// SetOpTimeout bounds every subsequent operation: the whole exchange —
-// write, server work, response read — must finish within d or the
-// operation fails and the connection is poisoned (see ErrBroken; a
-// missed deadline leaves the stream in an unknowable state). Zero
-// removes the bound. Dial's handshake deadline used to be the only one
-// ever armed; without this, a stalled or partitioned server hangs the
-// caller for as long as the TCP stack is willing to wait.
+// SetOpTimeout bounds every subsequent exchange: write, server work,
+// response read must finish within d or the exchange counts as lost
+// (see ErrBroken; a missed deadline leaves the stream in an unknowable
+// state). Zero removes the bound. Without it a stalled or partitioned
+// server hangs the caller for as long as the TCP stack is willing to
+// wait.
 func (c *Client) SetOpTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.opTimeout = d
@@ -230,14 +353,12 @@ func (c *Client) GoObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 
 }
 
 func (c *Client) goObjLocked(kind wire.Kind, obj, key string, shard uint32, arg, arg2 int64, seq uint64) (*Pending, error) {
-	if c.broken {
-		return nil, c.brokenErrLocked()
+	if c.broken != nil {
+		return nil, c.broken
 	}
 	c.nextID++
-	req := wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg,
-		Session: c.session, Seq: seq, Obj: obj, Key: key, Arg2: arg2}
-	c.queued = append(c.queued, req)
-	p := &Pending{c: c, id: req.ID}
+	p := &Pending{c: c, req: wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg,
+		Session: c.session, Seq: seq, Obj: obj, Key: key, Arg2: arg2}}
 	c.pending = append(c.pending, p)
 	return p, nil
 }
@@ -255,46 +376,77 @@ func (c *Client) doObj(kind wire.Kind, obj, key string, shard uint32, arg, arg2 
 
 // Flush writes every queued operation to the connection: a single op
 // as a 0xC0 frame (answered by one Response), several as 0xC1 pipeline
-// frames (answered by BatchResponse frames).
+// frames (answered by BatchResponse frames). It reports what no Wait
+// will heal: a poisoned or closed client, a connection that could not
+// be had, a request the codec refused. On a client with a retry budget a
+// failed write is not among them — the operations it cost are queued
+// again and their Wait re-issues them.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	tries := 0
+	if err := c.connectLocked(&tries); err != nil {
+		return err
+	}
 	return c.flushLocked()
 }
 
+// flushLocked frames and writes pending[sent:]: an atomic group whole
+// as its own 0xC2 frame, every other run of operations as pipeline
+// frames of at most wire.MaxBatchOps. It returns the codec's refusal of
+// a request or the failure that poisoned the connection; any other
+// write failure has requeued or failed its operations (failConnLocked).
 func (c *Client) flushLocked() error {
-	if c.broken {
-		return c.brokenErrLocked()
-	}
-	if len(c.queued) == 0 {
+	if c.sent == len(c.pending) {
 		return nil
 	}
 	c.armDeadlineLocked()
-	for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
-		reqs := c.queued[off:min(off+wire.MaxBatchOps, len(c.queued))]
+	var refused, lost error
+	for lost == nil && c.sent < len(c.pending) {
+		i := c.sent
+		group := c.pending[i].group != nil
+		j := i + len(unitAt(c.pending, i))
+		for !group && j < len(c.pending) && c.pending[j].group == nil && j-i < wire.MaxBatchOps {
+			j++
+		}
 		var payload []byte
 		var err error
-		if len(reqs) == 1 {
-			payload, err = wire.EncodeObjRequest(reqs[0])
+		if j-i == 1 && !group {
+			payload, err = wire.EncodeObjRequest(c.pending[i].req)
 		} else {
-			payload, err = wire.ObjBatch{Reqs: reqs}.Encode()
+			c.reqs = c.reqs[:0]
+			for _, p := range c.pending[i:j] {
+				c.reqs = append(c.reqs, p.req)
+			}
+			payload, err = wire.ObjBatch{Reqs: c.reqs, Atomic: group}.Encode()
 		}
 		if err != nil {
-			// The ops are already queued as pendings; those must fail
-			// rather than hang.
-			c.poisonLocked(err)
-			return err
+			// The codec refused the frame (an over-long name, say): its
+			// operations fail rather than hang, and nothing of them was
+			// written, so the stream is intact.
+			fail(c.pending[i:j], err)
+			c.pending = append(c.pending[:i], c.pending[j:]...)
+			if refused == nil {
+				refused = err
+			}
+			continue
 		}
-		if err := c.writeFrameLocked(payload, outFrame{batched: len(reqs) > 1, n: len(reqs)}); err != nil {
-			return err
+		// Counted as sent before the write: a frame that failed halfway
+		// through is as lost as one whose answer never came.
+		c.sent = j
+		c.pending[i].frame = j - i
+		lost = wire.WriteFrame(c.bw, payload)
+	}
+	if lost == nil {
+		lost = c.bw.Flush()
+	}
+	if lost != nil {
+		c.failConnLocked(lost)
+		if c.broken != nil {
+			return lost
 		}
 	}
-	c.queued = c.queued[:0]
-	if err := c.bw.Flush(); err != nil {
-		c.poisonLocked(err)
-		return err
-	}
-	return nil
+	return refused
 }
 
 // armDeadlineLocked bounds the next write or read by the op timeout.
@@ -306,157 +458,142 @@ func (c *Client) armDeadlineLocked() {
 	}
 }
 
-// writeFrameLocked buffers one encoded request frame and records the
-// answer shape the server now owes.
-func (c *Client) writeFrameLocked(payload []byte, f outFrame) error {
-	if err := wire.WriteFrame(c.bw, payload); err != nil {
-		c.poisonLocked(err)
-		return err
-	}
-	c.frames = append(c.frames, f)
-	return nil
-}
-
-// Wait flushes any queued operations and blocks until this operation's
-// response arrives, reading (and resolving) every earlier pipelined
+// Wait flushes any queued operations and blocks until this operation
+// has an outcome, reading (and resolving) every earlier pipelined
 // response on the way — responses arrive in issue order, so waiting on
-// the newest operation drains the whole pipeline. The returned error
-// is the operation's own wire-level error (e.g. wire.StatusBusy) or
-// the transport failure that poisoned the connection.
+// the newest operation drains the whole pipeline. The outcome is the
+// response, the operation's own terminal wire-level error (e.g.
+// wire.StatusBadShard), or, once the retry budget is spent, the last
+// refusal or transport failure (see the outcome table in retry.go).
 func (p *Pending) Wait() (wire.Response, error) {
 	p.c.mu.Lock()
 	defer p.c.mu.Unlock()
 	return p.c.waitLocked(p)
 }
 
-// Result is Wait shaped as a mutation outcome.
-func (p *Pending) Result() (OpResult, error) {
-	resp, err := p.Wait()
-	return OpResult{Value: resp.Value, WasDuplicate: resp.Flags&wire.FlagDuplicate != 0}, err
-}
-
+// waitLocked is the client's one retry loop. Each turn pays what the
+// last one's outcomes asked for — rotate to a redirect's target, back
+// off — and redials a lost or refused connection (connectLocked), issues
+// every unresolved request, and reads answers until p has its own or
+// the wire is empty; settleLocked classifies each outcome once,
+// resolving the operation or queueing it for another attempt. A
+// serialized operation is a burst of one; an atomic group is one
+// operation of several requests, waited on by its first. With a budget
+// of one attempt every refusal and every loss is terminal, so the loop
+// runs once.
 func (c *Client) waitLocked(p *Pending) (wire.Response, error) {
-	if p.done {
-		return p.resp, p.err
-	}
-	if err := c.flushLocked(); err != nil {
-		if p.done { // a failed flush poisons, which resolves p
-			return p.resp, p.err
-		}
-		return wire.Response{}, err
-	}
 	for !p.done {
-		if err := c.readFrameLocked(); err != nil {
-			if p.done {
-				// p resolved inside the failing frame, before the stream
-				// died: its answer is real even though the pipeline broke.
-				return p.resp, p.err
-			}
-			return wire.Response{}, err
+		if err := c.connectLocked(&p.tries); err != nil {
+			c.abandonLocked(p, err)
+			break
+		}
+		c.flushLocked() // a failure has resolved or requeued its operations
+		for !p.done && c.sent > 0 {
+			c.readFrameLocked()
 		}
 	}
 	return p.resp, p.err
 }
 
 // readFrameLocked consumes the server's answer to the oldest
-// outstanding request frame and resolves the pendings it carries.
-func (c *Client) readFrameLocked() error {
-	if c.broken {
-		return c.brokenErrLocked()
-	}
-	if len(c.frames) == 0 {
-		err := errors.New("client: waiting for a response with no request frame outstanding")
-		c.poisonLocked(err)
-		return err
-	}
+// outstanding request frame — the oldest operation on the wire heads it
+// — and settles the operations it carries; a failure costs the
+// connection (failConnLocked).
+func (c *Client) readFrameLocked() {
 	c.armDeadlineLocked()
-	f := c.frames[0]
-	if !f.batched {
+	n, group := c.pending[0].frame, c.pending[0].group != nil
+	if n == 1 && !group {
+		// A single-op frame is answered by one Response frame.
 		resp, err := wire.ReadResponse(c.br)
 		if err != nil {
-			c.poisonLocked(err)
-			return err
+			c.failConnLocked(err)
+			return
 		}
-		c.frames = c.frames[1:]
-		return c.resolveLocked(resp)
-	}
-	// A pipeline or group frame is answered by one or more BatchResponse
-	// frames totalling f.n responses (the server splits frames that
-	// would exceed wire.MaxFrame).
-	got := 0
-	for got < f.n {
-		batch, err := wire.ReadBatchResponse(c.br)
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		if len(batch.Resps) > f.n-got {
-			err := fmt.Errorf("client: server answered %d responses to a batch of %d", got+len(batch.Resps), f.n)
-			c.poisonLocked(err)
-			return err
-		}
-		for _, resp := range batch.Resps {
-			if err := c.resolveLocked(resp); err != nil {
-				return err
-			}
-		}
-		got += len(batch.Resps)
-	}
-	c.frames = c.frames[1:]
-	return nil
-}
-
-// resolveLocked matches one response to the oldest unresolved
-// operation — the wire guarantees issue order, so anything else is a
-// protocol violation that poisons the connection.
-func (c *Client) resolveLocked(resp wire.Response) error {
-	if len(c.pending) == 0 {
-		err := fmt.Errorf("client: response id %d with no operation outstanding", resp.ID)
-		c.poisonLocked(err)
-		return err
-	}
-	p := c.pending[0]
-	if resp.ID != p.id {
-		err := fmt.Errorf("client: response id %d for request %d", resp.ID, p.id)
-		c.poisonLocked(err)
-		return err
-	}
-	c.pending = c.pending[1:]
-	p.resp = resp
-	p.err = resp.Err()
-	p.done = true
-	return nil
-}
-
-// poisonLocked marks the connection unknowable and fails every
-// unresolved operation: once a write, read, or deadline fails
-// mid-pipeline there is no telling which of the outstanding ops the
-// server applied, so all of them answer ErrBroken (wrapping the
-// cause) and the caller's exactly-once retry machinery — stable
-// session, reused seq — decides what is safe to re-issue.
-func (c *Client) poisonLocked(cause error) {
-	if c.broken {
+		c.resps = append(c.resps[:0], resp)
+		c.settleLocked(c.resps)
 		return
 	}
-	c.broken = true
-	c.brokenBy = cause
-	for _, p := range c.pending {
-		if !p.done {
-			p.resp = wire.Response{}
-			p.err = fmt.Errorf("%w (cause: %v)", ErrBroken, cause)
-			p.done = true
+	// A pipeline or group frame is answered by one or more BatchResponse
+	// frames totalling n responses (the server splits frames that would
+	// exceed wire.MaxFrame). A pipeline's operations settle one by one
+	// as their answers arrive; a group settles once, with all of its
+	// answers in hand — a stream that dies between two of them must not
+	// leave the group half resolved.
+	c.resps = c.resps[:0]
+	for got := 0; got < n; {
+		batch, err := wire.ReadBatchResponse(c.br)
+		if err == nil && len(batch.Resps) > n-got {
+			err = fmt.Errorf("client: server answered %d responses to a batch of %d", got+len(batch.Resps), n)
+		}
+		if err != nil {
+			c.failConnLocked(err)
+			return
+		}
+		got += len(batch.Resps)
+		if group {
+			c.resps = append(c.resps, batch.Resps...)
+			continue
+		}
+		for i := range batch.Resps {
+			if !c.settleLocked(batch.Resps[i : i+1]) {
+				return
+			}
 		}
 	}
-	c.pending = nil
-	c.queued = nil
-	c.frames = nil
+	if group {
+		c.settleLocked(c.resps)
+	}
 }
 
-func (c *Client) brokenErrLocked() error {
-	if c.brokenBy != nil {
-		return fmt.Errorf("%w (cause: %v)", ErrBroken, c.brokenBy)
+// settleLocked matches resps to the requests of the oldest operation on
+// the wire — the wire guarantees issue order, so anything else is a
+// protocol violation that costs the connection (and reports false) —
+// and settles it whole: all OK resolves it, anything else goes through
+// the outcome table under the one refusal that speaks for it (the
+// member that caused an atomic abort carries the reason; any other
+// refusal the server gives a group is the same for every member).
+func (c *Client) settleLocked(resps []wire.Response) bool {
+	u := c.pending[:len(resps):len(resps)]
+	var refusal *wire.Error
+	for i, p := range u {
+		if resps[i].ID != p.req.ID {
+			c.failConnLocked(fmt.Errorf("client: response id %d for request %d", resps[i].ID, p.req.ID))
+			return false
+		}
+		if resps[i].Status != wire.StatusOK && (refusal == nil || refusal.Msg == "") {
+			refusal = resps[i].Err().(*wire.Error)
+		}
 	}
-	return ErrBroken
+	c.pending = c.pending[len(u):]
+	c.sent -= len(u)
+	if refusal != nil {
+		c.refusedLocked(u, refusal)
+		return true
+	}
+	for i, p := range u {
+		if resps[i].Flags&wire.FlagDuplicate != 0 {
+			c.dupeAcks.Add(1)
+		}
+		p.resp, p.done = resps[i], true
+	}
+	return true
+}
+
+// abandonLocked fails what err leaves no way to issue: everything
+// unresolved on a closed or poisoned client; otherwise p alone, which
+// could not get a connection within its own budget — the operations
+// queued around it have theirs to spend, on their own Wait.
+func (c *Client) abandonLocked(p *Pending, err error) {
+	i, n := 0, len(c.pending)
+	if c.broken == nil && !errors.Is(err, ErrClosed) {
+		i = slices.Index(c.pending, p)
+		n = len(unitAt(c.pending, i))
+	} else {
+		c.dropLocked() // and with it whatever was on the wire
+		c.sent = 0
+	}
+	fail(c.pending[i:i+n], err)
+	c.pending = slices.Delete(c.pending, i, i+n)
 }
 
 // Ping round-trips a no-op.
@@ -471,9 +608,11 @@ func (c *Client) Get(shard uint32) (int64, error) {
 	return resp.Value, err
 }
 
-// NextSeq allocates the next op-ID sequence number. Use with AddOp/
-// SetOp to assign a mutation its ID once and reuse it verbatim on
-// every retry — the contract that makes retried mutations exactly-once.
+// NextSeq allocates the next op-ID sequence number. Every mutating
+// method without an explicit seq draws one; use it with the *Op methods
+// and Go to assign a mutation its ID once and reuse it verbatim on a
+// re-issue of your own — the contract that makes a mutation
+// exactly-once.
 func (c *Client) NextSeq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -489,22 +628,18 @@ func (c *Client) Add(shard uint32, delta int64) (int64, error) {
 
 // AddOp is Add with a caller-managed op sequence number: re-issuing
 // with the same seq (after a lost response) returns the original
-// result with WasDuplicate set instead of adding again.
-func (c *Client) AddOp(shard uint32, delta int64, seq uint64) (OpResult, error) {
+// result with WasDuplicate set instead of adding again. A zero seq
+// opts out of deduplication, and so out of every retry that is not
+// known to be safe (see the outcome table).
+func (c *Client) AddOp(shard uint32, delta int64, seq uint64) (ObjResult, error) {
 	resp, err := c.doObj(wire.KindAdd, "", "", shard, delta, 0, seq)
-	return OpResult{Value: resp.Value, WasDuplicate: resp.Flags&wire.FlagDuplicate != 0}, err
+	return objResult(resp), err
 }
 
 // Set overwrites shard with v.
 func (c *Client) Set(shard uint32, v int64) error {
-	_, err := c.SetOp(shard, v, c.NextSeq())
+	_, err := c.doObj(wire.KindSet, "", "", shard, v, 0, c.NextSeq())
 	return err
-}
-
-// SetOp is Set with a caller-managed op sequence number (see AddOp).
-func (c *Client) SetOp(shard uint32, v int64, seq uint64) (OpResult, error) {
-	resp, err := c.doObj(wire.KindSet, "", "", shard, v, 0, seq)
-	return OpResult{Value: resp.Value, WasDuplicate: resp.Flags&wire.FlagDuplicate != 0}, err
 }
 
 // Stats fetches the server's metrics snapshot.
@@ -516,14 +651,26 @@ func (c *Client) Stats() (wire.Stats, error) {
 	return wire.ParseStats(resp.Data)
 }
 
-// Close ends the session cleanly; the server reclaims the identity.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close ends the session; the server reclaims the identity. It does not
+// wait for an operation in progress: one blocked on the connection sees
+// it fail, one parked in a backoff or a redial is woken, and either
+// returns ErrClosed without a further dial. Closing twice is harmless.
+func (c *Client) Close() error { return c.close(false) }
 
 // HardClose kills the connection abruptly (SO_LINGER=0, so close sends
 // RST and discards anything buffered) — the network form of the paper's
 // crash fault, for tests that kill a session mid-operation.
-func (c *Client) HardClose() error {
-	if tcp, ok := c.conn.(*net.TCPConn); ok {
+func (c *Client) HardClose() error { return c.close(true) }
+
+func (c *Client) close(hard bool) error {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	closed := c.ctx.Err() != nil
+	c.cancel()
+	if closed || c.conn == nil {
+		return nil
+	}
+	if tcp, ok := c.conn.(*net.TCPConn); ok && hard {
 		tcp.SetLinger(0)
 	}
 	return c.conn.Close()

@@ -94,9 +94,6 @@ func TestDialSurfacesBusy(t *testing.T) {
 	if !errors.As(err, &we) || we.Status != wire.StatusBusy || !strings.Contains(we.Msg, "all leased") {
 		t.Fatalf("want busy *wire.Error via Unwrap, got %v", err)
 	}
-	if !Retryable(err) {
-		t.Fatal("busy rejection not classified retryable")
-	}
 }
 
 // TestDialRejectsImpossibleShape: an OK hello is outside input. A shard

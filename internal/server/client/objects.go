@@ -12,7 +12,9 @@ import (
 // This file is the typed side of the client: operations on named
 // objects (registers, maps, queues, k-slot snapshots) and atomic
 // multi-shard groups, all funnelled through client.go's pipelined
-// exchange machinery.
+// exchange machinery. Every mutation draws its op ID from NextSeq; the
+// *Op variants take placement and seq from a caller that must re-issue
+// an operation across clients (GoObj is their general form).
 
 // ErrAtomicAborted marks an atomic group none of whose members were
 // applied: some member would have been logically rejected. The op IDs
@@ -27,21 +29,23 @@ var ErrAtomicAborted = errors.New("client: atomic group aborted; no member was a
 func (c *Client) ShardFor(name string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return h.Sum32() % uint32(c.hello.Shards)
+	return h.Sum32() % c.Hello().Shards
 }
 
-// ObjResult is a typed operation's outcome.
+// ObjResult is a mutation's outcome.
 type ObjResult struct {
-	// Value is the acknowledged result; what it means is per-kind (new
-	// register value, observed map value, dequeued payload, queue
-	// length...).
+	// Value is the acknowledged result — originally, if the op was a
+	// duplicate; what it means is per-kind (new register value, observed
+	// map value, dequeued payload, queue length...).
 	Value int64
-	// Found is the logical verdict: the cas swapped, the key existed,
-	// the dequeue yielded a value. False is data, not an error — a
-	// rejected mutation still consumed its op ID.
+	// Found is a typed operation's logical verdict: the cas swapped, the
+	// key existed, the dequeue yielded a value. False is data, not an
+	// error — a rejected mutation still consumed its op ID.
 	Found bool
-	// WasDuplicate reports the op was answered from the dedup window
-	// with its original verdict (see OpResult.WasDuplicate).
+	// WasDuplicate reports that the server recognized the op ID as
+	// already applied and answered from its dedup window, with the
+	// original verdict, without touching the object again. A re-issued
+	// op seeing this is the exactly-once machinery working, not an error.
 	WasDuplicate bool
 }
 
@@ -77,24 +81,13 @@ func (c *Client) RegGet(name string) (v int64, found bool, err error) {
 
 // RegAdd adds delta to a named register and returns the new value.
 func (c *Client) RegAdd(name string, delta int64) (ObjResult, error) {
-	return c.RegAddOp(c.ShardFor(name), name, delta, c.NextSeq())
-}
-
-// RegAddOp is RegAdd with caller-managed placement and op sequence
-// number — reusing seq on a retry makes the mutation exactly-once.
-func (c *Client) RegAddOp(shard uint32, name string, delta int64, seq uint64) (ObjResult, error) {
-	resp, err := c.doObj(wire.KindRegAdd, name, "", shard, delta, 0, seq)
+	resp, err := c.doObj(wire.KindRegAdd, name, "", c.ShardFor(name), delta, 0, c.NextSeq())
 	return objResult(resp), err
 }
 
 // RegSet overwrites a named register.
 func (c *Client) RegSet(name string, v int64) (ObjResult, error) {
-	return c.RegSetOp(c.ShardFor(name), name, v, c.NextSeq())
-}
-
-// RegSetOp is RegSet with caller-managed placement and seq.
-func (c *Client) RegSetOp(shard uint32, name string, v int64, seq uint64) (ObjResult, error) {
-	resp, err := c.doObj(wire.KindRegSet, name, "", shard, v, 0, seq)
+	resp, err := c.doObj(wire.KindRegSet, name, "", c.ShardFor(name), v, 0, c.NextSeq())
 	return objResult(resp), err
 }
 
@@ -119,28 +112,18 @@ func (c *Client) MapPutOp(shard uint32, name, key string, v int64, seq uint64) (
 // MapCAS swaps key from old to new iff its current value is old (a
 // missing key reads as 0, so cas(key, 0→v) initializes). Found reports
 // whether the swap happened; Value is the new value when it did and
-// the observed value when it did not.
+// the observed value when it did not. A cas re-issued after a lost
+// answer returns the ORIGINAL verdict, even if the key has since moved —
+// the exactly-once contract for conditional ops.
 func (c *Client) MapCAS(name, key string, old, new int64) (ObjResult, error) {
-	return c.MapCASOp(c.ShardFor(name), name, key, old, new, c.NextSeq())
-}
-
-// MapCASOp is MapCAS with caller-managed placement and seq: re-issuing
-// with the same seq returns the ORIGINAL verdict, even if the key has
-// since moved — the exactly-once contract for conditional ops.
-func (c *Client) MapCASOp(shard uint32, name, key string, old, new int64, seq uint64) (ObjResult, error) {
-	resp, err := c.doObj(wire.KindMapCAS, name, key, shard, new, old, seq)
+	resp, err := c.doObj(wire.KindMapCAS, name, key, c.ShardFor(name), new, old, c.NextSeq())
 	return objResult(resp), err
 }
 
 // MapDel removes key from a named map. Found reports whether it
 // existed.
 func (c *Client) MapDel(name, key string) (ObjResult, error) {
-	return c.MapDelOp(c.ShardFor(name), name, key, c.NextSeq())
-}
-
-// MapDelOp is MapDel with caller-managed placement and seq.
-func (c *Client) MapDelOp(shard uint32, name, key string, seq uint64) (ObjResult, error) {
-	resp, err := c.doObj(wire.KindMapDel, name, key, shard, 0, 0, seq)
+	resp, err := c.doObj(wire.KindMapDel, name, key, c.ShardFor(name), 0, 0, c.NextSeq())
 	return objResult(resp), err
 }
 
@@ -178,12 +161,7 @@ func (c *Client) QLen(name string) (n int64, found bool, err error) {
 
 // SnapUpdate writes v into one slot of a named k-slot snapshot object.
 func (c *Client) SnapUpdate(name string, slot int, v int64) (ObjResult, error) {
-	return c.SnapUpdateOp(c.ShardFor(name), name, slot, v, c.NextSeq())
-}
-
-// SnapUpdateOp is SnapUpdate with caller-managed placement and seq.
-func (c *Client) SnapUpdateOp(shard uint32, name string, slot int, v int64, seq uint64) (ObjResult, error) {
-	resp, err := c.doObj(wire.KindSnapUpdate, name, "", shard, v, int64(slot), seq)
+	resp, err := c.doObj(wire.KindSnapUpdate, name, "", c.ShardFor(name), v, int64(slot), c.NextSeq())
 	return objResult(resp), err
 }
 
@@ -218,77 +196,43 @@ type AtomicOp struct {
 // or none does and the call fails with ErrAtomicAborted, leaving every
 // member's op ID unspent. Members must be mutations; each needs its
 // own Seq (AtomicSeqs assigns a fresh run). A re-issued group whose
-// members already applied is answered from the dedup window.
+// members already applied is answered from the dedup window, which is
+// what lets the retry loop re-issue a group whose answer was lost.
 func (c *Client) Atomic(ops []AtomicOp) ([]ObjResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return nil, c.brokenErrLocked()
-	}
 	if len(ops) == 0 || len(ops) > wire.MaxAtomicOps {
 		return nil, fmt.Errorf("client: atomic group of %d ops (want 1..%d)", len(ops), wire.MaxAtomicOps)
 	}
-	// The group must travel as ONE frame: flush whatever is queued
-	// first, then write the 0xC2 frame directly.
-	if err := c.flushLocked(); err != nil {
-		return nil, err
-	}
-	reqs := make([]wire.Request, len(ops))
-	pendings := make([]*Pending, len(ops))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	members := make([]*Pending, len(ops))
 	for i, op := range ops {
 		shard := op.Shard
 		if shard == 0 && op.Obj != "" {
 			shard = c.ShardFor(op.Obj)
 		}
-		c.nextID++
-		reqs[i] = wire.Request{ID: c.nextID, Kind: op.Kind, Shard: shard,
-			Arg: op.Arg, Session: c.session, Seq: op.Seq,
-			Obj: op.Obj, Key: op.Key, Arg2: op.Arg2}
-		pendings[i] = &Pending{c: c, id: reqs[i].ID}
-	}
-	payload, err := (wire.ObjBatch{Reqs: reqs, Atomic: true}).Encode()
-	if err != nil {
-		return nil, err
-	}
-	c.armDeadlineLocked()
-	if err := c.writeFrameLocked(payload, outFrame{batched: true, n: len(reqs)}); err != nil {
-		return nil, err
-	}
-	c.pending = append(c.pending, pendings...)
-	if err := c.bw.Flush(); err != nil {
-		c.poisonLocked(err)
-		return nil, err
-	}
-	results := make([]ObjResult, len(ops))
-	aborted := false
-	var abortReason string
-	var firstErr error
-	for i, p := range pendings {
-		resp, werr := c.waitLocked(p)
-		if werr != nil {
-			var we *wire.Error
-			if errors.As(werr, &we) && we.Status == wire.StatusAtomicAbort {
-				aborted = true
-				if we.Msg != "" && abortReason == "" {
-					abortReason = we.Msg
-				}
-				continue
-			}
-			if firstErr == nil {
-				firstErr = werr
-			}
-			continue
+		p, err := c.goObjLocked(op.Kind, op.Obj, op.Key, shard, op.Arg, op.Arg2, op.Seq)
+		if err != nil {
+			return nil, err // poisoned: nothing was queued
 		}
-		results[i] = objResult(resp)
+		// The group mark makes the members ONE operation: framed together
+		// on the first issue and on every re-issue, charged to the first
+		// member's budget, settled all at once.
+		p.group = members
+		members[i] = p
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if aborted {
-		if abortReason != "" {
-			return nil, fmt.Errorf("%w: %s", ErrAtomicAborted, abortReason)
+	if _, err := c.waitLocked(members[0]); err != nil {
+		var we *wire.Error
+		switch {
+		case !errors.As(err, &we) || we.Status != wire.StatusAtomicAbort:
+			return nil, err
+		case we.Msg != "":
+			return nil, fmt.Errorf("%w: %s", ErrAtomicAborted, we.Msg)
 		}
 		return nil, ErrAtomicAborted
+	}
+	results := make([]ObjResult, len(ops))
+	for i, p := range members {
+		results[i] = objResult(p.resp)
 	}
 	return results, nil
 }

@@ -114,30 +114,33 @@ func TestPipelinePoisonFailsAllPendings(t *testing.T) {
 	}
 }
 
-func TestReconnectingPipelineHealsMidBurst(t *testing.T) {
+func TestPipelineHealsMidBurst(t *testing.T) {
 	// First connection dies after reading one request of the burst; the
 	// whole burst re-issues (same op IDs) on the healed connection.
 	addr, reqs := scriptedEndpoint(t,
 		serveDropAfterRequest,
 		serveOK(3),
 	)
-	r, err := DialReconnecting(addr, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, 2*time.Second)
+	r, err := dialRetry(addr, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	p := r.Pipeline(0)
-	ops := []*PipelineOp{p.Add(0, 10), p.Add(0, 20), p.Add(0, 30)}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+	var ops []*Pending
+	for i := 1; i <= 3; i++ {
+		p, err := r.Go(wire.KindAdd, 0, int64(i*10), r.NextSeq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, p)
 	}
 	for i, op := range ops {
-		res, err := op.Wait()
+		resp, err := op.Wait()
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if want := int64((i + 1) * 10); res.Value != want {
-			t.Fatalf("op %d: got %d, want %d", i, res.Value, want)
+		if want := int64((i + 1) * 10); resp.Value != want {
+			t.Fatalf("op %d: got %d, want %d", i, resp.Value, want)
 		}
 	}
 	if r.Reconnects() < 2 {
@@ -148,9 +151,9 @@ func TestReconnectingPipelineHealsMidBurst(t *testing.T) {
 	}
 }
 
-func TestReconnectingPipelineTerminalPerOp(t *testing.T) {
+func TestPipelineTerminalPerOp(t *testing.T) {
 	// A typed refusal fails only its own op; the rest of the burst
-	// succeeds, and Flush surfaces the failed op's error.
+	// succeeds.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
 		ops := admit(conn)
 		for {
@@ -165,48 +168,113 @@ func TestReconnectingPipelineTerminalPerOp(t *testing.T) {
 			}
 		}
 	})
-	r, err := DialReconnecting(addr, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, 2*time.Second)
+	r, err := dialRetry(addr, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	p := r.Pipeline(0)
-	good := p.Add(0, 5)
-	bad := p.Add(0, 666)
-	good2 := p.Add(0, 7)
-	flushErr := p.Flush()
-	if flushErr == nil || !strings.Contains(flushErr.Error(), "no such shard") {
-		t.Fatalf("Flush: got %v, want the refused op's error", flushErr)
-	}
-	if res, err := good.Wait(); err != nil || res.Value != 5 {
-		t.Fatalf("good: got %d, %v", res.Value, err)
+	good, _ := r.Go(wire.KindAdd, 0, 5, r.NextSeq())
+	bad, _ := r.Go(wire.KindAdd, 0, 666, r.NextSeq())
+	good2, _ := r.Go(wire.KindAdd, 0, 7, r.NextSeq())
+	if resp, err := good.Wait(); err != nil || resp.Value != 5 {
+		t.Fatalf("good: got %d, %v", resp.Value, err)
 	}
 	if _, err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "no such shard") {
 		t.Fatalf("bad: got %v, want typed refusal", err)
 	}
-	if res, err := good2.Wait(); err != nil || res.Value != 7 {
-		t.Fatalf("good2: got %d, %v", res.Value, err)
+	if resp, err := good2.Wait(); err != nil || resp.Value != 7 {
+		t.Fatalf("good2: got %d, %v", resp.Value, err)
 	}
 }
 
-func TestPipelineAutoFlushAtDepth(t *testing.T) {
-	var frames, pipelines atomic.Int64
-	addr := fakeEndpoint(t, serveEcho(&frames, &pipelines))
-	r, err := DialReconnecting(addr, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, 2*time.Second)
+// TestIDLessMutationSentOnce: a mutation with Seq == 0 has opted out of
+// the dedup window, so after an exchange that may have applied it — the
+// connection dropped once the request was sent — it is NOT re-issued:
+// it fails with ErrBroken having reached the server exactly once. The
+// same operation refused with StatusBusy, which promises it was never
+// applied, is retried like any other.
+func TestIDLessMutationSentOnce(t *testing.T) {
+	addr, reqs := scriptedEndpoint(t, serveDropAfterRequest, serveOK(1))
+	r, err := dialRetry(addr, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	p := r.Pipeline(2)
-	a := p.Add(0, 1)
-	b := p.Add(0, 2) // depth reached: the burst flushes here
-	if !a.done || !b.done {
-		t.Fatal("depth-2 pipeline did not auto-flush on the second enqueue")
+	if _, err := r.AddOp(0, 5, 0); !errors.Is(err, ErrBroken) {
+		t.Fatalf("ID-less add across a dropped exchange: got %v, want ErrBroken", err)
 	}
-	if res, err := a.Wait(); err != nil || res.Value != 1 {
-		t.Fatalf("a: got %d, %v", res.Value, err)
+	if got := reqs.Load(); got != 1 {
+		t.Fatalf("server saw the ID-less add %d times, want exactly 1", got)
 	}
-	if res, err := b.Wait(); err != nil || res.Value != 2 {
-		t.Fatalf("b: got %d, %v", res.Value, err)
+	// The client itself is not poisoned: an ID-carrying mutation redials.
+	if v, err := r.Add(0, 8); err != nil || v != 8 {
+		t.Fatalf("Add after the terminal op = %d, %v", v, err)
+	}
+
+	addr, reqs = scriptedEndpoint(t, serveStatusThenOK(wire.StatusBusy))
+	r2, err := dialRetry(addr, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if res, err := r2.AddOp(0, 5, 0); err != nil || res.Value != 5 {
+		t.Fatalf("ID-less add through a shed = %+v, %v", res, err)
+	}
+	if got := reqs.Load(); got != 2 {
+		t.Fatalf("server saw %d requests, want 2 (shed + re-issue)", got)
+	}
+}
+
+// TestCloseWakesParkedOp: Close must not wait out the retry budget. An
+// operation parked in a long backoff is woken, fails with ErrClosed,
+// and dials nothing further.
+func TestCloseWakesParkedOp(t *testing.T) {
+	const hintMillis = 30_000
+	var dials atomic.Int64
+	shed := func(conn net.Conn, reqs *atomic.Int64) {
+		dials.Add(1)
+		ops := admit(conn)
+		for {
+			req, err := ops.read()
+			if err != nil {
+				return
+			}
+			reqs.Add(1)
+			ops.answer(wire.Response{ID: req.ID, Status: wire.StatusBusy, Value: hintMillis})
+		}
+	}
+	addr, reqs := scriptedEndpoint(t, shed, shed)
+	r, err := dialRetry(addr, RetryPolicy{MaxAttempts: 30, BaseDelay: time.Millisecond}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opErr := make(chan error, 1)
+	go func() {
+		_, err := r.Add(0, 1)
+		opErr <- err
+	}()
+	for reqs.Load() == 0 { // the op has been shed: it is parked in its backoff
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Fatalf("Close took %v, want < 100ms: it waited for the parked operation", elapsed)
+	}
+	select {
+	case err := <-opErr:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("parked op failed with %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("parked op still running a second after Close")
+	}
+	if _, err := r.Get(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("op on a closed client: got %v, want ErrClosed", err)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("endpoint saw %d dials, want 1: a closed client must not redial", got)
 	}
 }

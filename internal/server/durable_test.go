@@ -180,7 +180,7 @@ func TestDuplicateOpAcknowledgedFromWindow(t *testing.T) {
 func TestInMemoryDedupWithoutDataDir(t *testing.T) {
 	// No -data-dir still deduplicates within the process lifetime: the
 	// window lives in the shard state either way, which is what makes
-	// Reconnecting's always-retry discipline safe against any server.
+	// the client's re-issue-under-an-op-ID discipline safe against any server.
 	_, addr := startServer(t, server.Config{N: 4, K: 2, Shards: 1})
 	c := dial(t, addr)
 	defer c.Close()
