@@ -38,7 +38,7 @@ func benchState(name string, sessions, objects, mapKeys int) ShardState {
 		StepOp(&st, benchWindow, 0, 0, Op{Kind: OpMapPut, Obj: "map:0", Key: benchKey(i), Arg: int64(i)})
 	}
 	for s := 1; s <= sessions; s++ {
-		StepOp(&st, benchWindow, uint64(s), 1, Op{Kind: OpAdd, Arg: 1})
+		StepOp(&st, benchWindow, uint64(s), 1, rootAdd(1))
 	}
 	benchStates[name] = st
 	return st
@@ -98,7 +98,7 @@ func BenchmarkStepOpEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := st.Clone()
-		sinkOutcome = StepOp(&c, benchWindow, uint64(1<<40+i), 1, Op{Kind: OpAdd, Arg: 1})
+		sinkOutcome = StepOp(&c, benchWindow, uint64(1<<40+i), 1, rootAdd(1))
 		st = c
 	}
 	if st.Dedup.Len() != benchWindow {
@@ -125,10 +125,10 @@ func BenchmarkReadRecordsTail(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			frame := len(encodeOp(Record{Kind: OpAdd, Ver: 1}))
+			frame := len(encodeOp(Record{Kind: OpRegAdd, Ver: 1, OK: true}))
 			records := size.bytes/frame/indexStride*indexStride + indexStride/2
 			for ver := uint64(1); l.End() < uint64(records); ver++ {
-				if _, err := l.Append(Record{Session: 1, Seq: ver, Kind: OpAdd, Arg: 1, Val: int64(ver), Ver: ver}); err != nil {
+				if _, err := l.Append(Record{Session: 1, Seq: ver, Kind: OpRegAdd, Arg: 1, Val: int64(ver), Ver: ver, OK: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

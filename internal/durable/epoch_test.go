@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -10,25 +11,26 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"kexclusion/internal/object"
 )
 
 func TestOpRecordEpochRoundTrip(t *testing.T) {
 	want := Record{
-		Session: 7, Seq: 9, Shard: 3, Kind: OpSet, Arg: -4, Val: -4,
-		Ver: 12, Epoch: 5,
+		Session: 7, Seq: 9, Shard: 3, Kind: OpRegSet, Arg: -4, Val: -4,
+		Ver: 12, Epoch: 5, OK: true,
 	}
 	body, n, err := decodeFrame(encodeOp(want), maxBody)
 	if err != nil {
 		t.Fatalf("decode frame: %v", err)
 	}
-	if n != recHeaderLen+opBodyLen {
-		t.Fatalf("frame consumed %d bytes, want %d", n, recHeaderLen+opBodyLen)
+	if n != recHeaderLen+opObjBodyLen {
+		t.Fatalf("frame consumed %d bytes, want %d", n, recHeaderLen+opObjBodyLen)
 	}
 	got, isRestart, err := parseBody(body)
 	if err != nil || isRestart {
 		t.Fatalf("parse: restart=%v err=%v", isRestart, err)
 	}
-	want.OK = true // root-register kinds decode with an OK verdict
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
@@ -36,10 +38,10 @@ func TestOpRecordEpochRoundTrip(t *testing.T) {
 
 func TestStateImageEpochRoundTrip(t *testing.T) {
 	want := map[uint32]ShardState{
-		0: {Epoch: 2, Ver: 9, Val: 42, Dedup: dedupOf(map[uint64]DedupEntry{
+		0: withRoot(ShardState{Epoch: 2, Ver: 9, Dedup: dedupOf(map[uint64]DedupEntry{
 			11: {Seq: 3, Val: 42, Ver: 9},
-		})},
-		5: {Epoch: 0, Ver: 1, Val: -1},
+		})}, 42),
+		5: withRoot(ShardState{Epoch: 0, Ver: 1}, -1),
 	}
 	got, err := DecodeState(EncodeState(want))
 	if err != nil {
@@ -47,7 +49,7 @@ func TestStateImageEpochRoundTrip(t *testing.T) {
 	}
 	for id, w := range want {
 		g := got[id]
-		if g.Epoch != w.Epoch || g.Ver != w.Ver || g.Val != w.Val {
+		if g.Epoch != w.Epoch || g.Ver != w.Ver || rootVal(g) != rootVal(w) {
 			t.Fatalf("shard %d: got %+v, want %+v", id, g, w)
 		}
 	}
@@ -56,14 +58,39 @@ func TestStateImageEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetiredLayoutsAreCorrupt: body types 1 (pre-epoch op), 3, 4 and 6
-// (pre-pipelining, pre-epoch and pre-object snapshots) are no longer
+// The two layouts the last build with a ShardState.Val wrote, byte for
+// byte as its TestLayoutsGolden pinned them: the shard value's
+// fixed-width op record (type 5) and the snapshot that carried that
+// value in its shard header (type 7). Directories holding them exist.
+const (
+	retiredOpType5 = "05" + "000000000000aabb" + "0000000000000009" + "00000003" + "01" +
+		"fffffffffffffffe" + "0000000000000028" + "000000000000000c" + "0000000000000001"
+	retiredSnapType7 = "07" + "0000000000000011" + "0000000000000004" + "00000001" +
+		"00000002" + "0000000000000001" + "0000000000000008" + "0000000000000050" + "00000001" +
+		"000000000000aabb" + "00000002" +
+		"0000000000000003" + "0000000000000050" + "0000000000000008" + "01" +
+		"0000000000000002" + "000000000000004f" + "0000000000000007" + "00" +
+		"00000000" // empty object table
+)
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRetiredLayoutsAreFormatErrors: body types 1 (pre-epoch op), 3, 4
+// and 6 (pre-pipelining, pre-epoch and pre-object snapshots), 5 and 7
+// (the shard value's own op record and snapshot field) are no longer
 // layouts. Well-formed bodies of each — exactly what the old writers
-// produced — answer errCorrupt from both decoders, like any unknown
-// type byte.
-func TestRetiredLayoutsAreCorrupt(t *testing.T) {
-	opV1 := EncodeRecordBody(Record{Session: 7, Seq: 9, Shard: 3, Kind: OpAdd, Arg: 2, Val: 6, Ver: 12})
-	opV1 = append([]byte{1}, opV1[1:len(opV1)-8]...) // type 1: the type-5 body minus its epoch
+// produced — answer ErrFormat from every decoder, like any unknown type
+// byte, and so does an atomic group with a type-5 member.
+func TestRetiredLayoutsAreFormatErrors(t *testing.T) {
+	opV5 := mustHex(t, retiredOpType5)
+	opV1 := append([]byte{1}, opV5[1:len(opV5)-8]...) // type 1: the type-5 body minus its epoch
 
 	snap := func(typ byte, epoch bool) []byte {
 		body := []byte{typ}
@@ -78,38 +105,114 @@ func TestRetiredLayoutsAreCorrupt(t *testing.T) {
 		body = binary.BigEndian.AppendUint64(body, 80) // val
 		return binary.BigEndian.AppendUint32(body, 0)  // no dedup entries, no object table
 	}
-	for typ, body := range map[byte][]byte{1: opV1, 3: snap(3, false), 4: snap(4, false), 6: snap(6, true)} {
+	group := []byte{recTypeAtomic, 0, 1, 0, byte(len(opV5))}
+	group = append(group, opV5...)
+	for name, body := range map[string][]byte{
+		"1": opV1, "3": snap(3, false), "4": snap(4, false), "5": opV5, "6": snap(6, true),
+		"7": mustHex(t, retiredSnapType7), "9 holding a 5": group,
+	} {
+		if _, _, err := parseBody(body); !errors.Is(err, ErrFormat) {
+			t.Errorf("parseBody(type %s) = %v, want ErrFormat", name, err)
+		}
+		if _, err := ParseRecordBody(body); !errors.Is(err, ErrFormat) {
+			t.Errorf("ParseRecordBody(type %s) = %v, want ErrFormat", name, err)
+		}
+		if _, _, _, err := decodeSnapshot(body); !errors.Is(err, ErrFormat) {
+			t.Errorf("decodeSnapshot(type %s) = %v, want ErrFormat", name, err)
+		}
+	}
+	// The retired op-kind bytes inside a current frame are unknown kinds.
+	for _, kind := range []byte{1, 2} {
+		body := EncodeRecordBody(Record{Kind: OpRegAdd, Ver: 1, OK: true})
+		body[21] = kind
 		if _, _, err := parseBody(body); !errors.Is(err, errCorrupt) {
-			t.Errorf("parseBody(type %d) = %v, want errCorrupt", typ, err)
-		}
-		if _, err := ParseRecordBody(body); !errors.Is(err, errCorrupt) {
-			t.Errorf("ParseRecordBody(type %d) = %v, want errCorrupt", typ, err)
-		}
-		if _, _, _, err := decodeSnapshot(body); !errors.Is(err, errCorrupt) {
-			t.Errorf("decodeSnapshot(type %d) = %v, want errCorrupt", typ, err)
+			t.Errorf("parseBody(op kind %d) = %v, want errCorrupt", kind, err)
 		}
 	}
 }
 
-// TestLayoutsGolden pins the five body layouts something writes —
-// restart 2, root-register op 5, snapshot 7, object op 8, atomic 9 —
-// byte for byte: a data directory written before a change to this
-// package must recover after it.
+// TestOpenRefusesRetiredLayouts: a directory holding a CRC-valid frame
+// of a layout this build does not write was written by another build,
+// not torn by a crash. Open refuses it with ErrFormat wherever the
+// frame sits — the final segment, where a torn tail would be truncated,
+// included — and leaves every byte of the directory as it found it.
+func TestOpenRefusesRetiredLayouts(t *testing.T) {
+	restart := encodeRestart()
+	op5 := appendFrame(nil, mustHex(t, retiredOpType5))
+	for name, files := range map[string]map[string][]byte{
+		"type 5 in a non-final segment": {
+			"wal-0000000000000001.seg": append(append([]byte{}, restart...), op5...),
+			"wal-0000000000000003.seg": restart,
+		},
+		"type 5 alone in the final segment": {
+			"wal-0000000000000001.seg": restart,
+			"wal-0000000000000002.seg": op5,
+		},
+		"a lone type 7 snapshot": {
+			"snap-0000000000000017.snap": appendFrame(nil, mustHex(t, retiredSnapType7)),
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for base, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, base), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, _, err := Open(Options{Dir: dir})
+			if !errors.Is(err, ErrFormat) {
+				if l != nil {
+					l.Close()
+				}
+				t.Fatalf("Open = %v, want ErrFormat", err)
+			}
+			var named bool
+			for base := range files {
+				named = named || strings.Contains(err.Error(), base)
+			}
+			if !named || !strings.Contains(err.Error(), "type ") {
+				t.Errorf("refusal names neither the file nor the type byte: %v", err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil || len(ents) != len(files) {
+				t.Fatalf("directory holds %d entries (err %v), want the %d written", len(ents), err, len(files))
+			}
+			for base, want := range files {
+				got, err := os.ReadFile(filepath.Join(dir, base))
+				if err != nil || sha256.Sum256(got) != sha256.Sum256(want) {
+					t.Errorf("%s changed under the refused Open (err %v, %d bytes, was %d)", base, err, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestLayoutsGolden pins the four body layouts something writes —
+// restart 2, op 8 (the root register's with a zero-length name), atomic
+// 9, snapshot 10 — byte for byte: a data directory written before a
+// change to this package must recover after it, and a change that
+// cannot keep that must take a new type byte. The snapshot golden
+// differs from the retired type-7 one (retiredSnapType7, same state)
+// only by the type byte and the 8-byte value field missing from each
+// shard header; where a written-to root register travels instead — the
+// object table, under its zero-length name — is pinned beside it.
 func TestLayoutsGolden(t *testing.T) {
-	reg := Record{Session: 0xAABB, Seq: 9, Shard: 3, Kind: OpAdd, Arg: -2, Val: 40, Ver: 12, Epoch: 1}
+	root := Record{Session: 0xAABB, Seq: 9, Shard: 3, Kind: OpRegAdd, Obj: RootName, Arg: -2, Val: 40, Ver: 12, Epoch: 1, OK: true}
 	obj := Record{Session: 0xAABB, Seq: 10, Shard: 1, Kind: OpMapCAS, Arg: 6, Arg2: 5, Val: 6,
 		Ver: 13, Epoch: 1, OK: true, Obj: "m", Key: "k1"}
-	const wantReg = "05" + "000000000000aabb" + "0000000000000009" + "00000003" + "01" +
-		"fffffffffffffffe" + "0000000000000028" + "000000000000000c" + "0000000000000001"
+	wantRoot := "08" + "000000000000aabb" + "0000000000000009" + "00000003" +
+		hex.EncodeToString([]byte{byte(OpRegAdd)}) +
+		"fffffffffffffffe" + "0000000000000000" + "0000000000000028" +
+		"000000000000000c" + "0000000000000001" + "01" + "00" + "0000"
 	wantObj := "08" + "000000000000aabb" + "000000000000000a" + "00000001" +
 		hex.EncodeToString([]byte{byte(OpMapCAS)}) +
 		"0000000000000006" + "0000000000000005" + "0000000000000006" +
 		"000000000000000d" + "0000000000000001" + "01" + "01" + "0002" + "6d" + "6b31"
-	snapshot := encodeSnapshot(17, 4, map[uint32]ShardState{2: {Epoch: 1, Ver: 8, Val: 80,
+	snapshot := encodeSnapshot(17, 4, map[uint32]ShardState{2: {Epoch: 1, Ver: 8,
 		Dedup: dedupOf(map[uint64]DedupEntry{0xAABB: {Seq: 3, Val: 80, Ver: 8, OK: true,
 			Recent: []DedupOp{{Seq: 2, Val: 79, Ver: 7}}}})}})
-	const wantSnap = "07" + "0000000000000011" + "0000000000000004" + "00000001" +
-		"00000002" + "0000000000000001" + "0000000000000008" + "0000000000000050" + "00000001" +
+	const wantSnap = "0a" + "0000000000000011" + "0000000000000004" + "00000001" +
+		"00000002" + "0000000000000001" + "0000000000000008" + "00000001" +
 		"000000000000aabb" + "00000002" +
 		"0000000000000003" + "0000000000000050" + "0000000000000008" + "01" +
 		"0000000000000002" + "000000000000004f" + "0000000000000007" + "00" +
@@ -119,10 +222,12 @@ func TestLayoutsGolden(t *testing.T) {
 		want string
 	}{
 		"restart":  {encodeRestart()[recHeaderLen:], "02"},
-		"register": {EncodeRecordBody(reg), wantReg},
+		"root op":  {EncodeRecordBody(root), wantRoot},
 		"object":   {EncodeRecordBody(obj), wantObj},
-		"atomic":   {EncodeRecordBody(Record{Atomic: []Record{reg, obj}}), "09" + "0002" + "0036" + wantReg + "0045" + wantObj},
+		"atomic":   {EncodeRecordBody(Record{Atomic: []Record{root, obj}}), "09" + "0002" + "0042" + wantRoot + "0045" + wantObj},
 		"snapshot": {snapshot, wantSnap},
+		"root in the object table": {object.AppendTable(nil, withRoot(ShardState{}, 80).Objs),
+			"00000001" + "00" + "01" + "0000000000000050"},
 	} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {
 			t.Errorf("%s layout moved:\n got  %s\n want %s", name, got, tc.want)
@@ -143,7 +248,7 @@ func TestReplayEpochFencing(t *testing.T) {
 	// A replicated install left shard 0 at (epoch 1, ver 2), fenced by
 	// this snapshot — exactly what InstallState persists.
 	if err := l.WriteSnapshot(func() map[uint32]ShardState {
-		return map[uint32]ShardState{0: {Epoch: 1, Ver: 2, Val: 50}}
+		return map[uint32]ShardState{0: withRoot(ShardState{Epoch: 1, Ver: 2}, 50)}
 	}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -159,12 +264,12 @@ func TestReplayEpochFencing(t *testing.T) {
 		}
 	}
 	// Fenced fork straggler: epoch 0 lost to the install above.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 99, Val: 99, Ver: 4, Epoch: 0})
+	appendRec(Record{Shard: 0, Kind: OpRegSet, Arg: 99, Val: 99, Ver: 4, OK: true, Epoch: 0})
 	// Same-epoch continuation of the installed line.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 60, Val: 60, Ver: 3, Epoch: 1})
+	appendRec(Record{Shard: 0, Kind: OpRegSet, Arg: 60, Val: 60, Ver: 3, OK: true, Epoch: 1})
 	// Cross-epoch continuation: a promoted primary's first post-bump
 	// record, pulled before any epoch-2 snapshot exists locally.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 70, Val: 70, Ver: 4, Epoch: 2})
+	appendRec(Record{Shard: 0, Kind: OpRegSet, Arg: 70, Val: 70, Ver: 4, OK: true, Epoch: 2})
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -172,7 +277,7 @@ func TestReplayEpochFencing(t *testing.T) {
 	l, rec := mustOpen(t, Options{Dir: dir})
 	defer l.Close()
 	got := rec.Shards[0]
-	if got.Epoch != 2 || got.Ver != 4 || got.Val != 70 {
+	if got.Epoch != 2 || got.Ver != 4 || rootVal(got) != 70 {
 		t.Fatalf("recovered shard 0: %+v, want epoch 2 ver 4 val 70", got)
 	}
 }
@@ -185,11 +290,11 @@ func TestReplayHigherEpochRewriteIsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir})
 	if err := l.WriteSnapshot(func() map[uint32]ShardState {
-		return map[uint32]ShardState{0: {Epoch: 1, Ver: 5, Val: 5}}
+		return map[uint32]ShardState{0: withRoot(ShardState{Epoch: 1, Ver: 5}, 5)}
 	}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 9, Val: 9, Ver: 4, Epoch: 2})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpRegSet, Arg: 9, Val: 9, Ver: 4, OK: true, Epoch: 2})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}

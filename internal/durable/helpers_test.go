@@ -23,3 +23,22 @@ func objOf(s ShardState, name string) *object.State {
 func stateImage(s ShardState) []byte {
 	return EncodeState(map[uint32]ShardState{0: s})
 }
+
+// rootAdd and rootSet are the root register's two mutations: reg.add
+// and reg.set on RootName.
+func rootAdd(n int64) Op { return Op{Kind: OpRegAdd, Obj: RootName, Arg: n} }
+func rootSet(v int64) Op { return Op{Kind: OpRegSet, Obj: RootName, Arg: v} }
+
+// rootVal reads s's root register (0 until its first mutation).
+func rootVal(s ShardState) int64 {
+	if o := objOf(s, RootName); o != nil {
+		return o.Reg
+	}
+	return 0
+}
+
+// withRoot is s with its root register bound at v.
+func withRoot(s ShardState, v int64) ShardState {
+	s.Objs = s.Objs.Set(RootName, &object.State{Type: object.TypeRegister, Reg: v})
+	return s
+}

@@ -83,6 +83,37 @@ func TestStepOpObjectLifecycle(t *testing.T) {
 // must be answered with the ORIGINAL verdict from the dedup window —
 // not re-evaluated against state that has since moved — at every depth
 // the window covers.
+// TestRootRegisterIsBornNotCreated: the root register exists in a zero
+// state, reading 0; create can neither make it nor retype it, before or
+// after its first mutation binds the name; and it is a register to
+// every other kind — a map put on it is a type conflict.
+func TestRootRegisterIsBornNotCreated(t *testing.T) {
+	var s ShardState
+	refused := func(when string) {
+		t.Helper()
+		for typ := object.TypeRegister; typ <= object.TypeSnapshot; typ++ {
+			out := StepOp(&s, 0, 0, 0, Op{Kind: OpCreate, Obj: RootName, Arg: int64(typ), Arg2: 1})
+			if !out.Applied || out.OK {
+				t.Fatalf("%s: create of the root name as %v: %+v, want applied and rejected", when, typ, out)
+			}
+		}
+	}
+	refused("unbound")
+	if objOf(s, RootName) != nil || rootVal(s) != 0 {
+		t.Fatalf("refused creates bound the root name: %+v", objOf(s, RootName))
+	}
+	if out := StepOp(&s, 0, 0, 0, rootAdd(5)); !out.OK || out.Val != 5 {
+		t.Fatalf("first add on the born-at-0 root: %+v", out)
+	}
+	refused("bound")
+	if out := StepOp(&s, 0, 0, 0, Op{Kind: OpMapPut, Obj: RootName, Key: "k", Arg: 1}); out.OK {
+		t.Fatalf("map put on the root register: %+v, want a type conflict", out)
+	}
+	if o := objOf(s, RootName); o == nil || o.Type != object.TypeRegister || o.Reg != 5 {
+		t.Fatalf("root after refused creates and a conflicting put: %+v", o)
+	}
+}
+
 func TestStepOpCASReissueFromWindow(t *testing.T) {
 	var s ShardState
 	StepOp(&s, 0, 1, 1, Op{Kind: OpCreate, Obj: "kv", Arg: int64(object.TypeMap)})
@@ -156,11 +187,11 @@ func TestObjectRecordCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Legacy kinds keep the legacy body byte-for-byte.
-	leg := Record{Session: 5, Seq: 6, Shard: 1, Kind: OpAdd, Arg: 2, Val: 10, Ver: 3, Epoch: 1, OK: true}
+	// A root-register mutation is the same layout with a zero-length name.
+	leg := Record{Session: 5, Seq: 6, Shard: 1, Kind: OpRegAdd, Obj: RootName, Arg: 2, Val: 10, Ver: 3, Epoch: 1, OK: true}
 	body := EncodeRecordBody(leg)
-	if len(body) != opBodyLen || body[0] != recTypeOp {
-		t.Fatalf("legacy kind encoded as type %d len %d", body[0], len(body))
+	if len(body) != opObjBodyLen || body[0] != recTypeObjOp {
+		t.Fatalf("root add encoded as type %d len %d", body[0], len(body))
 	}
 
 	// Atomic group round-trips sub records.

@@ -138,12 +138,12 @@ func checkIndex(t *testing.T, l *Log) {
 func appendMixed(t *testing.T, l *Log, s *ShardState, sess, seq uint64, n int) uint64 {
 	t.Helper()
 	add := func() Record {
-		out := Step(s, 0, sess, seq, OpAdd, 1)
+		out := StepOp(s, 0, sess, seq, rootAdd(1))
 		if !out.Applied {
 			t.Fatalf("seq %d did not apply: %+v", seq, out)
 		}
 		seq++
-		return Record{Session: sess, Seq: seq - 1, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true}
+		return Record{Session: sess, Seq: seq - 1, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true}
 	}
 	for i := 0; i < n; i++ {
 		r := add()
@@ -308,8 +308,8 @@ func TestReadRecordsConcurrentWithRotationAndPrune(t *testing.T) {
 			defer writers.Done()
 			for seq := uint64(1); seq <= perAppender; seq++ {
 				mu.Lock()
-				out := Step(&s, 0, sess, seq, OpAdd, 1)
-				_, err := l.Append(Record{Session: sess, Seq: seq, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
+				out := StepOp(&s, 0, sess, seq, rootAdd(1))
+				_, err := l.Append(Record{Session: sess, Seq: seq, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
 				mu.Unlock()
 				if err != nil {
 					t.Errorf("append: %v", err)

@@ -21,7 +21,9 @@
 //   - Recovery replays the newest valid snapshot plus the log tail. A
 //     torn final record (truncated header, truncated body, bad CRC) is
 //     dropped and the file truncated at the last valid boundary;
-//     everything before it is kept.
+//     everything before it is kept. A CRC-valid frame of a layout this
+//     build does not write is no crash artefact: Open refuses the
+//     directory (ErrFormat) and touches nothing.
 //
 // Layout inside the data directory:
 //
@@ -48,11 +50,9 @@ import (
 // do not move the state, so replay does not need them.
 type OpKind uint8
 
+// Kind bytes 1 and 2 (add and set on the shard value, before it became
+// the RootName register) are retired, not free: they decode as unknown.
 const (
-	// OpAdd adds Arg to the shard value.
-	OpAdd OpKind = 1
-	// OpSet overwrites the shard value with Arg.
-	OpSet OpKind = 2
 	// OpCreate creates named object Obj of type Arg. For
 	// snapshot objects Arg2 is the slot count. Idempotent per type.
 	OpCreate OpKind = 3
@@ -75,16 +75,13 @@ const (
 	// OpSnapUpdate writes Arg into slot Arg2 of snapshot object Obj.
 	OpSnapUpdate OpKind = 11
 
+	opKindMin = OpCreate
 	opKindMax = OpSnapUpdate
 )
 
 // String names the kind for logs and errors.
 func (k OpKind) String() string {
 	switch k {
-	case OpAdd:
-		return "add"
-	case OpSet:
-		return "set"
 	case OpCreate:
 		return "create"
 	case OpMapPut:
@@ -120,9 +117,9 @@ type Record struct {
 	// Kind and Arg re-execute the mutation during replay.
 	Kind OpKind
 	Arg  int64
-	// Val is the shard value after the mutation — the acknowledged
-	// result, re-served to a deduplicated retry and cross-checked
-	// against re-execution during replay.
+	// Val is the mutation's result — the acknowledged value, re-served
+	// to a deduplicated retry and cross-checked against re-execution
+	// during replay.
 	Val int64
 	// Ver is the shard's mutation version: consecutive per shard, in
 	// linearization order. Replay uses it to skip records already
@@ -133,8 +130,8 @@ type Record struct {
 	// (Epoch, Ver): a record from a lower epoch than the state it
 	// meets is a discarded fork, never data.
 	Epoch uint64
-	// Obj and Key address a named object and map key (empty for the
-	// root-register kinds, which have their own fixed-width layout).
+	// Obj and Key address the target object (RootName for the root
+	// register) and map key.
 	Obj string
 	Key string
 	// Arg2 is the secondary argument (cas expected value, snapshot
@@ -153,20 +150,18 @@ type Record struct {
 // body][body]. The body opens with a type byte.
 const (
 	recHeaderLen = 8
-	// The type bytes. WAL and snapshot frames share one type-byte space
-	// so a snapshot body can never be mistaken for a log record. 1, 3, 4
-	// and 6 are retired, not free: a new layout must take a new number,
-	// so they keep answering errCorrupt like any unknown type.
-	recTypeRestart = 2 // a process (re)start marker (1 byte)
-	recTypeOp      = 5 // a root-register mutation (opBodyLen bytes)
-	recTypeSnapObj = 7 // a snapshot body (see snapshot.go)
-	recTypeObjOp   = 8 // a typed-object mutation (opObjBodyLen fixed bytes + name + key)
-	recTypeAtomic  = 9 // an atomic group: [type][u16 count] then count × [u16 len][op body]
+	// The type bytes of the four layouts written. WAL and snapshot
+	// frames share one type-byte space so a snapshot body can never be
+	// mistaken for a log record, and the space is the format's only
+	// version mechanism: a new layout must take a new number. 1, 3, 4, 5,
+	// 6 and 7 are retired, not free, and answer ErrFormat like any
+	// unknown type.
+	recTypeRestart  = 2  // a process (re)start marker (1 byte)
+	recTypeObjOp    = 8  // a mutation (opObjBodyLen fixed bytes + name + key)
+	recTypeAtomic   = 9  // an atomic group: [type][u16 count] then count × [u16 len][op body]
+	recTypeSnapshot = 10 // a snapshot body (see snapshot.go)
 
-	// opBodyLen: type + session + seq + shard + kind + arg + val + ver +
-	// epoch.
-	opBodyLen = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8
-	// opObjBodyLen is the fixed prefix of a typed-object record: type +
+	// opObjBodyLen is the fixed prefix of an op record: type +
 	// session + seq + shard + kind + arg + arg2 + val + ver + epoch +
 	// ok + nameLen(u8) + keyLen(u16); name and key bytes follow.
 	opObjBodyLen = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 8 + 1 + 1 + 2
@@ -186,10 +181,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errTorn = errors.New("durable: torn record")
 
 // errCorrupt marks a record that is complete but wrong: absurd length,
-// CRC mismatch, unknown type, or a malformed body. At the tail of the
-// last segment it is handled like a torn write; anywhere else it is
-// fatal.
+// CRC mismatch, or a malformed body. At the tail of the last segment it
+// is handled like a torn write; anywhere else it is fatal.
 var errCorrupt = errors.New("durable: corrupt record")
+
+// ErrFormat marks a frame whose CRC verifies but whose type byte is not
+// a layout this build writes: another build's data, not a crashed
+// write. It is never handled as a torn tail — wherever the frame sits,
+// Open refuses the directory and truncates, renames and writes nothing.
+var ErrFormat = errors.New("durable: unknown record layout (data directory written by another build?)")
 
 // appendFrame appends one framed record body to dst.
 func appendFrame(dst, body []byte) []byte {
@@ -227,10 +227,9 @@ func encodeOp(r Record) []byte {
 }
 
 // EncodeRecordBody serializes an op record body without the CRC frame
-// — the shared codec for WAL appends and replication shipping.
-// Root-register kinds use the fixed-width type-5 layout, typed kinds
-// the object layout; a record with Atomic set becomes one atomic-group
-// body.
+// — the shared codec for WAL appends and replication shipping. Every
+// mutation, the root register's included (a zero-length name), is one
+// type-8 body; a record with Atomic set becomes one atomic-group body.
 func EncodeRecordBody(r Record) []byte {
 	if len(r.Atomic) > 0 {
 		body := []byte{recTypeAtomic}
@@ -240,22 +239,6 @@ func EncodeRecordBody(r Record) []byte {
 			body = binary.BigEndian.AppendUint16(body, uint16(len(sb)))
 			body = append(body, sb...)
 		}
-		return body
-	}
-	// Root-register kinds always succeed (applyOp has no rejecting path
-	// for add/set), so the OK-less type-5 layout loses nothing: decode
-	// normalizes their OK to true.
-	if (r.Kind == OpAdd || r.Kind == OpSet) && r.Obj == "" && r.Key == "" && r.Arg2 == 0 {
-		body := make([]byte, opBodyLen)
-		body[0] = recTypeOp
-		binary.BigEndian.PutUint64(body[1:], r.Session)
-		binary.BigEndian.PutUint64(body[9:], r.Seq)
-		binary.BigEndian.PutUint32(body[17:], r.Shard)
-		body[21] = byte(r.Kind)
-		binary.BigEndian.PutUint64(body[22:], uint64(r.Arg))
-		binary.BigEndian.PutUint64(body[30:], uint64(r.Val))
-		binary.BigEndian.PutUint64(body[38:], r.Ver)
-		binary.BigEndian.PutUint64(body[46:], r.Epoch)
 		return body
 	}
 	body := make([]byte, opObjBodyLen, opObjBodyLen+len(r.Obj)+len(r.Key))
@@ -306,28 +289,6 @@ func encodeRestart() []byte {
 // restart marker (restart reports ok with isRestart true).
 func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 	switch body[0] {
-	case recTypeOp:
-		if len(body) != opBodyLen {
-			return Record{}, false, fmt.Errorf("%w: op body is %d bytes, want %d", errCorrupt, len(body), opBodyLen)
-		}
-		rec = Record{
-			Session: binary.BigEndian.Uint64(body[1:]),
-			Seq:     binary.BigEndian.Uint64(body[9:]),
-			Shard:   binary.BigEndian.Uint32(body[17:]),
-			Kind:    OpKind(body[21]),
-			Arg:     int64(binary.BigEndian.Uint64(body[22:])),
-			Val:     int64(binary.BigEndian.Uint64(body[30:])),
-			Ver:     binary.BigEndian.Uint64(body[38:]),
-			Epoch:   binary.BigEndian.Uint64(body[46:]),
-			OK:      true, // root-register kinds always apply with an OK verdict
-		}
-		if rec.Kind != OpAdd && rec.Kind != OpSet {
-			return Record{}, false, fmt.Errorf("%w: unknown op kind %d", errCorrupt, body[21])
-		}
-		if rec.Ver == 0 {
-			return Record{}, false, fmt.Errorf("%w: op record with version 0", errCorrupt)
-		}
-		return rec, false, nil
 	case recTypeObjOp:
 		if len(body) < opObjBodyLen {
 			return Record{}, false, fmt.Errorf("%w: object op body is %d bytes, want >= %d", errCorrupt, len(body), opObjBodyLen)
@@ -357,7 +318,7 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 		if body[62] > 1 {
 			return Record{}, false, fmt.Errorf("%w: object op ok byte %d", errCorrupt, body[62])
 		}
-		if rec.Kind == 0 || rec.Kind > opKindMax {
+		if rec.Kind < opKindMin || rec.Kind > opKindMax {
 			return Record{}, false, fmt.Errorf("%w: unknown op kind %d", errCorrupt, body[21])
 		}
 		if rec.Ver == 0 {
@@ -385,8 +346,9 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 			}
 			sb := body[off : off+n]
 			off += n
-			if sb[0] != recTypeOp && sb[0] != recTypeObjOp {
-				return Record{}, false, fmt.Errorf("%w: atomic sub %d has record type %d", errCorrupt, i, sb[0])
+			if sb[0] != recTypeObjOp {
+				// Earlier builds logged groups with type-5 members.
+				return Record{}, false, fmt.Errorf("%w: atomic sub %d has record type %d", ErrFormat, i, sb[0])
 			}
 			sub, _, err := parseBody(sb)
 			if err != nil {
@@ -404,5 +366,5 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 		}
 		return Record{}, true, nil
 	}
-	return Record{}, false, fmt.Errorf("%w: unknown record type %d", errCorrupt, body[0])
+	return Record{}, false, fmt.Errorf("%w: record type %d", ErrFormat, body[0])
 }

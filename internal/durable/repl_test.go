@@ -158,10 +158,10 @@ func TestWaitEndLongPoll(t *testing.T) {
 
 func TestEncodeStateRoundTrip(t *testing.T) {
 	in := map[uint32]ShardState{
-		0: {Ver: 7, Val: 42, Dedup: dedupOf(map[uint64]DedupEntry{
+		0: withRoot(ShardState{Ver: 7, Dedup: dedupOf(map[uint64]DedupEntry{
 			11: {Seq: 3, Val: 40, Ver: 6, Recent: []DedupOp{{Seq: 2, Val: 39, Ver: 5}}},
-		})},
-		3: {Ver: 1, Val: -9},
+		})}, 42),
+		3: withRoot(ShardState{Ver: 1}, -9),
 	}
 	out, err := DecodeState(EncodeState(in))
 	if err != nil {

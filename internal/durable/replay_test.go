@@ -18,6 +18,13 @@ import (
 // keys, dequeues on empty, ops on missing and wrongly typed objects,
 // three times more sessions than the window holds, and re-issued op
 // IDs (duplicate, stale, and re-applied after eviction).
+//
+// The root register is one of the stream's targets, and a twin state
+// checks that it is nothing but a register: the twin takes the same
+// stream with every op on RootName re-aimed at a register created under
+// an ordinary name, and must answer each op — first issue, re-issue,
+// after an eviction — with the same value and the same dedup verdict,
+// and read the same after each.
 func TestLiveAndReplayBitIdentical(t *testing.T) {
 	const window = 8
 	rng := rand.New(rand.NewSource(7))
@@ -27,21 +34,19 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 	}{
 		{"reg", object.TypeRegister}, {"kv", object.TypeMap}, {"kv2", object.TypeMap},
 		{"q", object.TypeQueue}, {"snap", object.TypeSnapshot}, {"never-created", 0},
+		{RootName, object.TypeRegister},
 	}
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	randomOp := func() Op {
 		target := names[rng.Intn(len(names))]
 		op := Op{
-			Kind: OpKind(1 + rng.Intn(int(opKindMax))),
+			Kind: opKindMin + OpKind(rng.Intn(int(opKindMax-opKindMin)+1)),
 			Obj:  target.name,
 			Key:  keys[rng.Intn(len(keys))],
 			Arg:  int64(rng.Intn(4)),
 			Arg2: int64(rng.Intn(4)),
 		}
-		switch op.Kind {
-		case OpAdd, OpSet:
-			op.Obj, op.Key = "", ""
-		case OpCreate:
+		if op.Kind == OpCreate {
 			op.Arg = int64(target.typ)
 			if rng.Intn(8) == 0 {
 				op.Arg = int64(object.TypeRegister) // a type conflict for most names
@@ -60,14 +65,27 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 		history []issued
 		nextSeq = map[uint64]uint64{}
 		kinds   = map[OpKind]int{}
-		seen    struct{ dup, stale, evicted, casHit, casMiss, delMiss, deqEmpty int }
+		seen    struct{ dup, stale, evicted, casHit, casMiss, delMiss, deqEmpty, rootDup, rootEvicted int }
 		kept    []ShardState
 		keptImg [][]byte
 	)
+	// The twin's register exists before the stream starts, as the root
+	// does; the anonymous create costs one version and no dedup entry.
+	const twinName = "root-twin"
+	var twin ShardState
+	if out := StepOp(&twin, window, 0, 0, Op{Kind: OpCreate, Obj: twinName, Arg: int64(object.TypeRegister)}); !out.OK {
+		t.Fatalf("creating the twin register: %+v", out)
+	}
 	for i := 0; i < 6000; i++ {
 		var is issued
 		if len(history) > 0 && rng.Intn(8) == 0 {
+			// Half the re-issues come from the last few ops, whose
+			// sessions the window still holds (duplicates); the rest from
+			// anywhere (mostly stale, or re-applied after an eviction).
 			is = history[rng.Intn(len(history))]
+			if rng.Intn(2) == 0 {
+				is = history[len(history)-1-rng.Intn(min(len(history), window))]
+			}
 		} else {
 			is.session = uint64(1 + rng.Intn(3*window))
 			nextSeq[is.session]++
@@ -86,6 +104,26 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 		}
 		live = next
 
+		twinOp := is.op
+		if twinOp.Obj == RootName && twinOp.Kind != OpCreate {
+			twinOp.Obj = twinName // create("") is refused in both
+		}
+		tout := StepOp(&twin, window, is.session, is.seq, twinOp)
+		if want := out; !out.Stale {
+			want.Ver++
+			if tout != want {
+				t.Fatalf("op %d (%v on %q): root answered %+v, the named twin %+v", i, is.op.Kind, is.op.Obj, out, tout)
+			}
+		} else if !tout.Stale {
+			t.Fatalf("op %d: stale on the root, %+v on the named twin", i, tout)
+		}
+		if got, want := rootVal(live), objOf(twin, twinName).Reg; got != want {
+			t.Fatalf("op %d: root reads %d, the named twin %d", i, got, want)
+		}
+		if is.op.Obj == RootName && out.Duplicate {
+			seen.rootDup++
+		}
+
 		switch {
 		case out.Duplicate:
 			seen.dup++
@@ -98,6 +136,9 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 				Val: out.Val, OK: out.OK, Ver: out.Ver, Epoch: out.Epoch})
 			if full && !known {
 				seen.evicted++
+				if is.op.Obj == RootName {
+					seen.rootEvicted++
+				}
 			}
 			switch {
 			case is.op.Kind == OpMapCAS && out.OK:
@@ -116,13 +157,13 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 			t.Fatalf("op %d: window holds %d sessions, cap %d", i, live.Dedup.Len(), window)
 		}
 	}
-	for k := OpAdd; k <= opKindMax; k++ {
+	for k := opKindMin; k <= opKindMax; k++ {
 		if kinds[k] == 0 {
 			t.Errorf("stream never applied a %v", k)
 		}
 	}
 	if seen.dup == 0 || seen.stale == 0 || seen.evicted == 0 || seen.casHit == 0 ||
-		seen.casMiss == 0 || seen.delMiss == 0 || seen.deqEmpty == 0 {
+		seen.casMiss == 0 || seen.delMiss == 0 || seen.deqEmpty == 0 || seen.rootDup == 0 || seen.rootEvicted == 0 {
 		t.Errorf("stream missed a case it exists to cover: %+v", seen)
 	}
 
@@ -146,6 +187,9 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Shards[0], live) {
 		t.Fatal("replayed and live states encode alike but differ in memory")
+	}
+	if objOf(live, RootName) == nil {
+		t.Fatal("stream never wrote the root register: the twin compared nothing")
 	}
 
 	for i, s := range kept {

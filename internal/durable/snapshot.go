@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,12 +13,13 @@ import (
 
 // Snapshot body layout (one CRC frame, like a WAL record):
 //
-//	[1 type=7][8 coverLSN][8 markers][4 shardCount]
+//	[1 type=10][8 coverLSN][8 markers][4 shardCount]
 //	  per shard, ascending id:
-//	    [4 id][8 epoch][8 ver][8 val][4 dedupCount]
+//	    [4 id][8 epoch][8 ver][4 dedupCount]
 //	      per dedup entry, ascending session:
 //	        [8 session][4 opCount][opCount × [8 seq][8 val][8 ver][1 ok]]
-//	    [named-object table — object.AppendTable bytes]
+//	    [named-object table — object.AppendTable bytes; the root
+//	     register is in it, under its zero-length name, once written to]
 //
 // Each dedup entry carries the session's recent-op history, newest
 // first (opCount ≥ 1; op 0 is the entry's inline newest).
@@ -29,9 +31,9 @@ import (
 // live here because the markers themselves get pruned with their
 // segments.
 const (
-	snapShardHdr = 4 + 8 + 8 + 8 + 4 // [id][epoch][ver][val][dedupCount]
-	snapDedupHdr = 8 + 4             // [session][opCount]
-	snapOpSize   = 8 + 8 + 8 + 1     // [seq][val][ver][ok]
+	snapShardHdr = 4 + 8 + 8 + 4 // [id][epoch][ver][dedupCount]
+	snapDedupHdr = 8 + 4         // [session][opCount]
+	snapOpSize   = 8 + 8 + 8 + 1 // [seq][val][ver][ok]
 )
 
 func encodeSnapshot(cover, markers uint64, shards map[uint32]ShardState) []byte {
@@ -48,7 +50,7 @@ func encodeSnapshot(cover, markers uint64, shards map[uint32]ShardState) []byte 
 		return 0
 	}
 	body := make([]byte, 0, 21+len(shards)*28)
-	body = append(body, recTypeSnapObj)
+	body = append(body, recTypeSnapshot)
 	body = binary.BigEndian.AppendUint64(body, cover)
 	body = binary.BigEndian.AppendUint64(body, markers)
 	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
@@ -57,7 +59,6 @@ func encodeSnapshot(cover, markers uint64, shards map[uint32]ShardState) []byte 
 		body = binary.BigEndian.AppendUint32(body, id)
 		body = binary.BigEndian.AppendUint64(body, s.Epoch)
 		body = binary.BigEndian.AppendUint64(body, s.Ver)
-		body = binary.BigEndian.AppendUint64(body, uint64(s.Val))
 		sessions := s.Dedup.SortedKeys()
 		body = binary.BigEndian.AppendUint32(body, uint32(len(sessions)))
 		for _, sess := range sessions {
@@ -84,8 +85,11 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 	fail := func(what string) (uint64, uint64, map[uint32]ShardState, error) {
 		return 0, 0, nil, fmt.Errorf("%w: snapshot %s", errCorrupt, what)
 	}
-	if len(body) < 21 || body[0] != recTypeSnapObj {
+	if len(body) < 21 {
 		return fail("header malformed")
+	}
+	if body[0] != recTypeSnapshot {
+		return 0, 0, nil, fmt.Errorf("%w: snapshot type %d", ErrFormat, body[0])
 	}
 	cover = binary.BigEndian.Uint64(body[1:])
 	markers = binary.BigEndian.Uint64(body[9:])
@@ -117,9 +121,8 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 		s := ShardState{
 			Epoch: binary.BigEndian.Uint64(body[off+4:]),
 			Ver:   binary.BigEndian.Uint64(body[off+12:]),
-			Val:   int64(binary.BigEndian.Uint64(body[off+20:])),
 		}
-		nDedup := int(binary.BigEndian.Uint32(body[off+28:]))
+		nDedup := int(binary.BigEndian.Uint32(body[off+20:]))
 		off += snapShardHdr
 		if nDedup > 0 {
 			// Bound the count before looping on it.
@@ -167,8 +170,8 @@ func decodeSnapshot(body []byte) (cover, markers uint64, shards map[uint32]Shard
 	return cover, markers, shards, nil
 }
 
-// EncodeState serializes a per-shard state map (versions, values, and
-// dedup windows) in the snapshot body layout, for shipping a state
+// EncodeState serializes a per-shard state map (versions, object tables
+// and dedup windows) in the snapshot body layout, for shipping a state
 // image to a replication peer. The cover/marker header fields are
 // zero — they are meaningful only for a local snapshot file, where the
 // receiver owns the log the cover refers to.
@@ -281,7 +284,9 @@ func (l *Log) prune(cover uint64, keepSnap string) error {
 // rec, returning its cover LSN. Newer-but-unreadable snapshots are
 // skipped with a notice (a torn snapshot write); if snapshots exist
 // but none is readable, recovery fails rather than silently serving
-// partial state from a possibly-pruned log.
+// partial state from a possibly-pruned log. A CRC-valid snapshot of a
+// layout this build does not write is no torn write: recovery refuses
+// (ErrFormat) instead of falling back past it.
 func (l *Log) loadNewestSnapshot(rec *Recovery) (uint64, error) {
 	paths, err := filepath.Glob(filepath.Join(l.opts.Dir, "snap-*.snap"))
 	if err != nil {
@@ -310,6 +315,9 @@ func (l *Log) loadNewestSnapshot(rec *Recovery) (uint64, error) {
 				rec.RestartCount = markers
 				return cover, nil
 			}
+		}
+		if errors.Is(err, ErrFormat) {
+			return 0, fmt.Errorf("durable: %s: %w", filepath.Base(p), err)
 		}
 		l.opts.Logf("durable: skipping unreadable snapshot %s: %v", filepath.Base(p), err)
 		lastErr = err

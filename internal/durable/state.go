@@ -6,7 +6,7 @@ import (
 )
 
 // ShardState is the value type the server's resilient.Shared table
-// holds per shard: the visible counter value plus the durability
+// holds per shard: the named-object table plus the durability
 // bookkeeping that must travel with it through the universal
 // construction's clone-and-CAS cycle. Keeping the dedup window inside
 // the shard state is what makes "check for a duplicate, then apply" a
@@ -17,7 +17,7 @@ import (
 // applied op.
 type ShardState struct {
 	// Ver counts applied mutations: it increments by exactly one per
-	// Step that applies, in linearization order. The server's WAL
+	// StepOp that applies, in linearization order. The server's WAL
 	// sequencer appends records in Ver order, so Ver is also the
 	// record's position in the shard's durable history.
 	Ver uint64
@@ -27,13 +27,12 @@ type ShardState struct {
 	// promotion catch-up, replay) orders histories by (Epoch, Ver)
 	// lexicographically — a higher epoch wins even at a lower version,
 	// because version numbers on a deposed primary keep inflating with
-	// writes that never reached quorum. Step never changes it; only
+	// writes that never reached quorum. StepOp never changes it; only
 	// promotion and state installs do.
 	Epoch uint64
-	// Val is the shard's visible value.
-	Val int64
-	// Objs is the shard's named-object table: registers, maps,
-	// queues, and snapshot objects keyed by name. A mutation clones the
+	// Objs is the shard's named-object table: registers (the root
+	// register among them, under RootName), maps, queues, and
+	// snapshot objects keyed by name. A mutation clones the
 	// one object it touches and rebinds its name, so per-op cost is one
 	// O(log₃₂ objects) path copy plus the object's own copy-on-write
 	// cost, never O(objects) or O(total data).
@@ -54,6 +53,17 @@ type ShardState struct {
 // for the burst's oldest ops; bound pipeline depth accordingly.
 const DedupDepth = 32
 
+// RootName is the reserved name of each shard's root register: a
+// TypeRegister object that exists from birth at 0 (Objs binds the name
+// at its first mutation) and that OpCreate can neither create nor
+// retype. The wire refuses an empty name on every object kind, so only
+// get/add/set reach it, spelled by the server as reg.* on this name.
+const RootName = ""
+
+// rootAtBirth is the root register before its first mutation. Published
+// object states are immutable, so every shard shares the one.
+var rootAtBirth = &object.State{Type: object.TypeRegister}
+
 // DedupEntry records a session's recent ops on this shard: the newest
 // inline (Seq/Val/Ver), older ones in Recent, newest first.
 type DedupEntry struct {
@@ -73,7 +83,7 @@ type DedupEntry struct {
 	// re-acknowledged.
 	Ver uint64
 	// Recent holds up to DedupDepth-1 older ops in descending seq
-	// order. Never mutated in place: Step builds a fresh slice on every
+	// order. Never mutated in place: StepOp builds a fresh slice on every
 	// update, so clones sharing the backing array stay consistent.
 	Recent []DedupOp
 }
@@ -86,13 +96,12 @@ type DedupOp struct {
 	Ver uint64
 }
 
-// Op is one typed mutation against a shard: the root-register kinds
-// (OpAdd/OpSet, empty Obj) or a named-object kind. It is
-// the in-memory twin of a WAL op record's mutation fields.
+// Op is one typed mutation against an object of a shard. It is the
+// in-memory twin of a WAL op record's mutation fields.
 type Op struct {
 	// Kind selects the mutation.
 	Kind OpKind
-	// Obj names the target object; empty for the legacy root register.
+	// Obj names the target object (RootName for the root register).
 	Obj string
 	// Key is the map key (map kinds only).
 	Key string
@@ -104,14 +113,14 @@ type Op struct {
 	Arg2 int64
 }
 
-// Outcome reports what Step did with an op.
+// Outcome reports what StepOp did with an op.
 type Outcome struct {
-	// Val is the value to acknowledge: the new shard value when
-	// Applied, the originally recorded value when Duplicate.
+	// Val is the value to acknowledge: the op's result when Applied, the
+	// originally recorded value when Duplicate.
 	Val int64
-	// OK is the op-level verdict (true for every legacy kind that
-	// applies; false when a typed op was logged as logically rejected —
-	// cas mismatch, empty dequeue, missing object, type conflict).
+	// OK is the op-level verdict (false when the op was logged as
+	// logically rejected — cas mismatch, empty dequeue, missing object,
+	// type conflict).
 	OK bool
 	// Applied: the op executed and moved the state (Ver is its new
 	// shard version, to be logged).
@@ -135,26 +144,20 @@ type Outcome struct {
 }
 
 // Clone copies the state in O(1). resilient.Shared calls it before
-// every speculative op execution, so Step may mutate its receiver
-// freely: Dedup and Objs are persistent maps that Step rebinds, never
+// every speculative op execution, so StepOp may mutate its receiver
+// freely: Dedup and Objs are persistent maps that StepOp rebinds, never
 // writes, and the Recent slices and object states they point at are
 // immutable once published (copy-on-write).
 func (s ShardState) Clone() ShardState { return s }
 
-// Step executes one mutation against s with dedup: the single source
-// of truth for both live ops (inside the universal construction's op
-// closure) and WAL replay, so a recovered table is bit-identical to
-// the pre-crash one — same values, same dedup entries, same evictions.
+// StepOp executes one mutation against s with dedup: the single source
+// of truth for live ops (inside the universal construction's op
+// closure), WAL replay and replicated apply, so a recovered table is
+// bit-identical to the pre-crash one — same values, same dedup entries,
+// same evictions.
 //
 // session==0 or seq==0 disables dedup for the op (anonymous clients,
 // idempotent kinds). window bounds the dedup map; <=0 means unbounded.
-func Step(s *ShardState, window int, session, seq uint64, kind OpKind, arg int64) Outcome {
-	return StepOp(s, window, session, seq, Op{Kind: kind, Arg: arg})
-}
-
-// StepOp is the typed-object generalization of Step: every mutation —
-// root-register and named-object alike — funnels through it, live and
-// in replay.
 //
 // A mutation with an op ID ALWAYS applies (Ver advances and a record
 // is logged) even when it is logically rejected (OK false: cas
@@ -214,21 +217,18 @@ func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
 // and the op-level verdict. It must be fully deterministic: replay
 // re-executes it and cross-checks the recorded (Val, OK, Ver).
 func applyOp(s *ShardState, op Op) (int64, bool) {
-	switch op.Kind {
-	case OpAdd:
-		s.Val += op.Arg
-		return s.Val, true
-	case OpSet:
-		s.Val = op.Arg
-		return s.Val, true
-	case OpCreate:
+	cur, ok := s.Objs.Get(op.Obj)
+	if op.Kind == OpCreate {
+		if op.Obj == RootName {
+			return 0, false // the root register is born, never created
+		}
 		t := object.Type(op.Arg)
-		if cur, ok := s.Objs.Get(op.Obj); ok {
+		if ok {
 			// Idempotent: re-creating with the same type succeeds and
 			// reports the type; a different type is a conflict.
 			return int64(cur.Type), cur.Type == t
 		}
-		if !t.Valid() || op.Obj == "" {
+		if !t.Valid() {
 			return 0, false
 		}
 		slots := int(op.Arg2)
@@ -238,9 +238,11 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 		s.Objs = s.Objs.Set(op.Obj, object.New(t, slots))
 		return int64(t), true
 	}
-	cur, ok := s.Objs.Get(op.Obj)
 	if !ok {
-		return 0, false
+		if op.Obj != RootName {
+			return 0, false
+		}
+		cur = rootAtBirth
 	}
 	// mutate clones the target object and republishes it, keeping the
 	// previously published *State immutable for clones that share it.

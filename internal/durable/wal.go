@@ -73,7 +73,7 @@ type Options struct {
 	// (default 4 MiB).
 	SegmentBytes int64
 	// DedupWindow bounds each shard's dedup map during replay; the
-	// same value the server passes to Step for live ops (default 1024,
+	// same value the server passes to StepOp for live ops (default 1024,
 	// <=0 means unbounded).
 	DedupWindow int
 	// Logf, when set, receives recovery notices (torn-tail drops,
@@ -282,7 +282,10 @@ func (l *Log) recover() (Recovery, error) {
 // many records it held and filling sg's size and index from the scan.
 // Torn or corrupt data in the final segment is truncated away (a crash
 // mid-write); the same damage in an earlier segment is a hard error,
-// because records after it were acknowledged.
+// because records after it were acknowledged. A CRC-valid frame of a
+// layout this build does not write (ErrFormat) is a hard error in every
+// segment: no crash produces one, and cutting the log there would
+// silently drop another build's acknowledged history.
 func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recovery) (uint64, error) {
 	data, err := os.ReadFile(sg.path)
 	if err != nil {
@@ -301,6 +304,9 @@ func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recov
 		}
 		r, isRestart, err := parseBody(body)
 		if err != nil {
+			if errors.Is(err, ErrFormat) {
+				return 0, fmt.Errorf("durable: %s at offset %d: %w", filepath.Base(sg.path), off, err)
+			}
 			if !last {
 				return 0, fmt.Errorf("durable: %s at offset %d: %w (not the final segment)",
 					filepath.Base(sg.path), off, err)

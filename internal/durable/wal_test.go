@@ -17,13 +17,13 @@ import (
 func appendOps(t *testing.T, l *Log, s *ShardState, shard uint32, sess uint64, startSeq uint64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		out := Step(s, 0, sess, startSeq+uint64(i), OpAdd, 1)
+		out := StepOp(s, 0, sess, startSeq+uint64(i), rootAdd(1))
 		if !out.Applied {
 			t.Fatalf("op %d did not apply: %+v", i, out)
 		}
 		lsn, err := l.Append(Record{
 			Session: sess, Seq: startSeq + uint64(i), Shard: shard,
-			Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver,
+			Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true,
 		})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -75,10 +75,10 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 	l, rec := mustOpen(t, Options{Dir: dir})
 	defer l.Close()
-	if got := rec.Shards[0]; got.Val != 10 || got.Ver != 10 {
+	if got := rec.Shards[0]; rootVal(got) != 10 || got.Ver != 10 {
 		t.Fatalf("shard 0: %+v", got)
 	}
-	if got := rec.Shards[1]; got.Val != 7 || got.Ver != 7 {
+	if got := rec.Shards[1]; rootVal(got) != 7 || got.Ver != 7 {
 		t.Fatalf("shard 1: %+v", got)
 	}
 	if rec.RecoveredOps != 17 {
@@ -87,7 +87,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	// Dedup entries survive: a post-restart retry of the last op must
 	// be recognized.
 	s := rec.Shards[0]
-	out := Step(&s, 0, 11, 10, OpAdd, 1)
+	out := StepOp(&s, 0, 11, 10, rootAdd(1))
 	if !out.Duplicate || out.Val != 10 {
 		t.Fatalf("post-restart retry not deduplicated: %+v", out)
 	}
@@ -107,7 +107,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	l, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
 	defer l.Close()
-	if got := rec.Shards[0]; got.Val != 40 || got.Ver != 40 {
+	if got := rec.Shards[0]; rootVal(got) != 40 || got.Ver != 40 {
 		t.Fatalf("recovery across segments: %+v", got)
 	}
 }
@@ -186,8 +186,8 @@ func TestTornTailFixtures(t *testing.T) {
 				t.Fatalf("recovery reported no dropped bytes")
 			}
 			got := rec.Shards[0]
-			if got.Val != 5 && got.Val != 6 {
-				t.Fatalf("recovered value %d, want 5 (torn last op) or 6 (garbage after valid log)", got.Val)
+			if rootVal(got) != 5 && rootVal(got) != 6 {
+				t.Fatalf("recovered value %d, want 5 (torn last op) or 6 (garbage after valid log)", rootVal(got))
 			}
 			s = rec.Shards[0]
 			appendOps(t, l, &s, 0, 9, uint64(got.Ver)+1, 2)
@@ -202,8 +202,8 @@ func TestTornTailFixtures(t *testing.T) {
 			if rec.DroppedBytes != 0 {
 				t.Fatalf("second recovery still dropping bytes: %d", rec.DroppedBytes)
 			}
-			if rec.Shards[0].Val != got.Val+2 {
-				t.Fatalf("after re-append: val %d, want %d", rec.Shards[0].Val, got.Val+2)
+			if rootVal(rec.Shards[0]) != rootVal(got)+2 {
+				t.Fatalf("after re-append: val %d, want %d", rootVal(rec.Shards[0]), rootVal(got)+2)
 			}
 		})
 	}
@@ -259,7 +259,7 @@ func TestSnapshotPruneAndRecover(t *testing.T) {
 	}
 
 	l, rec := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
-	if got := rec.Shards[0]; got.Val != 35 || got.Ver != 35 {
+	if got := rec.Shards[0]; rootVal(got) != 35 || got.Ver != 35 {
 		t.Fatalf("snapshot+tail recovery: %+v", got)
 	}
 	if rec.RecoveredOps != 35 {
@@ -284,7 +284,7 @@ func TestSnapshotPruneAndRecover(t *testing.T) {
 	}
 	l, rec = mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
 	defer l.Close()
-	if got := rec.Shards[0]; got.Val != 38 || rec.RestartCount != 2 {
+	if got := rec.Shards[0]; rootVal(got) != 38 || rec.RestartCount != 2 {
 		t.Fatalf("after second snapshot cycle: shard %+v, restarts %d", got, rec.RestartCount)
 	}
 }
@@ -314,7 +314,7 @@ func TestUnreadableNewestSnapshotFallsBack(t *testing.T) {
 	}
 	l, rec := mustOpen(t, Options{Dir: dir})
 	defer l.Close()
-	if got := rec.Shards[0]; got.Val != 14 || got.Ver != 14 {
+	if got := rec.Shards[0]; rootVal(got) != 14 || got.Ver != 14 {
 		t.Fatalf("fallback recovery: %+v", got)
 	}
 }
@@ -366,7 +366,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				lsn, err := l.Append(Record{Shard: uint32(w), Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1)})
+				lsn, err := l.Append(Record{Shard: uint32(w), Kind: OpRegAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1), OK: true})
 				if err != nil {
 					t.Errorf("writer %d append: %v", w, err)
 					return
@@ -396,7 +396,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 func TestSyncNeverDoesNotWait(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 3, Val: 3, Ver: 1})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpRegSet, Arg: 3, Val: 3, Ver: 1, OK: true})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -420,7 +420,7 @@ func TestSyncNeverDoesNotWait(t *testing.T) {
 	// The data still recovers when the process exited cleanly.
 	l, rec := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
 	defer l.Close()
-	if rec.Shards[0].Val != 3 {
+	if rootVal(rec.Shards[0]) != 3 {
 		t.Fatalf("recovery after SyncNever close: %+v", rec.Shards[0])
 	}
 }
@@ -431,7 +431,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: 1, Ver: 1}); err == nil {
+	if _, err := l.Append(Record{Shard: 0, Kind: OpRegAdd, Arg: 1, Val: 1, Ver: 1, OK: true}); err == nil {
 		t.Fatalf("append accepted after close")
 	}
 	if err := l.Close(); err != nil {
@@ -459,15 +459,15 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	out := Step(&s, 0, 11, 2, OpAdd, 1)
-	if _, err := l.Append(Record{Session: 11, Seq: 2, Shard: 0, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver}); err == nil {
+	out := StepOp(&s, 0, 11, 2, rootAdd(1))
+	if _, err := l.Append(Record{Session: 11, Seq: 2, Shard: 0, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true}); err == nil {
 		t.Fatal("append into a deleted data directory succeeded")
 	}
 
 	// The version for seq 2 is now a hole. A later append must be
 	// refused outright, not written past the gap.
-	out = Step(&s, 0, 11, 3, OpAdd, 1)
-	_, err := l.Append(Record{Session: 11, Seq: 3, Shard: 0, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver})
+	out = StepOp(&s, 0, 11, 3, rootAdd(1))
+	_, err := l.Append(Record{Session: 11, Seq: 3, Shard: 0, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
 	if err == nil {
 		t.Fatal("append after a failed append succeeded: the WAL now has a hole")
 	}
@@ -488,7 +488,7 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 // before the count is used as an allocation hint (a crafted count of
 // 2^32-1 would otherwise demand a multi-GiB map at recovery time).
 func TestDecodeSnapshotHugeShardCountRejected(t *testing.T) {
-	body := []byte{recTypeSnapObj}
+	body := []byte{recTypeSnapshot}
 	body = binary.BigEndian.AppendUint64(body, 0) // cover
 	body = binary.BigEndian.AppendUint64(body, 0) // markers
 	body = binary.BigEndian.AppendUint32(body, ^uint32(0))
@@ -507,7 +507,7 @@ func TestSyncAlwaysGroupCommits(t *testing.T) {
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 16; i++ {
-		lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1)})
+		lsn, err := l.Append(Record{Shard: 0, Kind: OpRegAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1), OK: true})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -529,7 +529,7 @@ func TestSyncAlwaysGroupCommits(t *testing.T) {
 		t.Fatalf("fsyncs after covered re-wait: %d, want 2", s)
 	}
 	// A fresh append re-arms the wait: one more sync, exactly.
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: 17, Ver: 17})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpRegAdd, Arg: 1, Val: 17, Ver: 17, OK: true})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}

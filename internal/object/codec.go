@@ -14,7 +14,8 @@ import (
 // Layout (big-endian, matching the WAL codec):
 //
 //	[u32 objectCount]
-//	per object, names strictly ascending:
+//	per object, names strictly ascending (the zero-length name, which
+//	the durable layer reserves for a shard's root register, sorts first):
 //	  [u8 nameLen][name][u8 type]
 //	  register: [8 value]
 //	  map:      [u32 n] then per key, strictly ascending: [u16 keyLen][key][8 value]
@@ -75,8 +76,8 @@ func DecodeTable(b []byte) (Table, int, error) {
 	}
 	count := int(binary.BigEndian.Uint32(b[pos:]))
 	pos += 4
-	// Each object costs at least nameLen(1)+name(1)+type(1)+payload(2).
-	if count < 0 || count > (len(b)-pos)/5 {
+	// Each object costs at least nameLen(1)+type(1)+payload(2).
+	if count < 0 || count > (len(b)-pos)/4 {
 		return Table{}, 0, fmt.Errorf("object: table count %d exceeds %d remaining bytes", count, len(b)-pos)
 	}
 	var objs Table
@@ -87,8 +88,8 @@ func DecodeTable(b []byte) (Table, int, error) {
 		}
 		nameLen := int(b[pos])
 		pos++
-		if nameLen == 0 || nameLen > MaxNameLen {
-			return Table{}, 0, fmt.Errorf("object: name length %d outside (0,%d]", nameLen, MaxNameLen)
+		if nameLen > MaxNameLen {
+			return Table{}, 0, fmt.Errorf("object: name length %d exceeds %d", nameLen, MaxNameLen)
 		}
 		if err := need(nameLen + 1); err != nil {
 			return Table{}, 0, err

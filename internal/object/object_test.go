@@ -185,6 +185,7 @@ func TestMapCloneIsolation(t *testing.T) {
 
 func TestTableCodecRoundTrip(t *testing.T) {
 	objs := map[string]*State{
+		"":        {Type: TypeRegister, Reg: 9}, // the zero-length name sorts first
 		"counter": {Type: TypeRegister, Reg: -42},
 		"kv":      New(TypeMap, 0),
 		"jobs":    New(TypeQueue, 0),
@@ -209,7 +210,7 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(AppendTable(nil, got), b) {
 		t.Fatal("re-encode of decoded table differs")
 	}
-	if at(got, "counter").Reg != -42 {
+	if at(got, "counter").Reg != -42 || at(got, "").Reg != 9 {
 		t.Fatal("register lost")
 	}
 	if v, ok := at(got, "kv").M.Get("beta"); !ok || v != -2 {
@@ -237,7 +238,7 @@ func TestTableCodecRejectsGarbage(t *testing.T) {
 		good[:len(good)-1],          // truncated payload
 		good[:3],                    // truncated count
 		{0xff, 0xff, 0xff, 0xff},    // absurd count vs body
-		{0, 0, 0, 1, 0},             // zero-length name
+		{0, 0, 0, 1, 0},             // zero-length name, nothing after it
 		{0, 0, 0, 1, 1, 'x', 99, 0}, // unknown type
 	}
 	for i, c := range cases {
@@ -245,13 +246,16 @@ func TestTableCodecRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: garbage decoded without error", i)
 		}
 	}
-	// Names out of order (duplicate) must be rejected.
-	dup := AppendTable(nil, tableOf(map[string]*State{"a": {Type: TypeRegister}}))
-	dup = append(dup, AppendTable(nil, tableOf(map[string]*State{"a": {Type: TypeRegister}}))[4:]...)
-	// Patch the count to 2.
-	dup[3] = 2
-	if _, _, err := DecodeTable(dup); err == nil {
-		t.Fatal("duplicate names decoded without error")
+	// Names out of order (duplicate) must be rejected, the zero-length
+	// name included.
+	for _, name := range []string{"a", ""} {
+		dup := AppendTable(nil, tableOf(map[string]*State{name: {Type: TypeRegister}}))
+		dup = append(dup, AppendTable(nil, tableOf(map[string]*State{name: {Type: TypeRegister}}))[4:]...)
+		// Patch the count to 2.
+		dup[3] = 2
+		if _, _, err := DecodeTable(dup); err == nil {
+			t.Fatalf("duplicate name %q decoded without error", name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"kexclusion/internal/cluster"
 	"kexclusion/internal/durable"
+	"kexclusion/internal/object"
 )
 
 // soloClusterServer builds a cluster-enabled server whose membership is
@@ -45,10 +46,10 @@ func originRecords(shard uint32, session uint64, seqs []uint64, args []int64) []
 	var st durable.ShardState
 	recs := make([]durable.Record, 0, len(seqs))
 	for i, seq := range seqs {
-		out := durable.Step(&st, 1024, session, seq, durable.OpAdd, args[i])
+		out := durable.StepOp(&st, 1024, session, seq, rootAdd(args[i]))
 		recs = append(recs, durable.Record{
 			Session: session, Seq: seq, Shard: shard,
-			Kind: durable.OpAdd, Arg: args[i], Val: out.Val, Ver: out.Ver,
+			Kind: durable.OpRegAdd, Arg: args[i], Val: out.Val, Ver: out.Ver,
 			OK: out.OK,
 		})
 	}
@@ -71,8 +72,8 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 	if _, err := b.ApplyReplicated(recs[:4]); err != nil {
 		t.Fatalf("applying prefix: %v", err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 4 || st.Val != 1+2+3+4 {
-		t.Fatalf("after prefix: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 4 || rootVal(st) != 1+2+3+4 {
+		t.Fatalf("after prefix: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 
 	// Redelivery of the full batch (what the pull loop does after a
@@ -86,8 +87,8 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 		t.Fatal("replay with fresh records produced no local LSN")
 	}
 	st := s.tab.shards[0].obj.Peek()
-	if st.Ver != 6 || st.Val != 1+2+3+4+5+6 {
-		t.Fatalf("after replay: Ver=%d Val=%d (double-applied records?)", st.Ver, st.Val)
+	if st.Ver != 6 || rootVal(st) != 1+2+3+4+5+6 {
+		t.Fatalf("after replay: Ver=%d Val=%d (double-applied records?)", st.Ver, rootVal(st))
 	}
 
 	// A third, fully redundant delivery moves nothing and appends nothing.
@@ -98,19 +99,38 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 	if lsn != 0 {
 		t.Fatalf("fully redundant batch claimed new LSN %d", lsn)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 6 || st.Val != 21 {
-		t.Fatalf("after redundant replay: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 6 || rootVal(st) != 21 {
+		t.Fatalf("after redundant replay: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 
 	// The dedup window replicated too: the origin's client retrying
 	// against this node (post-promotion) is answered from history.
-	out := durable.Step(ptr(s.tab.shards[0].obj.Peek()), 1024, session, 6, durable.OpAdd, 6)
+	out := durable.StepOp(ptr(s.tab.shards[0].obj.Peek()), 1024, session, 6, rootAdd(6))
 	if !out.Duplicate || out.Val != 21 {
 		t.Fatalf("replicated dedup window missed the origin's op: %+v", out)
 	}
 }
 
 func ptr(s durable.ShardState) *durable.ShardState { return &s }
+
+// rootAdd is the root register's add: reg.add on durable.RootName.
+func rootAdd(n int64) durable.Op {
+	return durable.Op{Kind: durable.OpRegAdd, Obj: durable.RootName, Arg: n}
+}
+
+// rootVal reads st's root register (0 until its first mutation).
+func rootVal(st durable.ShardState) int64 {
+	if o, ok := st.Objs.Get(durable.RootName); ok {
+		return o.Reg
+	}
+	return 0
+}
+
+// withRoot is st with its root register bound at v.
+func withRoot(st durable.ShardState, v int64) durable.ShardState {
+	st.Objs = st.Objs.Set(durable.RootName, &object.State{Type: object.TypeRegister, Reg: v})
+	return st
+}
 
 func TestReplayRejectsGapsAndDivergence(t *testing.T) {
 	s := soloClusterServer(t)
@@ -143,8 +163,8 @@ func TestReplayRejectsGapsAndDivergence(t *testing.T) {
 	}
 
 	// The failures above must not have corrupted the good prefix.
-	if st := s.tab.shards[1].obj.Peek(); st.Ver != 1 || st.Val != 10 {
-		t.Fatalf("state moved on rejected records: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[1].obj.Peek(); st.Ver != 1 || rootVal(st) != 10 {
+		t.Fatalf("state moved on rejected records: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 }
 
@@ -162,23 +182,23 @@ func TestInstallStateOnlyMovesForward(t *testing.T) {
 	}
 
 	// Stale image (older than local): must not regress.
-	if _, err := b.InstallState(map[uint32]durable.ShardState{0: {Ver: 2, Val: 2}}); err != nil {
+	if _, err := b.InstallState(map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Ver: 2}, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 3 || st.Val != 3 {
-		t.Fatalf("stale image regressed state: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 3 || rootVal(st) != 3 {
+		t.Fatalf("stale image regressed state: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 
 	// Fresh image from a peer at version 4: installs, and record 5 then
 	// applies on top — proving the sequencer reset to 4 (without it the
 	// append of version 5 would wait forever for version 4's local
 	// append, which the image made moot).
-	img := map[uint32]durable.ShardState{0: {Ver: 4, Val: 4}}
+	img := map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Ver: 4}, 4)}
 	if covered, err := b.InstallState(img); err != nil || !covered {
 		t.Fatalf("installing fresh image: covered=%v err=%v", covered, err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 4 || st.Val != 4 {
-		t.Fatalf("fresh image not installed: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 4 || rootVal(st) != 4 {
+		t.Fatalf("fresh image not installed: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -193,8 +213,8 @@ func TestInstallStateOnlyMovesForward(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("append after InstallState wedged: sequencer did not reset past the image")
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 5 || st.Val != 5 {
-		t.Fatalf("record after image: Ver=%d Val=%d", st.Ver, st.Val)
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 5 || rootVal(st) != 5 {
+		t.Fatalf("record after image: Ver=%d Val=%d", st.Ver, rootVal(st))
 	}
 
 	// Out-of-range shard in an image is rejected whole.
@@ -221,19 +241,19 @@ func TestForkReconcileEpochDominance(t *testing.T) {
 	}
 
 	// The acknowledged history: epoch 1 at version 5 only.
-	img := map[uint32]durable.ShardState{0: {Epoch: 1, Ver: 5, Val: 500}}
+	img := map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Epoch: 1, Ver: 5}, 500)}
 	covered, err := b.InstallState(img)
 	if err != nil || !covered {
 		t.Fatalf("installing higher-epoch image: covered=%v err=%v", covered, err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 5 || st.Val != 500 {
+	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 5 || rootVal(st) != 500 {
 		t.Fatalf("inflated fork survived a higher-epoch image: %+v", st)
 	}
 
 	// The sequencer retreated with the install: version 6 of epoch 1
 	// appends without waiting for the fork's versions 6..10.
 	next := durable.Record{Session: 32, Seq: 1, Shard: 0,
-		Kind: durable.OpAdd, Arg: 1, Val: 501, Ver: 6, Epoch: 1, OK: true}
+		Kind: durable.OpRegAdd, Arg: 1, Val: 501, Ver: 6, Epoch: 1, OK: true}
 	done := make(chan error, 1)
 	go func() {
 		lsn, err := b.ApplyReplicated([]durable.Record{next})
@@ -250,17 +270,17 @@ func TestForkReconcileEpochDominance(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("append wedged: sequencer did not retreat past the fenced fork")
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 6 || st.Val != 501 {
+	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 6 || rootVal(st) != 501 {
 		t.Fatalf("after post-install record: %+v", st)
 	}
 
 	// Equal versions, different epochs: the epoch decides, not arrival
 	// order or version arithmetic.
-	covered, err = b.InstallState(map[uint32]durable.ShardState{0: {Epoch: 2, Ver: 6, Val: 999}})
+	covered, err = b.InstallState(map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Epoch: 2, Ver: 6}, 999)})
 	if err != nil || !covered {
 		t.Fatalf("equal-version higher-epoch image: covered=%v err=%v", covered, err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 2 || st.Ver != 6 || st.Val != 999 {
+	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 2 || st.Ver != 6 || rootVal(st) != 999 {
 		t.Fatalf("equal-version fork kept over higher epoch: %+v", st)
 	}
 }
@@ -281,23 +301,23 @@ func TestStaleEpochRefused(t *testing.T) {
 	if err := b.BumpEpochs([]uint32{0}); err != nil {
 		t.Fatalf("bump: %v", err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 1 || st.Val != 5 {
+	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 1 || rootVal(st) != 5 {
 		t.Fatalf("after bump: %+v", st)
 	}
 
 	fork := durable.Record{Session: 41, Seq: 2, Shard: 0,
-		Kind: durable.OpAdd, Arg: 9, Val: 14, Ver: 2, Epoch: 0}
+		Kind: durable.OpRegAdd, Arg: 9, Val: 14, Ver: 2, OK: true, Epoch: 0}
 	if _, err := b.ApplyReplicated([]durable.Record{fork}); !errors.Is(err, cluster.ErrReplStale) {
 		t.Fatalf("stale-epoch record: err %v, want ErrReplStale", err)
 	}
-	covered, err := b.InstallState(map[uint32]durable.ShardState{0: {Epoch: 0, Ver: 50, Val: 999}})
+	covered, err := b.InstallState(map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Epoch: 0, Ver: 50}, 999)})
 	if err != nil {
 		t.Fatalf("stale image: %v", err)
 	}
 	if covered {
 		t.Fatal("stale-epoch image reported covered: its sender's acks would count toward quorum")
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 1 || st.Val != 5 {
+	if st := s.tab.shards[0].obj.Peek(); st.Epoch != 1 || st.Ver != 1 || rootVal(st) != 5 {
 		t.Fatalf("stale delivery moved state: %+v", st)
 	}
 }
@@ -317,7 +337,7 @@ func TestApplyReplicatedAdoptsPromotionEpoch(t *testing.T) {
 	}
 
 	adopt := durable.Record{Session: 51, Seq: 3, Shard: 1,
-		Kind: durable.OpAdd, Arg: 5, Val: 12, Ver: 3, Epoch: 1, OK: true}
+		Kind: durable.OpRegAdd, Arg: 5, Val: 12, Ver: 3, Epoch: 1, OK: true}
 	lsn, err := b.ApplyReplicated([]durable.Record{adopt})
 	if err != nil {
 		t.Fatalf("epoch-crossing record: %v", err)
@@ -325,17 +345,17 @@ func TestApplyReplicatedAdoptsPromotionEpoch(t *testing.T) {
 	if lsn != 0 {
 		t.Fatalf("epoch-crossing record appended (LSN %d); must be snapshot-fenced", lsn)
 	}
-	if st := s.tab.shards[1].obj.Peek(); st.Epoch != 1 || st.Ver != 3 || st.Val != 12 {
+	if st := s.tab.shards[1].obj.Peek(); st.Epoch != 1 || st.Ver != 3 || rootVal(st) != 12 {
 		t.Fatalf("after adopt: %+v", st)
 	}
 
 	next := durable.Record{Session: 51, Seq: 4, Shard: 1,
-		Kind: durable.OpAdd, Arg: 1, Val: 13, Ver: 4, Epoch: 1, OK: true}
+		Kind: durable.OpRegAdd, Arg: 1, Val: 13, Ver: 4, Epoch: 1, OK: true}
 	lsn, err = b.ApplyReplicated([]durable.Record{next})
 	if err != nil || lsn == 0 {
 		t.Fatalf("record after adopt: lsn=%d err=%v (sequencer not on the new epoch?)", lsn, err)
 	}
-	if st := s.tab.shards[1].obj.Peek(); st.Epoch != 1 || st.Ver != 4 || st.Val != 13 {
+	if st := s.tab.shards[1].obj.Peek(); st.Epoch != 1 || st.Ver != 4 || rootVal(st) != 13 {
 		t.Fatalf("after post-adopt record: %+v", st)
 	}
 }
@@ -361,7 +381,7 @@ func TestReplSkipCrossChecksDedup(t *testing.T) {
 	// An op the window has never seen, claiming an already-covered
 	// version: local history cannot contain it.
 	phantom := durable.Record{Session: 61, Seq: 9, Shard: 0,
-		Kind: durable.OpAdd, Arg: 1, Val: 2, Ver: 2, Epoch: 0}
+		Kind: durable.OpRegAdd, Arg: 1, Val: 2, Ver: 2, OK: true, Epoch: 0}
 	if _, err := b.ApplyReplicated([]durable.Record{phantom}); !errors.Is(err, cluster.ErrReplDiverged) {
 		t.Fatalf("phantom op in covered versions: err %v, want ErrReplDiverged", err)
 	}
@@ -369,7 +389,7 @@ func TestReplSkipCrossChecksDedup(t *testing.T) {
 	if err != nil || lsn != 0 {
 		t.Fatalf("honest redelivery: lsn=%d err=%v", lsn, err)
 	}
-	if st := s.tab.shards[0].obj.Peek(); st.Ver != 2 || st.Val != 3 {
+	if st := s.tab.shards[0].obj.Peek(); st.Ver != 2 || rootVal(st) != 3 {
 		t.Fatalf("state moved on rejected redelivery: %+v", st)
 	}
 }

@@ -65,16 +65,16 @@ type Config struct {
 	// wait-free core). Zero disables the watchdog; a partitioned client
 	// then holds its identity until the TCP stack gives up.
 	IdleTimeout time.Duration
-	// OpTimeout is the per-operation deadline: an object operation still
-	// waiting for a k-assignment slot when it expires withdraws from the
-	// entry section and is answered with wire.StatusTimeout — not
-	// applied, safe to retry. Zero runs operations without a deadline.
+	// OpTimeout is the per-operation deadline: a mutation still waiting
+	// for a k-assignment slot when it expires withdraws from the entry
+	// section and is answered with wire.StatusTimeout — not applied, safe
+	// to retry. Reads take no slot. Zero runs mutations without a deadline.
 	OpTimeout time.Duration
-	// ApplyGate, when non-nil, is called inside every shard operation —
-	// while the session holds a k-assignment slot and a name in the
-	// wait-free core. It exists for crash-fault tests and chaos tooling
-	// (stall a session here, then kill its socket); leave nil in
-	// production.
+	// ApplyGate, when non-nil, is called inside every mutation — while
+	// the session holds a k-assignment slot and a name in the wait-free
+	// core. Reads never see it: they take no slot. It exists for
+	// crash-fault tests and chaos tooling (stall a session here, then
+	// kill its socket); leave nil in production.
 	ApplyGate func(shard uint32, kind wire.Kind)
 	// DataDir, when non-empty, makes the object table durable: New
 	// recovers the table from the directory's snapshot+WAL, every
@@ -790,11 +790,12 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 				if len(resp.Data) == 0 {
 					resp.Value = int64(s.node.LeaseDuration() / time.Millisecond)
 				}
-			case req.Kind.IsObject() && req.Kind.IsRead():
-				// The read-only fast path: answered from the shard's
-				// committed state, no slot, no WAL, no quorum. The Owns
-				// gate above already ran, so in cluster mode only the
-				// shard's primary serves it (staleness bounded by one
+			case req.Kind.IsRead():
+				// The one read path, a root get included: answered from
+				// the shard's committed state, no slot, no WAL, no quorum,
+				// so it never times out or queues behind a stalled holder.
+				// The Owns gate above already ran, so in cluster mode only
+				// the shard's primary serves it (staleness bounded by one
 				// lease interval, the §12 argument).
 				s.readFastpath.Add(1)
 				resp = s.tab.readFast(req)
@@ -864,8 +865,8 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 	return resps, false
 }
 
-// applyObjOp runs one object operation under the configured per-op
-// deadline, counting withdrawals. The durability wait is the caller's
+// applyObjOp runs one mutation under the configured per-op deadline,
+// counting withdrawals. The durability wait is the caller's
 // (see table.applyStart).
 func (s *Server) applyObjOp(p int, req wire.Request) (resp wire.Response, lsn, epoch uint64, wait, fresh bool) {
 	ctx := context.Background()

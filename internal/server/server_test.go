@@ -122,8 +122,10 @@ func TestBasicOps(t *testing.T) {
 	if st.ActiveSessions != 1 || st.Admitted != 1 {
 		t.Fatalf("session counters %+v", st)
 	}
-	if len(st.PerShard) != 2 || st.PerShard[0].AppliedOps < 3 {
-		t.Fatalf("per-shard metrics %+v", st.PerShard)
+	// Shard 0 took a slot for its two adds; the three gets (the refused
+	// one included) took none.
+	if len(st.PerShard) != 2 || st.PerShard[0].AppliedOps != 2 || st.ReadFastpath != 3 {
+		t.Fatalf("per-shard metrics %+v, read_fastpath %d", st.PerShard, st.ReadFastpath)
 	}
 	if got := srv.Stats(); got.Admitted != st.Admitted {
 		t.Fatalf("server/wire stats disagree: %+v vs %+v", got, st)

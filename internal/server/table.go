@@ -16,8 +16,8 @@ import (
 
 // table is the server's sharded object store: each shard is one of the
 // paper's resilient shared objects — a wait-free k-process core inside
-// an (N, k)-assignment wrapper — holding a durable.ShardState (value,
-// mutation version, dedup window). A session applies an operation
+// an (N, k)-assignment wrapper — holding a durable.ShardState (object
+// table, mutation version, dedup window). A session applies an operation
 // under its leased process identity, so at most k sessions are inside
 // any shard's wait-free core at a time, and a session that dies
 // holding a slot (a disconnected client) costs that shard one of its k
@@ -117,16 +117,16 @@ func (t *table) peekAll() map[uint32]durable.ShardState {
 	return out
 }
 
-// applyStart runs one shard operation as process p under ctx, up to —
-// but not including — its durability wait. gate, when non-nil, is
-// invoked inside the object operation — i.e. while p holds a
-// k-assignment slot and a name inside the wait-free core — which is
-// exactly where crash-fault tests need to stall a session before
-// killing its socket. If ctx expires while p is still waiting for a
-// slot, the acquisition withdraws and the answer is StatusTimeout: the
-// operation was not applied and is safe to retry, even a
-// non-idempotent one. Once p holds its slot the operation always runs
-// to completion — a deadline can refuse work, never corrupt it.
+// applyStart runs one mutation (reads all go to readFast) as process p
+// under ctx, up to — but not including — its durability wait. gate,
+// when non-nil, is invoked inside the object operation — i.e. while p
+// holds a k-assignment slot and a name inside the wait-free core —
+// which is exactly where crash-fault tests need to stall a session
+// before killing its socket. If ctx expires while p is still waiting
+// for a slot, the acquisition withdraws and the answer is
+// StatusTimeout: the operation was not applied and is safe to retry,
+// even a non-idempotent one. Once p holds its slot the operation always
+// runs to completion — a deadline can refuse work, never corrupt it.
 //
 // Mutations are acknowledged only after the WAL covers them (when one
 // is configured), but the wait itself is the caller's: applyStart
@@ -156,21 +156,6 @@ func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate fu
 	}
 	sh := t.shards[req.Shard]
 
-	if req.Kind == wire.KindGet {
-		v, err := sh.obj.ApplyCtx(ctx, p, func(s durable.ShardState) (durable.ShardState, any) {
-			if gate != nil {
-				gate(req.Shard, req.Kind)
-			}
-			return s, s.Val
-		})
-		if err != nil {
-			return timeoutResponse(req.ID), 0, 0, false, false
-		}
-		// Reads are linearized but do not wait for the log: the value
-		// returned is some applied state, and reads move nothing that a
-		// crash could lose.
-		return wire.Response{ID: req.ID, Status: wire.StatusOK, Value: v.(int64)}, 0, 0, false, false
-	}
 	op, ok := durableOp(req)
 	if !ok {
 		return errResponse(req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown kind %s", req.Kind)), 0, 0, false, false
@@ -245,20 +230,27 @@ func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate fu
 	return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: flags, Value: out.Val}, 0, 0, false, true
 }
 
+// objName is where the wire's root kinds meet the object table: get,
+// add and set carry no name and spell reg.get, reg.add and reg.set on
+// the shard's root register (durableOp and readFast pair the kinds).
+// Only the response differs: a root kind never carries FlagFound.
+func objName(req wire.Request) string {
+	if req.Kind.IsObject() {
+		return req.Obj
+	}
+	return durable.RootName
+}
+
 // durableOp maps a mutation request onto the durable op vocabulary.
 // Reads and control kinds report false — they never reach StepOp.
 func durableOp(req wire.Request) (durable.Op, bool) {
 	var kind durable.OpKind
 	switch req.Kind {
-	case wire.KindAdd:
-		kind = durable.OpAdd
-	case wire.KindSet:
-		kind = durable.OpSet
 	case wire.KindCreate:
 		kind = durable.OpCreate
-	case wire.KindRegAdd:
+	case wire.KindAdd, wire.KindRegAdd:
 		kind = durable.OpRegAdd
-	case wire.KindRegSet:
+	case wire.KindSet, wire.KindRegSet:
 		kind = durable.OpRegSet
 	case wire.KindMapPut:
 		kind = durable.OpMapPut
@@ -275,7 +267,7 @@ func durableOp(req wire.Request) (durable.Op, bool) {
 	default:
 		return durable.Op{}, false
 	}
-	return durable.Op{Kind: kind, Obj: req.Obj, Key: req.Key, Arg: req.Arg, Arg2: req.Arg2}, true
+	return durable.Op{Kind: kind, Obj: objName(req), Key: req.Key, Arg: req.Arg, Arg2: req.Arg2}, true
 }
 
 // foundFlag lifts an outcome's logical verdict into the response flags
@@ -287,29 +279,31 @@ func foundFlag(k wire.Kind, ok bool) wire.Flags {
 	return 0
 }
 
-// readFast answers a pure object read from the shard's committed state
-// — no slot acquisition, no WAL, no quorum. Peek returns the cell the
-// universal construction last committed, so the read linearizes at
-// that commit: valid single-copy semantics for a single node. In
-// cluster mode the caller has already checked shard ownership, which
-// bounds the staleness a fenced ex-primary could serve to one lease
-// interval (the DESIGN §12 argument, unchanged). Missing objects and
+// readFast answers a read — every read, the root register's get
+// included — from the shard's committed state: no slot acquisition, no
+// WAL, no quorum. Peek returns the cell the universal construction last
+// committed, so the read linearizes at that commit: valid single-copy
+// semantics for a single node. In cluster mode the caller has already
+// checked shard ownership, which bounds the staleness a fenced
+// ex-primary could serve to one lease interval (the DESIGN §12
+// argument, unchanged). Missing objects and
 // class mismatches answer StatusOK with FlagFound clear, mirroring
-// the mutation-side always-applies contract.
+// the mutation-side always-applies contract — which is also the answer
+// for a root register nothing has written yet: it reads 0, unflagged.
 func (t *table) readFast(req wire.Request) wire.Response {
 	if int(req.Shard) >= len(t.shards) || req.Shard >= 1<<31 {
 		return errResponse(req.ID, wire.StatusBadShard,
 			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards)))
 	}
 	st := t.shards[req.Shard].obj.Peek()
-	o, _ := st.Objs.Get(req.Obj)
+	o, _ := st.Objs.Get(objName(req))
 	miss := wire.Response{ID: req.ID, Status: wire.StatusOK}
 	switch req.Kind {
-	case wire.KindRegGet:
+	case wire.KindGet, wire.KindRegGet:
 		if o == nil || o.Type != object.TypeRegister {
 			return miss
 		}
-		return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagFound, Value: o.Reg}
+		return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: foundFlag(req.Kind, true), Value: o.Reg}
 	case wire.KindMapGet:
 		if o == nil || o.Type != object.TypeMap {
 			return miss

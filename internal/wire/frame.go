@@ -1,8 +1,9 @@
 // Request framing. There is one: every client → server payload opens
 // with a marker byte and carries operations in one self-describing op
 // encoding, whatever their kind — control (ping, stats) and
-// root-register kinds (get, add, set) travel with an empty object name,
-// named-object kinds with the name, key and second argument they need.
+// root-register kinds (get, add, set: reg.* on the register each shard
+// has without a name) travel with an empty object name, named-object
+// kinds with the name, key and second argument they need, never empty.
 //
 //   - 0xC0, one op: [marker][op]. Answered with one Response frame.
 //   - 0xC1, pipeline: [marker][u16 count][count × op], up to MaxBatchOps

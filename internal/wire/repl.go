@@ -34,13 +34,15 @@ import (
 	"kexclusion/internal/durable"
 )
 
-// ReplMagic opens a ReplHello ("kxr3"); bump the digit on incompatible
+// ReplMagic opens a ReplHello ("kxr4"); bump the digit on incompatible
 // change — kxr1→kxr2 added per-shard epochs to records and frontiers,
 // kxr2→kxr3 switched pull batches from fixed-width register records to
-// the durable record codec so object and atomic records replicate.
+// the durable record codec so object and atomic records replicate,
+// kxr3→kxr4 retired durable's type-5 record and type-7 state image, so
+// a mixed-build pair fails here, not at a record parse mid-pull.
 // Distinct from Magic so a client dialing the repl port (or a follower
 // dialing the client port) fails loudly at the handshake.
-const ReplMagic uint32 = 0x6b787233
+const ReplMagic uint32 = 0x6b787234
 
 // MaxReplFrame bounds a replication frame. Sized for a full state
 // image (durable caps snapshot bodies at 64 MiB) plus headroom.

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kexclusion/internal/durable"
@@ -17,6 +19,14 @@ func TestReplHandshakeRoundTrip(t *testing.T) {
 	got, err := ParseReplWelcome(w.Encode())
 	if err != nil || got != w {
 		t.Fatalf("welcome round trip: %+v, err %v", got, err)
+	}
+
+	// A peer one repl version back (kxr3, which shipped type-5 records
+	// and type-7 state images) is refused at the hello.
+	old := ReplHello{NodeID: "node-b"}.Encode()
+	binary.BigEndian.PutUint32(old, 0x6b787233)
+	if _, err := ParseReplHello(old); err == nil || !strings.Contains(err.Error(), "bad repl magic") {
+		t.Fatalf("kxr3 hello: err %v, want bad repl magic", err)
 	}
 
 	// A client-dialect Hello must not parse as a repl hello (distinct
@@ -56,8 +66,8 @@ func TestReplResponseRoundTrips(t *testing.T) {
 	pr := PullResponse{
 		Status: StatusOK, ResumeLSN: 12, End: 20,
 		Records: []durable.Record{
-			{Session: 1, Seq: 2, Shard: 3, Kind: durable.OpAdd, Arg: -4, Val: 5, Ver: 6, Epoch: 2, OK: true},
-			{Session: 7, Seq: 8, Shard: 0, Kind: durable.OpSet, Arg: 9, Val: 9, Ver: 10, OK: true},
+			{Session: 1, Seq: 2, Shard: 3, Kind: durable.OpRegAdd, Arg: -4, Val: 5, Ver: 6, Epoch: 2, OK: true},
+			{Session: 7, Seq: 8, Shard: 0, Kind: durable.OpRegSet, Arg: 9, Val: 9, Ver: 10, OK: true},
 			{Session: 9, Seq: 1, Shard: 2, Kind: durable.OpMapCAS, Obj: "m", Key: "k",
 				Arg: 7, Arg2: 3, Val: 4, Ver: 11, Epoch: 1},
 			{Atomic: []durable.Record{

@@ -12,7 +12,8 @@
 //     (StatusBusy) and closes.
 //   - Request: client → server. An operation against one shard of the
 //     object table, or a control operation (ping, stats), in one of the
-//     three marker-led request frames (see frame.go).
+//     three marker-led request frames (see frame.go). get, add and set
+//     spell reg.get, reg.add and reg.set on a shard's unnamed register.
 //   - Response: server → client. Status, a value, and an optional opaque
 //     Data payload (stats JSON, error detail).
 //
@@ -56,11 +57,11 @@ type Kind uint8
 const (
 	// KindPing is a no-op round trip.
 	KindPing Kind = 1 + iota
-	// KindGet reads a shard's value (linearized with updates).
+	// KindGet reads a shard's root register (reg.get without a name).
 	KindGet
-	// KindAdd adds Arg to a shard and returns the new value.
+	// KindAdd adds Arg to the root register and returns the new value.
 	KindAdd
-	// KindSet overwrites a shard with Arg.
+	// KindSet overwrites the root register with Arg.
 	KindSet
 	// KindStats returns the server's metrics snapshot as JSON in Data.
 	KindStats
@@ -98,7 +99,7 @@ const (
 func (k Kind) IsObject() bool { return k >= KindCreate && k <= KindSnapScan }
 
 // IsRead reports whether the kind is a pure read: no state movement,
-// eligible for the server's read-only fast path (no WAL, no quorum).
+// answered on the server's one read path (no slot, no WAL, no quorum).
 func (k Kind) IsRead() bool {
 	switch k {
 	case KindGet, KindRegGet, KindMapGet, KindQLen, KindSnapScan:
