@@ -16,7 +16,7 @@
 //	kexserved -op-timeout 5s                     bound each op's wait for a slot
 //	kexserved -json                              dump final stats JSON on exit
 //	kexserved -data-dir /var/lib/kex             durable: WAL + snapshots, recover on boot
-//	kexserved -data-dir d -fsync interval        group-commit fsync (see -fsync-interval)
+//	kexserved -data-dir d -fsync interval        also sync un-awaited records (see -fsync-interval)
 //	kexserved -data-dir d -snapshot-every 4096   snapshot cadence in applied ops
 //	kexserved -ops-addr 127.0.0.1:9750           /healthz, /readyz, /metrics (Prometheus)
 //	kexserved -shed-high 64 -shed-low 8          shed admissions past the queue watermark
@@ -151,8 +151,8 @@ func run(args []string, out io.Writer) error {
 		lease      = fs.Duration("lease", 0, "leader lease: a primary admits ops only while a quorum of peers witnessed it this recently; must be < -fail-after (0 = fail-after/2)")
 
 		dataDir       = fs.String("data-dir", "", "durability directory for the WAL and snapshots (empty = in-memory only)")
-		fsync         = fs.String("fsync", "always", "WAL sync policy: always (fsync per op), interval (group commit), never (OS decides)")
-		fsyncInterval = fs.Duration("fsync-interval", 50*time.Millisecond, "group-commit cadence when -fsync interval")
+		fsync         = fs.String("fsync", "always", "WAL sync policy: always (acks wait for a group-committed fsync), interval (the same, plus a ticker for un-awaited records), never (OS decides)")
+		fsyncInterval = fs.Duration("fsync-interval", 50*time.Millisecond, "bound on how long an un-awaited record may stay un-synced when -fsync interval")
 		snapshotEvery = fs.Int("snapshot-every", 1024, "write a snapshot every this many applied ops (0 = default, negative = never)")
 		dedupWindow   = fs.Int("dedup-window", 1024, "retained op IDs per shard for exactly-once retries (0 = default, negative = unbounded)")
 	)

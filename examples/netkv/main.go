@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"kexclusion/internal/durable"
 	"kexclusion/internal/object"
 	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
@@ -39,7 +38,7 @@ import (
 func startServer(dir string) (*server.Server, string, func(), error) {
 	srv, err := server.New(server.Config{
 		N: 8, K: 2, Shards: 4,
-		DataDir: dir, Fsync: durable.SyncInterval,
+		DataDir: dir,
 	})
 	if err != nil {
 		return nil, "", nil, err

@@ -94,10 +94,10 @@ func (i *Inductive) Acquire(p int) {
 // Release implements KExclusion.
 func (i *Inductive) Release(p int) {
 	checkPID(p, i.n)
+	i.m.Released()
 	if i.chain != nil {
 		i.chain.release(p)
 	}
-	i.m.Released()
 }
 
 // K implements KExclusion.
@@ -152,8 +152,8 @@ func (c *Counting) TryAcquire(p int) bool {
 // Release implements KExclusion.
 func (c *Counting) Release(p int) {
 	checkPID(p, c.n)
-	c.x.Add(1)
 	c.m.Released()
+	c.x.Add(1)
 }
 
 // K implements KExclusion.
@@ -191,8 +191,8 @@ func (c *ChanSem) Acquire(p int) {
 // Release implements KExclusion.
 func (c *ChanSem) Release(p int) {
 	checkPID(p, c.n)
-	<-c.ch
 	c.m.Released()
+	<-c.ch
 }
 
 // K implements KExclusion.

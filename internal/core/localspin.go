@@ -152,8 +152,8 @@ func (l *LocalSpin) Acquire(p int) {
 // Release implements KExclusion.
 func (l *LocalSpin) Release(p int) {
 	checkPID(p, l.n)
-	l.chain.release(p)
 	l.m.Released()
+	l.chain.release(p)
 }
 
 // K implements KExclusion.
@@ -244,9 +244,9 @@ func (f *LocalSpinFastPath) Acquire(p int) {
 // Release implements KExclusion.
 func (f *LocalSpinFastPath) Release(p int) {
 	checkPID(p, f.n)
+	f.m.Released()
 	if f.slowTree == nil {
 		f.block.release(p)
-		f.m.Released()
 		return
 	}
 	f.block.release(p)
@@ -258,7 +258,6 @@ func (f *LocalSpinFastPath) Release(p int) {
 	} else {
 		f.x.v.Add(1)
 	}
-	f.m.Released()
 }
 
 // K implements KExclusion.

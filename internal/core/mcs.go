@@ -53,17 +53,16 @@ func (m *MCS) Acquire(p int) {
 // Release implements KExclusion.
 func (m *MCS) Release(p int) {
 	checkPID(p, m.n)
+	m.m.Released()
 	node := &m.nodes[p]
 	if node.next.Load() == nil {
 		if m.tail.CompareAndSwap(node, nil) {
-			m.m.Released()
 			return
 		}
 		// A successor is between its swap and its link; wait for it.
 		spinUntil(m.spin, m.m, func() bool { return node.next.Load() != nil })
 	}
 	node.next.Load().locked.Store(0)
-	m.m.Released()
 }
 
 // K implements KExclusion.

@@ -63,11 +63,11 @@ func (t *Tree) Acquire(p int) {
 // Release implements KExclusion.
 func (t *Tree) Release(p int) {
 	checkPID(p, t.n)
+	t.m.Released()
 	path := t.paths[t.group(p)]
 	for i := len(path) - 1; i >= 0; i-- {
 		path[i].release(p)
 	}
-	t.m.Released()
 }
 
 // K implements KExclusion.
@@ -152,9 +152,9 @@ func (f *FastPath) Acquire(p int) {
 // Release implements KExclusion.
 func (f *FastPath) Release(p int) {
 	checkPID(p, f.n)
+	f.m.Released()
 	if f.slow == nil {
 		f.block.release(p)
-		f.m.Released()
 		return
 	}
 	f.block.release(p) // statement 6
@@ -163,7 +163,6 @@ func (f *FastPath) Release(p int) {
 	} else {
 		f.x.v.Add(1) // statement 9
 	}
-	f.m.Released()
 }
 
 // K implements KExclusion.
@@ -247,6 +246,7 @@ func (g *Graceful) Acquire(p int) {
 // Release implements KExclusion.
 func (g *Graceful) Release(p int) {
 	checkPID(p, g.n)
+	g.m.Released()
 	d := int(g.depth[p].v.Load())
 	last := d
 	if last >= len(g.levels) {
@@ -260,7 +260,6 @@ func (g *Graceful) Release(p int) {
 	} else {
 		g.levels[d].x.v.Add(1)
 	}
-	g.m.Released()
 }
 
 // K implements KExclusion.

@@ -1,9 +1,34 @@
 package durable
 
 import (
+	"os"
+	"path/filepath"
+	"testing"
+
 	"kexclusion/internal/object"
 	"kexclusion/internal/pmap"
 )
+
+// copyDir copies a data directory's files, as they read right now, into
+// a fresh directory: what a crash at this instant could leave at most.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	to := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
 
 // dedupOf builds a dedup window from a map literal.
 func dedupOf(m map[uint64]DedupEntry) (d pmap.Map[uint64, DedupEntry, pmap.Uint64Hash]) {

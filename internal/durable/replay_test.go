@@ -198,3 +198,57 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitCrashPoints pins "ack ⇒ on disk" against the one thing the
+// commit engine moved: the fsync now runs with the mutex released, so
+// records are appended behind it. A directory copied at any point of
+// that overlap recovers to a prefix of what was appended, never refuses,
+// and holds every burst whose wait has returned.
+func TestCommitCrashPoints(t *testing.T) {
+	const burst = 8
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir})
+	defer l.Close()
+	g := gateSyncs(t, l)
+	defer g.open()
+
+	// recoverCopy opens a copy of the directory as it reads now and
+	// returns how many adds recovery found: a prefix of the 2×burst.
+	recoverCopy := func(when string) uint64 {
+		t.Helper()
+		c, rec, err := Open(Options{Dir: copyDir(t, dir)})
+		if err != nil {
+			t.Fatalf("%s: recovery refused the directory: %v", when, err)
+		}
+		defer c.Close()
+		got := rec.Shards[0]
+		if got.Ver > 2*burst || rootVal(got) != int64(got.Ver) {
+			t.Fatalf("%s: recovered %+v, not a prefix of %d adds", when, got, 2*burst)
+		}
+		return got.Ver
+	}
+
+	ack1 := waitAsync(l, appendAdds(t, l, 0, burst))
+	g.started(t, ack1)
+	ack2 := waitAsync(l, appendAdds(t, l, burst, burst))
+	stillWaiting(t, ack1, "the first burst's wait")
+	stillWaiting(t, ack2, "the second burst's wait")
+	recoverCopy("first fsync in flight, nothing acked")
+
+	g.release <- nil
+	if err := await(t, ack1, "the first burst's wait"); err != nil {
+		t.Fatalf("first burst: %v", err)
+	}
+	g.started(t, ack2)
+	if got := recoverCopy("first burst acked, second fsync in flight"); got < burst {
+		t.Fatalf("first burst acked with %d of its %d adds on disk", got, burst)
+	}
+
+	g.release <- nil
+	if err := await(t, ack2, "the second burst's wait"); err != nil {
+		t.Fatalf("second burst: %v", err)
+	}
+	if got := recoverCopy("both bursts acked"); got != 2*burst {
+		t.Fatalf("both bursts acked with %d of %d adds on disk", got, 2*burst)
+	}
+}

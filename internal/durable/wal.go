@@ -19,14 +19,13 @@ const (
 	// survives both process and host crashes. The fsync happens at the
 	// durability wait, not the append, so concurrent appenders — and a
 	// pipelined batch waiting once for its last record — group-commit
-	// under a single disk write.
+	// under a single disk write (see commitLocked).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval group-commits: a background ticker fsyncs the log
-	// and acknowledgements wait for the covering sync. WaitDurable parks
-	// every ack until that sync, so an acked op is on disk exactly as
-	// under SyncAlways and survives process and host crashes alike: the
-	// policy trades ack latency (up to one interval) for fewer fsyncs,
-	// not durability.
+	// SyncInterval is SyncAlways plus a background ticker that commits
+	// records nobody waits on. Acknowledgements commit when ready,
+	// exactly as under SyncAlways, and survive the same crashes; the
+	// interval only bounds how long an un-awaited record (one whose
+	// session hung up before its wait) may stay un-synced.
 	SyncInterval
 	// SyncNever writes without fsync and acknowledges immediately: the
 	// OS page cache is the only durability. A process crash typically
@@ -66,8 +65,8 @@ type Options struct {
 	Dir string
 	// Policy is the fsync discipline (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the group-commit period for SyncInterval (default
-	// 50ms).
+	// Interval bounds how long SyncInterval leaves a record nobody
+	// waits on un-synced (default 50ms).
 	Interval time.Duration
 	// SegmentBytes rotates the log once a segment reaches this size
 	// (default 4 MiB).
@@ -137,19 +136,22 @@ type segment struct {
 type Log struct {
 	opts Options
 	dirF *os.File
+	sync func(*os.File) error // (*os.File).Sync; in-package tests gate it
 
 	mu      sync.Mutex
-	cond    *sync.Cond // broadcast when durable advances or the log closes
+	cond    *sync.Cond // broadcast when a commit lands or fails, or the log closes
 	endCond *sync.Cond // broadcast when end advances (WaitEnd long-polls)
 	f       *os.File   // active segment
 	segs    []segment  // all live segments, ascending; last is active
 	end     uint64     // last assigned LSN
 	durable uint64     // last LSN covered by an fsync
 	markers uint64     // restart markers ever appended (incl. pruned)
-	syncs   uint64     // fsyncs issued (observability for group commit)
+	syncs   uint64     // fsyncs landed
+	syncing bool       // a commit's fsync is in flight, outside mu
 	closed  bool
 	fail    error // sticky: set by the first failed append/fsync, fatal
 
+	syncNanos atomic.Uint64 // time spent inside fsync
 	readBytes atomic.Uint64 // bytes ReadRecords has read off disk
 
 	// pins maps a pin handle to the LSN its holder has consumed up to:
@@ -181,7 +183,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 		return nil, Recovery{}, err
 	}
 
-	l := &Log{opts: opts, dirF: dirF, pins: make(map[int]uint64)}
+	l := &Log{opts: opts, dirF: dirF, pins: make(map[int]uint64), sync: (*os.File).Sync}
 	l.cond = sync.NewCond(&l.mu)
 	l.endCond = sync.NewCond(&l.mu)
 
@@ -405,10 +407,10 @@ func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *
 }
 
 // Append writes one op record and returns its LSN. Pair with
-// WaitDurable before acknowledging: that is where every policy's
-// durability point lives (SyncAlways fsyncs there, group-committing
-// whatever has been appended; SyncInterval waits for the ticker's
-// covering sync; SyncNever returns immediately).
+// WaitDurable before acknowledging: that is where the durability point
+// lives (SyncAlways and SyncInterval fsync there, group-committing
+// whatever has been appended; SyncNever returns immediately). Append
+// never waits for the disk, except to rotate a full segment.
 //
 // A failed append or fsync poisons the log permanently: the record's
 // version number is consumed by the caller's sequencer even though no
@@ -420,6 +422,11 @@ func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// This append rotates a full segment, and rotation syncs and closes
+	// the file an in-flight commit is syncing: wait that commit out.
+	for l.syncing && l.segs[len(l.segs)-1].size >= l.opts.SegmentBytes {
+		l.cond.Wait()
+	}
 	if l.closed {
 		return 0, fmt.Errorf("durable: log is closed")
 	}
@@ -430,11 +437,6 @@ func (l *Log) Append(r Record) (uint64, error) {
 		l.poisonLocked(err)
 		return 0, l.fail
 	}
-	// Under SyncAlways the fsync happens in WaitDurable, not here:
-	// deferring it to the acknowledgement point is what lets a pipeline
-	// of appends — from one session or many — share a single group
-	// commit. The contract is unchanged (an ack still implies the
-	// record is on disk) because every ack waits.
 	return l.end, nil
 }
 
@@ -479,6 +481,7 @@ func (l *Log) appendLocked(frame []byte) error {
 // rotateLocked syncs and retires the active segment, then opens the
 // next one. Syncing before rotation keeps the durable watermark's
 // invariant simple: only the active segment can have undurable bytes.
+// No commit is in flight (Append waited), so nobody else holds l.f.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -506,21 +509,53 @@ func (l *Log) openSegmentLocked(start uint64) error {
 	return nil
 }
 
-// syncLocked fsyncs the active segment and advances the durable
-// watermark to everything appended so far.
+// fsync syncs f through the test seam and accounts the time it took.
+func (l *Log) fsync(f *os.File) error {
+	t0 := time.Now()
+	err := l.sync(f)
+	l.syncNanos.Add(uint64(time.Since(t0)))
+	return err
+}
+
+// syncLocked fsyncs the active segment with l.mu held and advances the
+// durable watermark to everything appended so far. It is for the callers
+// that must exclude appends — Open, rotateLocked and Close — each with
+// no commit in flight; everything else commits through commitLocked.
 func (l *Log) syncLocked() error {
-	if err := l.f.Sync(); err != nil {
+	if err := l.fsync(l.f); err != nil {
 		return err
 	}
 	l.syncs++
-	if l.durable < l.end {
-		l.durable = l.end
-		l.cond.Broadcast()
-	}
+	l.durable = l.end
 	return nil
 }
 
-// syncer is the SyncInterval group-commit loop.
+// commitLocked is the group-commit engine. The caller holds l.mu, has
+// found durable < end and no commit in flight, and becomes the leader:
+// it captures the end and the active file, RELEASES the mutex for the
+// fsync — appends and log reads proceed, waiters park on cond — and
+// advances durable to the captured end, never to l.end: a record
+// appended mid-sync may not have reached the disk and is covered by the
+// next commit, which a parked waiter starts the moment this one lands.
+// A failed fsync poisons the log: the leader, every parked waiter and
+// every record appended meanwhile get the failure, and nothing is acked.
+func (l *Log) commitLocked() {
+	target, f := l.end, l.f
+	l.syncing = true
+	l.mu.Unlock()
+	err := l.fsync(f)
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		l.poisonLocked(err)
+	} else {
+		l.syncs++
+		l.durable = target
+	}
+	l.cond.Broadcast()
+}
+
+// syncer is the SyncInterval ticker: it commits what nobody waits on.
 func (l *Log) syncer() {
 	defer close(l.tickerDone)
 	t := time.NewTicker(l.opts.Interval)
@@ -531,26 +566,17 @@ func (l *Log) syncer() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if l.closed || l.fail != nil {
-				l.mu.Unlock()
-				return
-			}
-			if l.durable < l.end {
-				if err := l.syncLocked(); err != nil {
-					// A failed group commit is as fatal as a failed append:
-					// waiters parked on the durable watermark must get an
-					// error, not an ack built on an fsync that never landed.
-					l.poisonLocked(err)
-				}
+			if l.durable < l.end && !l.syncing && !l.closed && l.fail == nil {
+				l.commitLocked()
 			}
 			l.mu.Unlock()
 		}
 	}
 }
 
-// WaitDurable blocks until lsn is covered by the sync policy. Under
-// SyncAlways the first waiter fsyncs on the spot (group commit — see
-// below); under SyncNever it returns immediately.
+// WaitDurable blocks until an fsync covers lsn: the first waiter in
+// leads a commit on the spot (commitLocked), the rest park behind it.
+// Under SyncNever every LSN is born covered and it returns immediately.
 //
 // A poisoned log fails every wait, even for an LSN that reached disk
 // before the failure: after a poison, a caller may be asking about the
@@ -569,21 +595,11 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		if l.closed {
 			return fmt.Errorf("durable: log closed before LSN %d became durable", lsn)
 		}
-		if l.opts.Policy == SyncAlways {
-			// Group commit at the wait point: the first waiter in
-			// becomes the leader and fsyncs everything appended so far,
-			// covering its own LSN and every concurrent appender's in
-			// one disk write; followers arriving under the same lock
-			// find the watermark already past them. This is what turns
-			// a pipelined batch into one fsync per flush instead of one
-			// per op.
-			if err := l.syncLocked(); err != nil {
-				l.poisonLocked(err)
-				return l.fail
-			}
-			continue
+		if l.syncing {
+			l.cond.Wait()
+		} else {
+			l.commitLocked()
 		}
-		l.cond.Wait()
 	}
 }
 
@@ -594,18 +610,26 @@ func (l *Log) End() uint64 {
 	return l.end
 }
 
-// Syncs reports how many fsyncs the log has issued — under
-// SyncInterval, far fewer than appends (group commit).
+// Syncs reports how many fsyncs have landed: with group commit, one per
+// batch of concurrent waiters rather than one per append.
 func (l *Log) Syncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncs
 }
 
+// SyncNanos reports the total time spent inside fsync, so the mean
+// fsync is SyncNanos/Syncs.
+func (l *Log) SyncNanos() uint64 { return l.syncNanos.Load() }
+
 // Close flushes, wakes all waiters, and closes the files. Appends and
 // waits after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	// The final sync and closeFiles must not run under a commit's feet.
+	for l.syncing {
+		l.cond.Wait()
+	}
 	if l.closed {
 		l.mu.Unlock()
 		return nil

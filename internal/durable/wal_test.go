@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -347,49 +349,306 @@ func TestOnlySnapshotUnreadableIsFatal(t *testing.T) {
 	}
 }
 
-func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, Options{Dir: dir, Policy: SyncInterval, Interval: 2 * time.Millisecond})
-	defer l.Close()
+// syncGate stands in for the disk. Every fsync the log issues announces
+// itself on entered and then parks until the test sends its verdict on
+// release (nil lets the real fsync run); open retires the gate, so
+// whatever is parked or comes later syncs straight through. The gate
+// also holds the engine to its own claim: one fsync in flight at most.
+type syncGate struct {
+	entered chan struct{}
+	release chan error
+	opened  chan struct{}
+	once    sync.Once
+}
 
-	// Many concurrent appenders all waiting for durability: the
-	// interval syncer must cover them in batches, issuing far fewer
-	// fsyncs than there are acknowledged appends. Versions are pre-
-	// assigned so the log's per-shard ordering invariant holds without
-	// replicating the server's sequencer here.
-	const writers, perWriter = 8, 25
-	const total = writers * perWriter
-	lsns := make(chan uint64, total)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				lsn, err := l.Append(Record{Shard: uint32(w), Kind: OpRegAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1), OK: true})
-				if err != nil {
-					t.Errorf("writer %d append: %v", w, err)
-					return
-				}
-				if err := l.WaitDurable(lsn); err != nil {
-					t.Errorf("writer %d wait: %v", w, err)
-					return
-				}
-				lsns <- lsn
+func gateSyncs(t *testing.T, l *Log) *syncGate {
+	g := &syncGate{entered: make(chan struct{}), release: make(chan error), opened: make(chan struct{})}
+	var inFlight atomic.Int32
+	l.sync = func(f *os.File) error {
+		if n := inFlight.Add(1); n != 1 {
+			t.Errorf("%d fsyncs in flight at once", n)
+		}
+		defer inFlight.Add(-1)
+		select {
+		case g.entered <- struct{}{}:
+		case <-g.opened:
+			return f.Sync()
+		}
+		select {
+		case err := <-g.release:
+			if err != nil {
+				return err
 			}
-		}(w)
+		case <-g.opened:
+		}
+		return f.Sync()
 	}
-	wg.Wait()
-	close(lsns)
-	n := 0
-	for range lsns {
-		n++
+	return g
+}
+
+func (g *syncGate) open() { g.once.Do(func() { close(g.opened) }) }
+
+// watchdog turns a hang into a failure; no test waits it out.
+const watchdog = 10 * time.Second
+
+// started waits for the next fsync to begin and leaves it parked. A
+// value on early is a WaitDurable that returned before the fsync that
+// had to cover it even started.
+func (g *syncGate) started(t *testing.T, early <-chan error) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case err := <-early:
+		t.Fatalf("a wait returned (err %v) ahead of the fsync that had to cover it", err)
+	case <-time.After(watchdog):
+		t.Fatal("no fsync started: the wait is parked on something other than the disk")
 	}
-	if n != total {
-		t.Fatalf("%d/%d appends acknowledged", n, total)
+}
+
+// appendAdds appends n root adds continuing shard 0's history after
+// version ver and returns the last one's LSN. Nothing is waited for.
+func appendAdds(t *testing.T, l *Log, ver uint64, n int) uint64 {
+	t.Helper()
+	var lsn uint64
+	for i := 0; i < n; i++ {
+		ver++
+		var err error
+		if lsn, err = l.Append(Record{Kind: OpRegAdd, Arg: 1, Val: int64(ver), Ver: ver, OK: true}); err != nil {
+			t.Fatalf("append of version %d: %v", ver, err)
+		}
 	}
-	if s := l.Syncs(); s >= total/2 {
-		t.Fatalf("group commit degenerated: %d fsyncs for %d appends", s, total)
+	return lsn
+}
+
+// waitAsync runs WaitDurable(lsn) on a goroutine of its own.
+func waitAsync(l *Log, lsn uint64) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- l.WaitDurable(lsn) }()
+	return done
+}
+
+// await receives one verdict, failing the test instead of hanging.
+func await(t *testing.T, done <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(watchdog):
+		t.Fatalf("%s never returned", what)
+		return nil
+	}
+}
+
+// stillWaiting fails if done already holds a verdict. What it guards
+// cannot have happened yet, so it never fails by timing.
+func stillWaiting(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("%s returned (err %v) while the fsync it depends on was parked", what, err)
+	default:
+	}
+}
+
+// TestCommitEngine pins the group-commit engine with the disk held by
+// hand, under both policies that wait: (a) appends and log reads go
+// through while an fsync is in flight, (b) a waiter whose record was
+// appended after the leader captured its target is not released by that
+// fsync, (c) any number of waiters parked behind one fsync cost exactly
+// one more. SyncInterval runs with an hour's interval: no ack waits for
+// a tick.
+func TestCommitEngine(t *testing.T) {
+	for _, opts := range []Options{{Policy: SyncAlways}, {Policy: SyncInterval, Interval: time.Hour}} {
+		t.Run(opts.Policy.String(), func(t *testing.T) {
+			opts.Dir = t.TempDir()
+			l, _ := mustOpen(t, opts)
+			defer l.Close()
+			g := gateSyncs(t, l)
+			defer g.open()
+			syncs0 := l.Syncs()
+
+			// Sync 1: the first waiter leads; its target is `first`.
+			first := appendAdds(t, l, 0, 1)
+			lead := waitAsync(l, first)
+			g.started(t, lead)
+
+			// (a) The disk is busy, the log is not.
+			const parked = 4
+			var lsns [parked]uint64
+			for i := range lsns {
+				lsns[i] = appendAdds(t, l, uint64(1+i), 1)
+			}
+			recs, pos, err := l.ReadRecords(first, parked+1)
+			if err != nil || len(recs) != parked || pos != lsns[parked-1] {
+				t.Fatalf("read during an fsync: %d records to LSN %d, err %v; want %d to %d", len(recs), pos, err, parked, lsns[parked-1])
+			}
+
+			released := make(chan error, parked)
+			for _, lsn := range lsns {
+				go func() { released <- l.WaitDurable(lsn) }()
+			}
+			stillWaiting(t, lead, "the leader")
+			g.release <- nil
+			if err := await(t, lead, "the leader"); err != nil {
+				t.Fatalf("leader: %v", err)
+			}
+
+			// (b) Sync 1 landed and covers `first` alone: the next thing
+			// to happen is a second fsync, not an ack.
+			g.started(t, released)
+			l.mu.Lock()
+			durable := l.durable
+			l.mu.Unlock()
+			if durable != first {
+				t.Fatalf("durable = %d after an fsync that captured %d (end is %d)", durable, first, l.End())
+			}
+			stillWaiting(t, released, "a waiter past the first fsync's target")
+
+			// (c) One more fsync releases all of them.
+			g.release <- nil
+			for i := 0; i < parked; i++ {
+				if err := await(t, released, "a parked waiter"); err != nil {
+					t.Fatalf("parked waiter: %v", err)
+				}
+			}
+			if got := l.Syncs() - syncs0; got != 2 {
+				t.Fatalf("%d fsyncs for a leader and %d waiters parked behind it, want 2", got, parked)
+			}
+			if l.SyncNanos() == 0 {
+				t.Fatal("SyncNanos is 0 after parked fsyncs")
+			}
+		})
+	}
+}
+
+// TestCommitFailureInFlight: an fsync that fails while the mutex is
+// released acks nothing. The leader, a waiter parked on the same LSN, a
+// waiter for a record appended during the fsync, every later Append and
+// every later wait — fail-first, LSN 1 included — get the poison.
+func TestCommitFailureInFlight(t *testing.T) {
+	l, _ := mustOpen(t, Options{Dir: t.TempDir()})
+	defer l.Close()
+	g := gateSyncs(t, l)
+	defer g.open()
+	syncs0 := l.Syncs()
+
+	first := appendAdds(t, l, 0, 1)
+	lead := waitAsync(l, first)
+	g.started(t, lead)
+	during := appendAdds(t, l, 1, 1)
+	waits := map[string]<-chan error{
+		"the leader":                          lead,
+		"a waiter parked on the leader's LSN": waitAsync(l, first),
+		"a waiter for a mid-sync append":      waitAsync(l, during),
+	}
+	boom := errors.New("injected fsync failure")
+	g.release <- boom
+	for who, done := range waits {
+		if err := await(t, done, who); !errors.Is(err, boom) || !strings.Contains(err.Error(), "poisoned") {
+			t.Fatalf("%s got %v, want the poison wrapping the fsync failure", who, err)
+		}
+	}
+	if got := l.Syncs(); got != syncs0 {
+		t.Fatalf("%d fsyncs counted as landed after a failed one", got-syncs0)
+	}
+	if _, err := l.Append(Record{Kind: OpRegAdd, Arg: 1, Val: 3, Ver: 3, OK: true}); !errors.Is(err, boom) {
+		t.Fatalf("append after a failed fsync: %v", err)
+	}
+	if err := l.WaitDurable(1); !errors.Is(err, boom) {
+		t.Fatalf("WaitDurable(1) on a poisoned log: %v", err)
+	}
+}
+
+// TestCommitRotationWaitsForSync: rotation fsyncs and closes the active
+// file under the mutex, and an in-flight commit holds that file with the
+// mutex released. The append that must rotate waits the commit out; no
+// record is lost on either side of the rotation.
+func TestCommitRotationWaitsForSync(t *testing.T) {
+	// Room for the restart marker and one byte: the first record fills
+	// the segment, the second has to rotate.
+	opts := Options{Dir: t.TempDir(), SegmentBytes: int64(len(encodeRestart())) + 1}
+	l, _ := mustOpen(t, opts)
+	defer l.Close()
+	g := gateSyncs(t, l)
+	defer g.open()
+
+	first := appendAdds(t, l, 0, 1)
+	lead := waitAsync(l, first)
+	g.started(t, lead)
+
+	appended := make(chan error, 1)
+	var second uint64
+	go func() {
+		var err error
+		second, err = l.Append(Record{Kind: OpRegAdd, Arg: 1, Val: 2, Ver: 2, OK: true})
+		appended <- err
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // let the append reach its wait; the gate counts overlapping fsyncs
+	}
+	stillWaiting(t, appended, "the rotating append")
+	g.release <- nil
+	if err := await(t, lead, "the leader"); err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	// Rotation's own fsync, under the mutex now that nothing is in flight.
+	g.started(t, appended)
+	g.open()
+	if err := await(t, appended, "the rotating append"); err != nil {
+		t.Fatalf("rotating append: %v", err)
+	}
+	if err := l.WaitDurable(second); err != nil {
+		t.Fatalf("wait after rotation: %v", err)
+	}
+	if n := countSegments(t, opts.Dir); n != 2 {
+		t.Fatalf("%d segments, want 2", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	l, rec := mustOpen(t, opts)
+	defer l.Close()
+	if got := rec.Shards[0]; got.Ver != 2 || rootVal(got) != 2 {
+		t.Fatalf("recovered %+v, want both acked adds", got)
+	}
+}
+
+// TestCommitCloseDuringSync: Close waits for the fsync in flight — its
+// file is not closed under it — then flushes. The leader is covered; a
+// waiter parked behind it gets coverage or the closed error, never a
+// hang; a clean Close loses nothing.
+func TestCommitCloseDuringSync(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir})
+	defer l.Close()
+	g := gateSyncs(t, l)
+	defer g.open()
+
+	first := appendAdds(t, l, 0, 1)
+	lead := waitAsync(l, first)
+	g.started(t, lead)
+	parked := waitAsync(l, appendAdds(t, l, 1, 1))
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	stillWaiting(t, closed, "Close")
+
+	g.open() // the disk comes back: everything parked or still to come syncs through
+	if err := await(t, lead, "the leader"); err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := await(t, parked, "the parked waiter"); err != nil && !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("parked waiter: %v, want coverage or the closed error", err)
+	}
+	if err := await(t, closed, "Close"); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	l, rec := mustOpen(t, Options{Dir: dir})
+	defer l.Close()
+	if got := rec.Shards[0]; got.Ver != 2 || rootVal(got) != 2 {
+		t.Fatalf("recovered %+v after a clean close, want both adds", got)
 	}
 }
 

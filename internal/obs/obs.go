@@ -114,7 +114,10 @@ func (m *Metrics) Acquired(d time.Duration) {
 	}
 }
 
-// Released records one release, returning the slot.
+// Released records one release. Call it before the slot is given up (as
+// Acquired is called after it is taken), so the holders gauge and its
+// peak never read above the true occupancy: a release counted after the
+// fact lets the next holder be counted first, and the peak reads k+1.
 func (m *Metrics) Released() {
 	if m == nil {
 		return

@@ -55,7 +55,7 @@ func goldenStats() wire.Stats {
 		Phase:    "degraded", ReadFastpath: 33, Reclaimed: 39,
 		RecoveredOps: 17, Rejected: 6, ReplPullsServed: 14, RestartCount: 3,
 		Shards: 2, ShedAdmissions: 11, ShedOps: 9,
-		WALFsyncs: 15, WALReadBytes: 4096,
+		WALFsyncNanos: 3_250_000, WALFsyncs: 15, WALReadBytes: 4096,
 	}
 }
 

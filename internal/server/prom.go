@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"kexclusion/internal/wire"
 )
@@ -26,8 +27,8 @@ var promPhaseNames = []string{"degraded", "draining", "recovering", "running", "
 // label and one sample per shard, in shard order.
 func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	var b strings.Builder
-	scalar := func(name, typ, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP kexserved_%s %s\n# TYPE kexserved_%s %s\nkexserved_%s %d\n",
+	scalar := func(name, typ, help string, v any) { // v: int64, or float64 seconds
+		fmt.Fprintf(&b, "# HELP kexserved_%s %s\n# TYPE kexserved_%s %s\nkexserved_%s %v\n",
 			name, help, name, typ, name, v)
 	}
 	gauge := func(name, help string, v int64) { scalar(name, "gauge", help, v) }
@@ -123,6 +124,7 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	gauge("shards", "Independent objects in the table.", int64(st.Shards))
 	counter("shed_admissions_total", "Connections refused by the load-shedding watermark policy.", st.ShedAdmissions)
 	counter("shed_ops_total", "Operations refused by the in-flight ceiling (never applied).", st.ShedOps)
+	scalar("wal_fsync_seconds_total", "counter", "Time spent inside WAL fsyncs; over wal_fsyncs_total it is the mean fsync.", time.Duration(st.WALFsyncNanos).Seconds())
 	counter("wal_fsyncs_total", "Fsyncs the WAL has issued (0 without a data directory).", st.WALFsyncs)
 	counter("wal_read_bytes_total", "Bytes log readers (replication pulls) have read back from WAL segments.", st.WALReadBytes)
 

@@ -86,8 +86,8 @@ type Config struct {
 	// Fsync selects when an acknowledgement implies the record has been
 	// fsynced (see durable.SyncPolicy); only meaningful with DataDir.
 	Fsync durable.SyncPolicy
-	// FsyncInterval is the group-commit period for
-	// durable.SyncInterval (default 50ms).
+	// FsyncInterval bounds how long durable.SyncInterval leaves an
+	// un-awaited record un-synced (default 50ms).
 	FsyncInterval time.Duration
 	// SnapshotEvery writes a table snapshot (and prunes the log) after
 	// this many applied mutations. Default 1024; negative disables
@@ -463,6 +463,7 @@ func (s *Server) Stats() wire.Stats {
 		PerShard:            s.tab.snapshots(),
 	}
 	if s.log != nil {
+		st.WALFsyncNanos = int64(s.log.SyncNanos())
 		st.WALFsyncs = int64(s.log.Syncs())
 		st.WALReadBytes = int64(s.log.ReadBytes())
 	}

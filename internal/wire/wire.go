@@ -420,11 +420,13 @@ type Stats struct {
 	ShedAdmissions int64 `json:"shed_admissions"`
 	ShedOps        int64 `json:"shed_ops"`
 	// WALFsyncs counts fsyncs the WAL has issued (group commit makes it
-	// far smaller than the mutation count); WALReadBytes counts bytes
-	// log readers — replication pulls — have read back off disk. Both
-	// are zero without a data directory.
-	WALFsyncs    int64 `json:"wal_fsyncs"`
-	WALReadBytes int64 `json:"wal_read_bytes"`
+	// far smaller than the mutation count) and WALFsyncNanos the time
+	// spent inside them, so their ratio is the mean fsync; WALReadBytes
+	// counts bytes log readers — replication pulls — have read back off
+	// disk. All are zero without a data directory.
+	WALFsyncNanos int64 `json:"wal_fsync_ns"`
+	WALFsyncs     int64 `json:"wal_fsyncs"`
+	WALReadBytes  int64 `json:"wal_read_bytes"`
 }
 
 // JSON marshals the stats deterministically.

@@ -211,7 +211,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		Phase: "running", QuorumAcks: 15, ReadFastpath: 24, Reclaimed: 6,
 		RecoveredOps: 7, Rejected: 8, ReplPullsServed: 25, ReplicaLagLSN: 16,
 		RestartCount: 9, Shards: 4, ShedAdmissions: 12, ShedOps: 13,
-		WALFsyncs: 26, WALReadBytes: 27,
+		WALFsyncNanos: 28, WALFsyncs: 26, WALReadBytes: 27,
 	}
 	const want = `{"active_sessions":1,"admit_queue":10,"admitted":2,"applied_dupes":3,` +
 		`"batch_atomic":19,` +
@@ -224,7 +224,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		`"recovered_ops":7,` +
 		`"rejected":8,"repl_pulls_served":25,"replica_lag_lsn":16,` +
 		`"restart_count":9,"shards":4,"shed_admissions":12,"shed_ops":13,` +
-		`"wal_fsyncs":26,"wal_read_bytes":27}`
+		`"wal_fsync_ns":28,"wal_fsyncs":26,"wal_read_bytes":27}`
 	if got := string(s.JSON()); got != want {
 		t.Fatalf("stats JSON drifted from golden schema:\n got  %s\n want %s", got, want)
 	}
