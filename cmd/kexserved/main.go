@@ -147,7 +147,7 @@ func run(args []string, out io.Writer) error {
 		nodeID     = fs.String("node-id", "", "this member's ID in -peers (cluster mode)")
 		peersSpec  = fs.String("peers", "", "full cluster membership as id=client-addr/repl-addr,... (empty = standalone)")
 		quorumSpec = fs.String("quorum", "majority", "ack quorum in cluster mode: majority, all, or an integer count of nodes (this one included)")
-		failAfter  = fs.Duration("fail-after", 2*time.Second, "cluster failure detector: a peer silent this long is suspected dead and its shards fail over")
+		failAfter  = fs.Duration("fail-after", 2*time.Second, "cluster failure detector: a peer is suspected dead, and its shards fail over, exactly this long after its last contact")
 		lease      = fs.Duration("lease", 0, "leader lease: a primary admits ops only while a quorum of peers witnessed it this recently; must be < -fail-after (0 = fail-after/2)")
 
 		dataDir       = fs.String("data-dir", "", "durability directory for the WAL and snapshots (empty = in-memory only)")

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,18 +217,19 @@ type Node struct {
 	lastSeen  map[string]time.Time
 	contacted map[string]bool   // peers actually heard from this incarnation
 	pins      map[string]int    // follower node ID -> WAL pin handle
-	lag       map[string]uint64 // follower node ID -> end - acked at last ack
 	resume    map[string]uint64 // peer node ID -> pull resume position
 	acked     map[string]uint64 // peer node ID -> last LSN this node vouched for
-	promoting bool
-	gateHeld  bool // last promotion attempt was quorum-gated (log once)
-	leaseWas  bool // lease state at the last membership tick (edge detect)
+	gateHeld  bool              // last promotion attempt was quorum-gated (log once)
+	leaseWas  bool              // lease state at the last evaluation (edge detect)
 	stopped   bool
 
 	leaseExpirations atomic.Int64 // held -> expired transitions
 	leaseDemotions   atomic.Int64 // shards self-demoted on lease expiry
 	pullsServed      atomic.Int64 // replication pulls answered from the WAL
+	lastPromotion    atomic.Int64 // ns the latest promote spent on catch-up + epoch bump
 
+	wake   chan struct{}            // touch -> membershipLoop: a predicate's input changed
+	redial map[string]chan struct{} // serveRepl -> that peer's pullLoop: it is up, dial now
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 }
@@ -267,14 +270,16 @@ func New(cfg Config) (*Node, error) {
 		lastSeen:  make(map[string]time.Time),
 		contacted: make(map[string]bool),
 		pins:      make(map[string]int),
-		lag:       make(map[string]uint64),
 		resume:    make(map[string]uint64),
 		acked:     make(map[string]uint64),
+		wake:      make(chan struct{}, 1),
+		redial:    make(map[string]chan struct{}, len(others)),
 		stopCh:    make(chan struct{}),
 	}
 	now := time.Now()
 	for _, p := range others {
 		n.lastSeen[p.ID] = now // grace: nobody is suspect before FailAfter
+		n.redial[p.ID] = make(chan struct{}, 1)
 	}
 	return n, nil
 }
@@ -332,7 +337,7 @@ func (n *Node) Stop() {
 // Owns reports whether this node currently serves shard. Serving is
 // lease-gated: a primary whose quorum witness has gone quiet for a
 // full LeaseDuration answers false here immediately, before the
-// membership sweep formally demotes it — the read path and the admit
+// membership loop formally demotes it — the read path and the admit
 // path both consult Owns, so an isolated primary stops admitting
 // writes and serving unleased reads within one lease interval.
 func (n *Node) Owns(shard uint32) bool {
@@ -387,6 +392,29 @@ func (n *Node) LeaseDemotions() int64 { return n.leaseDemotions.Load() }
 
 // PullsServed counts replication pulls this node has answered.
 func (n *Node) PullsServed() int64 { return n.pullsServed.Load() }
+
+// Timings reports every peer's time since last contact (since this
+// node's start for one not heard from), how long until the Quorum-th
+// youngest lease witness ages out (0 when not held, or vacuous at quorum
+// 1), and the latest promote's catch-up plus epoch bump (0 before one).
+func (n *Node) Timings() (ages map[string]time.Duration, margin, promotion time.Duration) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := time.Now()
+	ages = make(map[string]time.Duration, len(n.others))
+	var heard []time.Duration
+	for _, p := range n.others {
+		ages[p.ID] = now.Sub(n.lastSeen[p.ID])
+		if n.contacted[p.ID] {
+			heard = append(heard, ages[p.ID])
+		}
+	}
+	slices.Sort(heard)
+	if q := n.cfg.Quorum; q > 1 && len(heard) >= q-1 && heard[q-2] < n.cfg.LeaseDuration {
+		margin = n.cfg.LeaseDuration - heard[q-2]
+	}
+	return ages, margin, time.Duration(n.lastPromotion.Load())
+}
 
 // PrimaryAddr returns the client address of the node currently
 // believed to own shard ("" when unknown), for the NotPrimary redirect
@@ -467,21 +495,20 @@ func (n *Node) ReplicaLag() uint64 {
 	return worst
 }
 
-// aliveFn snapshots the failure detector: this node is always alive, a
-// peer is alive while its last successful contact is within FailAfter.
+// aliveFn snapshots the failure detector as of now.
 func (n *Node) aliveFn() func(string) bool {
 	n.mu.Lock()
-	seen := make(map[string]time.Time, len(n.lastSeen))
-	for id, t := range n.lastSeen {
-		seen[id] = t
-	}
-	n.mu.Unlock()
-	cutoff := time.Now().Add(-n.cfg.FailAfter)
+	defer n.mu.Unlock()
+	return n.aliveAt(maps.Clone(n.lastSeen), time.Now())
+}
+
+// aliveAt is the failure detector's one rule: this node is always
+// alive, a peer is alive while its last contact is within FailAfter —
+// suspect at exactly seen+FailAfter, not before.
+func (n *Node) aliveAt(seen map[string]time.Time, now time.Time) func(string) bool {
+	cutoff := now.Add(-n.cfg.FailAfter)
 	return func(id string) bool {
-		if id == n.cfg.NodeID {
-			return true
-		}
-		return seen[id].After(cutoff)
+		return id == n.cfg.NodeID || seen[id].After(cutoff)
 	}
 }
 
@@ -504,133 +531,166 @@ func (n *Node) ownedShards(alive func(string) bool) []uint32 {
 // into its quorum. IDs outside the membership (diagnostic probes, a
 // misconfigured stranger) and this node's own ID are ignored: only a
 // configured peer can witness a lease.
+//
+// A touch wakes the membership loop when it changes evaluate's answer:
+// a first contact, or one from a peer no longer witnessing the lease.
 func (n *Node) touch(id string) {
-	if id == n.cfg.NodeID {
-		return
-	}
-	if _, ok := n.peers[id]; !ok {
+	if _, ok := n.peers[id]; !ok || id == n.cfg.NodeID {
 		return
 	}
 	n.mu.Lock()
-	n.lastSeen[id] = time.Now()
-	n.contacted[id] = true
+	now := time.Now()
+	news := !n.contacted[id] || !n.lastSeen[id].After(now.Add(-n.cfg.LeaseDuration))
+	n.lastSeen[id], n.contacted[id] = now, true
 	n.mu.Unlock()
+	if news {
+		nudge(n.wake)
+	}
 }
 
-// membershipLoop is the failure detector and promotion driver: it
-// periodically recomputes shard ownership from pull-contact times and
-// flips this node's serving set — promotion (with peer catch-up) for
-// gained shards, immediate demotion for lost ones (the returning owner
-// is ahead only of shards it just caught up; serving them here again
-// would fork the history).
+// nudge leaves a token in a one-slot signal channel unless one is there.
+func nudge(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// decision is what one evaluation of the membership rules calls for.
+type decision struct {
+	held             bool      // a quorum witnesses this node's lease
+	witnesses, reach int       // lease witnesses; members a write quorum could count (self included)
+	demoted          []uint32  // served shards to drop: the lease lapsed
+	lost             []uint32  // served shards to drop: their ring owner is back
+	gained           []uint32  // ring-owned shards not served once the drops land
+	gated            bool      // gained must wait: reach < quorum, or no lease
+	unpin            []string  // suspects whose WAL retention pins to release
+	next             time.Time // earliest instant an answer above changes with no message; zero: never
+}
+
+// evaluate is the failure detector and promotion rule as a function of
+// contact times: it recomputes shard ownership and the lease as of now
+// and names the shards to promote for (gained) and to stop serving at
+// once (a returning owner is ahead only of shards it just caught up;
+// serving them here again would fork the history). The caller holds
+// mu; evaluate changes nothing and does no I/O.
+func (n *Node) evaluate(now time.Time) decision {
+	alive := n.aliveAt(n.lastSeen, now)
+	d := decision{held: n.leaseHeldLocked(now), witnesses: n.leaseWitnessesLocked(now), reach: 1}
+	// Lease sweep: an expired-lease primary self-demotes every shard it
+	// serves. Owns already answers false the instant the lease lapses;
+	// this makes it formal (lifecycle callback, counters, one log line)
+	// so the shards re-promote through the one gated path when the
+	// quorum witness returns.
+	for s := range n.serving {
+		if !d.held {
+			d.demoted = append(d.demoted, s)
+		} else if n.ring.OwnerAmong(s, alive) != n.cfg.NodeID {
+			d.lost = append(d.lost, s)
+		}
+	}
+	for _, s := range n.ownedShards(alive) {
+		if !d.held || !n.serving[s] {
+			d.gained = append(d.gained, s)
+		}
+	}
+	// Promotion quorum gate: taking over shards mints a new epoch, and a
+	// new epoch outranks everything — so minting is allowed only when
+	// this node can actually reach a write quorum (itself plus
+	// contacted-and-alive peers) AND holds a live lease. The lease half
+	// closes the window between lease expiry and FailAfter where an
+	// isolated node's peers still look alive: it must not demote on
+	// expiry only to re-promote at once. A partitioned minority stays a
+	// follower; its stale serving set already drained via the lease
+	// sweep or `lost`, or never formed. Quorum 1 passes vacuously,
+	// preserving lone-member operation.
+	for id := range n.contacted {
+		if alive(id) {
+			d.reach++
+		}
+	}
+	d.gated = d.reach < n.cfg.Quorum || !d.held
+	// A dead follower must not hold WAL retention forever. It re-pins at
+	// its ack when it comes back.
+	for id := range n.pins {
+		if !alive(id) {
+			d.unpin = append(d.unpin, id)
+		}
+	}
+	// Silence changes an answer at two instants per peer: its witness ages
+	// out, and it turns suspect. Every other change is a touch.
+	soonest := func(t time.Time) {
+		if t.After(now) && (d.next.IsZero() || t.Before(d.next)) {
+			d.next = t
+		}
+	}
+	for _, p := range n.others {
+		soonest(n.lastSeen[p.ID].Add(n.cfg.FailAfter))
+		if n.contacted[p.ID] {
+			soonest(n.lastSeen[p.ID].Add(n.cfg.LeaseDuration))
+		}
+	}
+	return d
+}
+
+// membershipLoop drives evaluate: once at Start, on every touch that
+// can change its answer, and at the deadline it names — never on a
+// period. It applies the decision, promotes when allowed, and sleeps.
 func (n *Node) membershipLoop() {
 	defer n.wg.Done()
-	tick := n.cfg.FailAfter / 4
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
 	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-t.C:
-		}
-		alive := n.aliveFn()
-		want := make(map[uint32]bool, n.cfg.Shards)
-		for _, s := range n.ownedShards(alive) {
-			want[s] = true
-		}
-
 		n.mu.Lock()
-		now := time.Now()
-		held := n.leaseHeldLocked(now)
-		witnesses := n.leaseWitnessesLocked(now)
-		if n.leaseWas && !held {
-			n.leaseExpirations.Add(1)
-		}
-		// Lease sweep: an expired-lease primary self-demotes every shard
-		// it serves. Owns already answers false the instant the lease
-		// lapses; this makes it formal (lifecycle callback, counters,
-		// one log line) so the shards re-promote through the one gated
-		// path when the quorum witness returns.
-		var demoted []uint32
-		if !held {
-			for s := range n.serving {
-				demoted = append(demoted, s)
-				delete(n.serving, s)
-			}
-			if len(demoted) > 0 {
-				n.leaseDemotions.Add(int64(len(demoted)))
-			}
-		}
-		n.leaseWas = held
-		var gained, lost []uint32
-		for s := range want {
-			if !n.serving[s] {
-				gained = append(gained, s)
-			}
-		}
-		for s := range n.serving {
-			if n.serving[s] && !want[s] {
-				lost = append(lost, s)
-			}
-		}
-		for _, s := range lost {
+		d := n.evaluate(time.Now())
+		for _, s := range append(d.demoted, d.lost...) { // one of the two is empty
 			delete(n.serving, s)
 		}
-		// Promotion quorum gate: taking over shards mints a new epoch,
-		// and a new epoch outranks everything — so minting is allowed
-		// only when this node can actually reach a write quorum (itself
-		// plus contacted-and-alive peers) AND holds a live lease. The
-		// lease half closes the window between lease expiry and
-		// FailAfter where an isolated node's peers still look alive: it
-		// must not demote on expiry only to re-promote a tick later.
-		// A partitioned minority stays a follower; its stale serving set
-		// already drained via the lease sweep or `lost`, or never
-		// formed. Quorum 1 passes vacuously, preserving lone-member
-		// operation.
-		reach := 1
-		for id := range n.contacted {
-			if alive(id) {
-				reach++
-			}
+		if n.leaseWas && !d.held {
+			n.leaseExpirations.Add(1)
 		}
-		gated := reach < n.cfg.Quorum || !held
-		busy := n.promoting
-		if len(gained) > 0 && !busy && !gated {
-			n.promoting = true
-		}
-		logGate := len(gained) > 0 && gated && !n.gateHeld
-		n.gateHeld = len(gained) > 0 && gated
-		// Release pins held for suspects: a dead follower must not
-		// hold WAL retention forever. It re-pins at its ack when it
-		// comes back.
-		for id, pin := range n.pins {
-			if !alive(id) {
-				n.cfg.Log.Unpin(pin)
-				delete(n.pins, id)
-			}
+		n.leaseWas = d.held
+		n.leaseDemotions.Add(int64(len(d.demoted)))
+		waiting := len(d.gained) > 0 && d.gated
+		logGate := waiting && !n.gateHeld
+		n.gateHeld = waiting
+		for _, id := range d.unpin {
+			n.cfg.Log.Unpin(n.pins[id])
+			delete(n.pins, id)
 		}
 		n.mu.Unlock()
 
-		if len(demoted) > 0 {
+		if len(d.demoted) > 0 {
 			n.cfg.Logf("cluster: node %s lease expired (%d/%d witnesses); self-demoted from shards %v",
-				n.cfg.NodeID, witnesses, n.cfg.Quorum, demoted)
+				n.cfg.NodeID, d.witnesses, n.cfg.Quorum, d.demoted)
 			if n.cfg.OnDemote != nil {
-				n.cfg.OnDemote(demoted)
+				n.cfg.OnDemote(d.demoted)
 			}
 		}
-		if len(lost) > 0 {
-			n.cfg.Logf("cluster: node %s demoted from shards %v (owner returned)", n.cfg.NodeID, lost)
+		if len(d.lost) > 0 {
+			n.cfg.Logf("cluster: node %s demoted from shards %v (owner returned)", n.cfg.NodeID, d.lost)
 		}
 		if logGate {
 			n.cfg.Logf("cluster: node %s sees %d/%d quorum members (lease held: %v); holding promotion of shards %v",
-				n.cfg.NodeID, reach, n.cfg.Quorum, held, gained)
+				n.cfg.NodeID, d.reach, n.cfg.Quorum, d.held, d.gained)
 		}
-		if len(gained) > 0 && !busy && !gated {
-			n.promote(gained)
+		// The touch that lifts a gate retries a gated promotion; what moved
+		// while one ran, on this goroutine, is a token in wake or a deadline
+		// now due; a failed one retries after LeaseDuration.
+		if len(d.gained) > 0 && !d.gated && !n.promote(d.gained) {
+			if retry := time.Now().Add(n.cfg.LeaseDuration); d.next.IsZero() || retry.Before(d.next) {
+				d.next = retry
+			}
+		}
+		// A timer is never early: FailAfter - LeaseDuration stays whole. A
+		// lone member has no deadline; due stays nil, never ready.
+		var due <-chan time.Time
+		if !d.next.IsZero() {
+			due = time.After(time.Until(d.next))
+		}
+		select {
+		case <-n.stopCh:
+			return
+		case <-n.wake:
+		case <-due:
 		}
 	}
 }
@@ -642,32 +702,32 @@ func (n *Node) membershipLoop() {
 // survives the owner), mints the shards' next epoch so every write it
 // will apply outranks any straggler from the previous primary, then
 // serves. The warm replica state makes this a frontier check plus at
-// most one state fetch, not a cold replay.
-func (n *Node) promote(shards []uint32) {
+// most one state fetch, not a cold replay. It reports whether the
+// shards are now served.
+func (n *Node) promote(shards []uint32) bool {
 	if n.cfg.OnPromoteStart != nil {
 		n.cfg.OnPromoteStart(shards)
 	}
 	n.cfg.Logf("cluster: node %s promoting for shards %v", n.cfg.NodeID, shards)
+	start := time.Now()
 	n.catchUpFromPeers(shards)
-	if err := n.cfg.Backend.BumpEpochs(shards); err != nil {
-		// Without the fencing epoch the takeover is not safe to serve;
-		// stand down and let the next membership tick retry.
+	err := n.cfg.Backend.BumpEpochs(shards)
+	n.lastPromotion.Store(int64(time.Since(start)))
+	if err != nil {
+		// Without the fencing epoch the takeover is not safe to serve.
 		n.cfg.Logf("cluster: node %s: epoch bump for shards %v failed, not serving: %v", n.cfg.NodeID, shards, err)
-		n.mu.Lock()
-		n.promoting = false
-		n.mu.Unlock()
-		return
+		return false
 	}
 	n.mu.Lock()
 	for _, s := range shards {
 		n.serving[s] = true
 	}
-	n.promoting = false
 	n.mu.Unlock()
 	if n.cfg.OnPromoteDone != nil {
 		n.cfg.OnPromoteDone(shards)
 	}
 	n.cfg.Logf("cluster: node %s now primary for shards %v", n.cfg.NodeID, shards)
+	return true
 }
 
 // catchUpFromPeers queries every reachable peer's frontier and
@@ -757,11 +817,7 @@ func (n *Node) queryFrontier(p Peer) (vers, epochs []uint64, err error) {
 		return nil, nil, err
 	}
 	defer conn.Close()
-	if err := wire.WriteReplFrame(conn, wire.EncodeFrontierRequest()); err != nil {
-		return nil, nil, err
-	}
-	conn.SetReadDeadline(time.Now().Add(dialTimeout))
-	b, err := wire.ReadReplFrame(conn)
+	b, err := replCall(conn, wire.EncodeFrontierRequest(), dialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -775,32 +831,13 @@ func (n *Node) queryFrontier(p Peer) (vers, epochs []uint64, err error) {
 	return f.Vers, f.Epochs, nil
 }
 
-// fetchState fetches a peer's full state image and the log position it
-// covers.
+// fetchState dials a peer for its full state image and the log
+// position it covers.
 func (n *Node) fetchState(p Peer) (map[uint32]durable.ShardState, uint64, error) {
 	conn, _, err := n.dialRepl(p)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer conn.Close()
-	if err := wire.WriteReplFrame(conn, wire.EncodeStateRequest()); err != nil {
-		return nil, 0, err
-	}
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second)) // images can be large
-	b, err := wire.ReadReplFrame(conn)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := wire.ParseStateResponse(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if st.Status != wire.StatusOK {
-		return nil, 0, fmt.Errorf("cluster: peer %s state: %s", p.ID, st.Status)
-	}
-	img, err := durable.DecodeState(st.Image)
-	if err != nil {
-		return nil, 0, err
-	}
-	return img, st.ResumeLSN, nil
+	return n.stateCatchUp(conn)
 }

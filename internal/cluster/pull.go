@@ -37,13 +37,19 @@ func (n *Node) pullLoop(p Peer) {
 		default:
 		}
 		if err := n.pullSession(p); err != nil {
-			backoff := pullBackoff
-			if errors.Is(err, ErrReplStale) || errors.Is(err, ErrReplDiverged) {
+			// A hello from p proves it is up and ends the wait after a dial it
+			// did not answer (a token from an earlier hello costs one early
+			// retry); any other failure, a quarantine above all, waits in full.
+			backoff, up := pullBackoff, (chan struct{})(nil)
+			if op := (*net.OpError)(nil); errors.As(err, &op) && op.Op == "dial" {
+				up = n.redial[p.ID]
+			} else if errors.Is(err, ErrReplStale) || errors.Is(err, ErrReplDiverged) {
 				backoff = quarantineBackoff
 			}
 			select {
 			case <-n.stopCh:
 				return
+			case <-up:
 			case <-time.After(backoff):
 			}
 		}
@@ -61,16 +67,7 @@ func (n *Node) pullSession(p Peer) error {
 	// cares that the peer answers, not that records flow.
 	n.touch(p.ID)
 
-	// Stop unblocks reads by closing the connection.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-n.stopCh:
-			conn.Close()
-		case <-done:
-		}
-	}()
+	defer n.closeOnStop(conn)()
 
 	// pos is where reading resumes; ack is the position this node
 	// VOUCHES for — everything at or below it applied here and is
@@ -90,19 +87,9 @@ func (n *Node) pullSession(p Peer) error {
 		// peer's whole log would race its pruning. Install a state
 		// image (idempotent: only (epoch, version)-newer shards land)
 		// and pull from the position it covers.
-		img, resumeAt, err := n.stateCatchUp(conn)
-		if err != nil {
+		if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
 			return err
 		}
-		covered, err := n.cfg.Backend.InstallState(img)
-		if err != nil {
-			return err
-		}
-		pos = resumeAt
-		if covered {
-			ack = resumeAt
-		}
-		n.setResume(p.ID, pos, ack)
 	}
 
 	for {
@@ -111,13 +98,9 @@ func (n *Node) pullSession(p Peer) error {
 			AckLSN:     ack,
 			WaitMillis: uint32(n.cfg.PullWait / time.Millisecond),
 		}
-		if err := wire.WriteReplFrame(conn, req.Encode()); err != nil {
-			return err
-		}
 		// The peer parks a caught-up pull for WaitMillis; allow that
 		// plus generous slack before declaring the stream dead.
-		conn.SetReadDeadline(time.Now().Add(n.cfg.PullWait + dialTimeout))
-		b, err := wire.ReadReplFrame(conn)
+		b, err := replCall(conn, req.Encode(), n.cfg.PullWait+dialTimeout)
 		if err != nil {
 			return err
 		}
@@ -133,19 +116,9 @@ func (n *Node) pullSession(p Peer) error {
 		if resp.Pruned {
 			// Our tail was pruned out from under us (the peer was not
 			// pinned while we were away). Re-enter via a state image.
-			img, resumeAt, err := n.stateCatchUp(conn)
-			if err != nil {
+			if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
 				return err
 			}
-			covered, err := n.cfg.Backend.InstallState(img)
-			if err != nil {
-				return err
-			}
-			pos = resumeAt
-			if covered {
-				ack = resumeAt
-			}
-			n.setResume(p.ID, pos, ack)
 			continue
 		}
 
@@ -178,18 +151,53 @@ func (n *Node) pullSession(p Peer) error {
 		pos = resp.ResumeLSN
 		ack = pos
 		n.setResume(p.ID, pos, ack)
-		n.observeLag(p.ID, resp.End, pos)
 	}
+}
+
+// resync installs the peer's state image and returns where to pull from
+// next and the ack, moved there only if the image covered local state.
+func (n *Node) resync(conn net.Conn, peer string, ack uint64) (uint64, uint64, error) {
+	img, pos, err := n.stateCatchUp(conn)
+	if err != nil {
+		return 0, ack, err
+	}
+	covered, err := n.cfg.Backend.InstallState(img)
+	if err != nil {
+		return 0, ack, err
+	}
+	if covered {
+		ack = pos
+	}
+	n.setResume(peer, pos, ack)
+	return pos, ack, nil
+}
+
+// closeOnStop lets Stop unblock conn's reads by closing it, until called off.
+func (n *Node) closeOnStop(conn net.Conn) func() {
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-n.stopCh:
+			conn.Close()
+		case <-done:
+		}
+	}()
+	return func() { close(done) }
+}
+
+// replCall writes one request frame and reads its answer within timeout.
+func replCall(conn net.Conn, req []byte, timeout time.Duration) ([]byte, error) {
+	if err := wire.WriteReplFrame(conn, req); err != nil {
+		return nil, err
+	}
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	return wire.ReadReplFrame(conn)
 }
 
 // stateCatchUp requests a state image on an established replication
 // connection.
 func (n *Node) stateCatchUp(conn net.Conn) (map[uint32]durable.ShardState, uint64, error) {
-	if err := wire.WriteReplFrame(conn, wire.EncodeStateRequest()); err != nil {
-		return nil, 0, err
-	}
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	b, err := wire.ReadReplFrame(conn)
+	b, err := replCall(conn, wire.EncodeStateRequest(), 30*time.Second) // images can be large
 	if err != nil {
 		return nil, 0, err
 	}
@@ -212,19 +220,6 @@ func (n *Node) setResume(peer string, pos, ack uint64) {
 	n.resume[peer] = pos
 	if ack > n.acked[peer] {
 		n.acked[peer] = ack
-	}
-	n.mu.Unlock()
-}
-
-// observeLag records how far behind this node is on a peer's log, for
-// the local follower-side view (the peer's own stats expose the
-// authoritative per-follower lag).
-func (n *Node) observeLag(peer string, end, pos uint64) {
-	n.mu.Lock()
-	if end > pos {
-		n.lag[peer] = end - pos
-	} else {
-		n.lag[peer] = 0
 	}
 	n.mu.Unlock()
 }
@@ -259,16 +254,7 @@ func (n *Node) acceptLoop() {
 // up.
 func (n *Node) serveRepl(conn net.Conn) {
 	defer conn.Close()
-
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-n.stopCh:
-			conn.Close()
-		case <-done:
-		}
-	}()
+	defer n.closeOnStop(conn)()
 
 	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	b, err := wire.ReadReplFrame(conn)
@@ -290,6 +276,7 @@ func (n *Node) serveRepl(conn net.Conn) {
 		return
 	}
 	n.touch(hello.NodeID)
+	nudge(n.redial[hello.NodeID]) // nil for a stranger: a no-op
 
 	for {
 		conn.SetReadDeadline(time.Time{})
@@ -342,12 +329,10 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 	if max <= 0 || max > wire.MaxPullRecords {
 		max = wire.MaxPullRecords
 	}
+	// Park while caught up, until the log grows or the poll budget ends
+	// (a log already past FromLSN returns at once), then read it once.
+	n.cfg.Log.WaitEnd(req.FromLSN+1, time.Duration(req.WaitMillis)*time.Millisecond)
 	recs, pos, err := n.cfg.Log.ReadRecords(req.FromLSN, max)
-	if err == nil && len(recs) == 0 && pos == req.FromLSN && req.WaitMillis > 0 {
-		// Caught up: park until the log grows or the poll budget ends.
-		n.cfg.Log.WaitEnd(req.FromLSN+1, time.Duration(req.WaitMillis)*time.Millisecond)
-		recs, pos, err = n.cfg.Log.ReadRecords(req.FromLSN, max)
-	}
 	if errors.Is(err, durable.ErrPruned) {
 		return wire.PullResponse{Status: wire.StatusOK, Pruned: true, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
 	}

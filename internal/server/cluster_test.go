@@ -40,10 +40,8 @@ func reservePort(t testing.TB) string {
 	return addr
 }
 
-// startTestCluster boots a size-node cluster on ephemeral ports with a
-// tight failure detector, and registers cleanup for whatever the test
-// has not already killed.
-func startTestCluster(t testing.TB, size, shards, quorum int) []*cnode {
+// testPeers reserves client and replication addresses for size members.
+func testPeers(t testing.TB, size int) []cluster.Peer {
 	t.Helper()
 	peers := make([]cluster.Peer, size)
 	for i := range peers {
@@ -53,55 +51,75 @@ func startTestCluster(t testing.TB, size, shards, quorum int) []*cnode {
 			ReplAddr:   reservePort(t),
 		}
 	}
+	return peers
+}
+
+// bootNode builds member i of peers with a tight failure detector,
+// binds it and starts serving.
+func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum int) *cnode {
+	t.Helper()
+	p := peers[i]
+	srv, err := server.New(server.Config{
+		N:       4,
+		K:       2,
+		Shards:  shards,
+		DataDir: filepath.Join(dir, p.ID),
+		Fsync:   durable.SyncAlways,
+		Cluster: &server.ClusterConfig{
+			NodeID:        p.ID,
+			Peers:         peers,
+			Quorum:        quorum,
+			FailAfter:     400 * time.Millisecond,
+			PullWait:      50 * time.Millisecond,
+			QuorumTimeout: 5 * time.Second,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Listen(p.ClientAddr); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	n := &cnode{id: p.ID, addr: p.ClientAddr, srv: srv}
+	n.stop = func() error {
+		if n.dead {
+			return nil
+		}
+		n.dead = true
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		err := srv.Shutdown(ctx)
+		if serr := <-served; serr != nil && err == nil {
+			err = serr
+		}
+		return err
+	}
+	return n
+}
+
+// stopAll stops whatever the test has not already killed.
+func stopAll(t testing.TB, nodes []*cnode) {
+	for _, n := range nodes {
+		if err := n.stop(); err != nil {
+			t.Errorf("stopping %s: %v", n.id, err)
+		}
+	}
+}
+
+// startTestCluster boots a size-node cluster on ephemeral ports with a
+// tight failure detector, and registers cleanup for whatever the test
+// has not already killed.
+func startTestCluster(t testing.TB, size, shards, quorum int) []*cnode {
+	t.Helper()
+	peers := testPeers(t, size)
 	dir := t.TempDir()
 	nodes := make([]*cnode, size)
-	for i, p := range peers {
-		srv, err := server.New(server.Config{
-			N:       4,
-			K:       2,
-			Shards:  shards,
-			DataDir: filepath.Join(dir, p.ID),
-			Fsync:   durable.SyncAlways,
-			Cluster: &server.ClusterConfig{
-				NodeID:        p.ID,
-				Peers:         peers,
-				Quorum:        quorum,
-				FailAfter:     400 * time.Millisecond,
-				PullWait:      50 * time.Millisecond,
-				QuorumTimeout: 5 * time.Second,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.Listen(p.ClientAddr); err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve() }()
-		n := &cnode{id: p.ID, addr: p.ClientAddr, srv: srv}
-		n.stop = func() error {
-			if n.dead {
-				return nil
-			}
-			n.dead = true
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			err := srv.Shutdown(ctx)
-			if serr := <-served; serr != nil && err == nil {
-				err = serr
-			}
-			return err
-		}
-		nodes[i] = n
+	for i := range peers {
+		nodes[i] = bootNode(t, dir, peers, i, shards, quorum)
 	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			if err := n.stop(); err != nil {
-				t.Errorf("stopping %s: %v", n.id, err)
-			}
-		}
-	})
+	t.Cleanup(func() { stopAll(t, nodes) })
 	return nodes
 }
 
@@ -367,4 +385,76 @@ func TestClusterQuorumOneDoesNotWaitForFollowers(t *testing.T) {
 	if v, err := c.Add(0, 1); err != nil || v != 1 {
 		t.Fatalf("Add on lone primary at quorum 1 = %d, %v", v, err)
 	}
+}
+
+// TestClusterServesOnContactAndRedialsOnHello is the wiring test for
+// the event-driven control plane, over real sockets. Both bounds are
+// below what a polling loop can reach by construction: at FailAfter
+// 400ms a FailAfter/4 tick first looks 100ms after Start, and a pull
+// loop whose dial was refused sleeps out a 200ms backoff. node-0 starts
+// alone and is refused by both peers; node-1 and node-2 follow.
+//
+//   - Every shard is served within 100ms of the last boot, node-2's own
+//     included: the contact that completes a quorum is what promotes.
+//   - node-2 has answered two pulls within 50ms of its boot. Nothing is
+//     written, so its log does not grow and a follower's first pull
+//     parks for the 50ms PullWait: two pulls are node-0's and node-1's,
+//     and node-0's pull loop did not wait out its backoff — node-2's
+//     hello ended it.
+//
+// The bounds are structural, the machine is shared: the best of three
+// boots has to meet them.
+func TestClusterServesOnContactAndRedialsOnHello(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node cluster test")
+	}
+	var serve, session time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		serve, session = bootStaggered(t)
+		if serve < 100*time.Millisecond && session < 50*time.Millisecond {
+			return
+		}
+		t.Logf("boot %d: every shard served after %v, node-2 pulled from by both peers after %v", attempt, serve, session)
+	}
+	t.Fatalf("at best: every shard served %v after the last boot (want < 100ms), node-0 and node-1 pulling from node-2 after %v (want < 50ms)", serve, session)
+}
+
+// bootStaggered boots node-0, lets its first dials be refused, boots
+// node-1 and node-2, and reports how long after node-2's boot every
+// shard was served and node-2 had answered two pulls.
+func bootStaggered(t *testing.T) (serve, session time.Duration) {
+	const shards = 16
+	peers := testPeers(t, 3)
+	dir := t.TempDir()
+	var nodes []*cnode
+	defer func() { stopAll(t, nodes) }()
+	nodes = append(nodes, bootNode(t, dir, peers, 0, shards, 2))
+	time.Sleep(30 * time.Millisecond)
+	nodes = append(nodes, bootNode(t, dir, peers, 1, shards, 2))
+	nodes = append(nodes, bootNode(t, dir, peers, 2, shards, 2))
+	booted := time.Now()
+	for serve == 0 || session == 0 {
+		if time.Since(booted) > 10*time.Second {
+			t.Fatalf("10s after boot: every shard served after %v, two pulls at node-2 after %v (0 = never)", serve, session)
+		}
+		served := 0
+		for s := uint32(0); s < shards; s++ {
+			for _, n := range nodes {
+				if n.srv.Node().Owns(s) {
+					served++
+				}
+			}
+		}
+		if serve == 0 && served == shards {
+			if nodes[2].srv.Promotions() == 0 {
+				t.Fatal("the ring gives node-2 no shard: the serve bound would not cover the last member's own promotion")
+			}
+			serve = time.Since(booted)
+		}
+		if session == 0 && nodes[2].srv.Node().PullsServed() >= 2 {
+			session = time.Since(booted)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return serve, session
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"kexclusion/internal/obs"
 	"kexclusion/internal/wire"
@@ -48,11 +49,14 @@ func goldenStats() wire.Stats {
 	return wire.Stats{
 		ActiveSessions: 3, AdmitQueue: 1, Admitted: 42, AppliedDupes: 5,
 		BatchAtomic: 6, Draining: false, IdleReclaims: 2, Impl: "fastpath",
-		InflightOps: 4, K: 2, LeaseDemotions: 2, LeaseExpirations: 1,
-		LeaseHeld: true, N: 8, ObjMapOps: 21, ObjQueueOps: 13,
+		InflightOps: 4, K: 2, LastPromotion: 7500 * time.Microsecond,
+		LeaseDemotions: 2, LeaseExpirations: 1,
+		LeaseHeld: true, LeaseMargin: 850 * time.Millisecond,
+		N: 8, ObjMapOps: 21, ObjQueueOps: 13,
 		ObjRegisterOps: 8, ObjSnapshotOps: 2, OpDeadlines: 1,
-		PerShard: []obs.Snapshot{snap, idle},
-		Phase:    "degraded", ReadFastpath: 33, Reclaimed: 39,
+		PeerContactAge: map[string]time.Duration{"node-c": 2 * time.Second, "node-b": 150 * time.Millisecond},
+		PerShard:       []obs.Snapshot{snap, idle},
+		Phase:          "degraded", ReadFastpath: 33, Reclaimed: 39,
 		RecoveredOps: 17, Rejected: 6, ReplPullsServed: 14, RestartCount: 3,
 		Shards: 2, ShedAdmissions: 11, ShedOps: 9,
 		WALFsyncNanos: 3_250_000, WALFsyncs: 15, WALReadBytes: 4096,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -72,9 +73,11 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	counter("idle_reclaims_total", "Sessions torn down by the idle watchdog.", st.IdleReclaims)
 	gauge("inflight_ops", "Object operations currently executing (the shed ceiling's input).", st.InflightOps)
 	gauge("k", "Resiliency level: concurrent holders per shard.", int64(st.K))
+	scalar("last_promotion_seconds", "gauge", "Catch-up plus epoch bump of the most recent shard takeover (0 before one, and off-cluster).", st.LastPromotion.Seconds())
 	counter("lease_demotions_total", "Shards self-demoted on leader lease expiry (0 off-cluster).", st.LeaseDemotions)
 	counter("lease_expirations_total", "Leader lease held-to-expired transitions (0 off-cluster).", st.LeaseExpirations)
 	gauge("lease_held", "1 while a quorum of peers witnesses this node's leader lease (vacuously 1 off-cluster and at quorum 1).", b01(st.LeaseHeld))
+	scalar("lease_margin_seconds", "gauge", "Time until the quorum-th youngest lease witness ages out (0 when the lease is not held or vacuous).", st.LeaseMargin.Seconds())
 	gauge("n", "Process identities (max concurrent sessions).", int64(st.N))
 	counter("notprimary_redirects_total", "Operations refused with the owning primary's address (never applied here).", st.NotPrimaryRedirects)
 	counter("obj_map_ops_total", "Completed operations on map objects.", st.ObjMapOps)
@@ -84,6 +87,12 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	counter("op_deadlines_total", "Operations withdrawn on per-op deadline expiry (never applied).", st.OpDeadlines)
 	gauge("open_fds", "Open file descriptors in the server process (-1 if unreadable).", int64(openFDs))
 
+	peers := make([]string, 0, len(st.PeerContactAge))
+	for id, age := range st.PeerContactAge {
+		peers = append(peers, fmt.Sprintf("kexserved_peer_last_contact_age_seconds{peer=%q} %v\n", id, age.Seconds()))
+	}
+	sort.Strings(peers)
+	fmt.Fprintf(&b, "# HELP kexserved_peer_last_contact_age_seconds Time since each cluster peer last reached this node; since start for a peer not heard from (no samples off-cluster).\n# TYPE kexserved_peer_last_contact_age_seconds gauge\n%s", strings.Join(peers, ""))
 	fmt.Fprintf(&b, "# HELP kexserved_phase Server lifecycle phase as a one-hot gauge.\n# TYPE kexserved_phase gauge\n")
 	for _, name := range promPhaseNames {
 		fmt.Fprintf(&b, "kexserved_phase{phase=%q} %d\n", name, b01(st.Phase == name))

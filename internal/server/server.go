@@ -473,6 +473,7 @@ func (s *Server) Stats() wire.Stats {
 		st.LeaseHeld = s.node.LeaseHeld()
 		st.LeaseExpirations = s.node.LeaseExpirations()
 		st.LeaseDemotions = s.node.LeaseDemotions()
+		st.PeerContactAge, st.LeaseMargin, st.LastPromotion = s.node.Timings()
 	} else {
 		st.LeaseHeld = true // vacuous off-cluster: nobody can depose us
 	}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"kexclusion/internal/obs"
 )
@@ -362,15 +363,19 @@ type Stats struct {
 	// executing (the shed ceiling's input).
 	InflightOps int64 `json:"inflight_ops"`
 	K           int   `json:"k"`
+	// LastPromotion is the latest shard takeover's catch-up + epoch bump.
+	LastPromotion time.Duration `json:"last_promotion_ns"`
 	// LeaseDemotions counts shards this node self-demoted because its
 	// leader lease expired; LeaseExpirations counts held->expired lease
 	// transitions; LeaseHeld reports whether a quorum of peers
 	// currently witnesses this node's lease (true off-cluster and at
-	// quorum 1, where the lease is vacuous).
-	LeaseDemotions   int64 `json:"lease_demotions"`
-	LeaseExpirations int64 `json:"lease_expirations"`
-	LeaseHeld        bool  `json:"lease_held"`
-	N                int   `json:"n"`
+	// quorum 1, where the lease is vacuous); LeaseMargin is how long until
+	// the quorum-th youngest witness ages out (zero when not held or vacuous).
+	LeaseDemotions   int64         `json:"lease_demotions"`
+	LeaseExpirations int64         `json:"lease_expirations"`
+	LeaseHeld        bool          `json:"lease_held"`
+	LeaseMargin      time.Duration `json:"lease_margin_ns"`
+	N                int           `json:"n"`
 	// NotPrimaryRedirects counts operations refused with
 	// StatusNotPrimary because the addressed shard is owned by another
 	// node in the cluster placement (never applied; zero off-cluster).
@@ -385,6 +390,9 @@ type Stats struct {
 	// OpDeadlines counts operations withdrawn because their per-op
 	// deadline expired while waiting for a slot (StatusTimeout).
 	OpDeadlines int64 `json:"op_deadlines"`
+	// PeerContactAge is the time since each cluster peer last reached this
+	// node, or since its start for one not heard from (nil off-cluster).
+	PeerContactAge map[string]time.Duration `json:"peer_contact_age_ns"`
 	// PerShard holds one acquisition-metrics snapshot per shard.
 	PerShard []obs.Snapshot `json:"per_shard"`
 	// Phase is the server's lifecycle phase (starting, recovering,

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"kexclusion/internal/obs"
 )
@@ -157,6 +158,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		AdmitQueue: 12, InflightOps: 13, ShedAdmissions: 14, ShedOps: 15,
 		NotPrimaryRedirects: 16, QuorumAcks: 17, ReplicaLagLSN: 18,
 		LeaseHeld: true, LeaseExpirations: 19, LeaseDemotions: 20,
+		LeaseMargin: 21, LastPromotion: 22, PeerContactAge: map[string]time.Duration{"b": 23, "c": 24},
 		Phase:    "degraded",
 		Draining: true,
 		PerShard: []obs.Snapshot{m.Snapshot()},
@@ -183,6 +185,9 @@ func TestStatsRoundTrip(t *testing.T) {
 	if !got.LeaseHeld || got.LeaseExpirations != 19 || got.LeaseDemotions != 20 {
 		t.Errorf("lease fields lost: %+v", got)
 	}
+	if got.LeaseMargin != 21 || got.LastPromotion != 22 || got.PeerContactAge["b"] != 23 || got.PeerContactAge["c"] != 24 {
+		t.Errorf("contact fields lost: %+v", got)
+	}
 	for _, key := range []string{"idle_reclaims", "op_deadlines", "applied_dupes", "recovered_ops", "restart_count", "admit_queue", "inflight_ops", "phase", "shed_admissions", "shed_ops", "notprimary_redirects", "quorum_acks", "replica_lag_lsn", "lease_held", "lease_expirations", "lease_demotions"} {
 		if !bytes.Contains(s.JSON(), []byte(`"`+key+`"`)) {
 			t.Errorf("stats JSON missing %q", key)
@@ -204,10 +209,10 @@ func TestStatsJSONGolden(t *testing.T) {
 	s := Stats{
 		ActiveSessions: 1, AdmitQueue: 10, Admitted: 2, AppliedDupes: 3,
 		BatchAtomic: 19, Draining: true, IdleReclaims: 4, Impl: "fastpath",
-		InflightOps: 11, K: 2, LeaseDemotions: 18, LeaseExpirations: 17,
-		LeaseHeld: true, N: 8, NotPrimaryRedirects: 14,
+		InflightOps: 11, K: 2, LastPromotion: 29, LeaseDemotions: 18, LeaseExpirations: 17,
+		LeaseHeld: true, LeaseMargin: 30, N: 8, NotPrimaryRedirects: 14,
 		ObjMapOps: 20, ObjQueueOps: 21, ObjRegisterOps: 22, ObjSnapshotOps: 23,
-		OpDeadlines: 5, PerShard: nil,
+		OpDeadlines: 5, PeerContactAge: map[string]time.Duration{"node-b": 31}, PerShard: nil,
 		Phase: "running", QuorumAcks: 15, ReadFastpath: 24, Reclaimed: 6,
 		RecoveredOps: 7, Rejected: 8, ReplPullsServed: 25, ReplicaLagLSN: 16,
 		RestartCount: 9, Shards: 4, ShedAdmissions: 12, ShedOps: 13,
@@ -216,10 +221,10 @@ func TestStatsJSONGolden(t *testing.T) {
 	const want = `{"active_sessions":1,"admit_queue":10,"admitted":2,"applied_dupes":3,` +
 		`"batch_atomic":19,` +
 		`"draining":true,"idle_reclaims":4,"impl":"fastpath","inflight_ops":11,` +
-		`"k":2,"lease_demotions":18,"lease_expirations":17,"lease_held":true,` +
-		`"n":8,"notprimary_redirects":14,` +
+		`"k":2,"last_promotion_ns":29,"lease_demotions":18,"lease_expirations":17,"lease_held":true,` +
+		`"lease_margin_ns":30,"n":8,"notprimary_redirects":14,` +
 		`"obj_map_ops":20,"obj_queue_ops":21,"obj_register_ops":22,"obj_snapshot_ops":23,` +
-		`"op_deadlines":5,"per_shard":null,` +
+		`"op_deadlines":5,"peer_contact_age_ns":{"node-b":31},"per_shard":null,` +
 		`"phase":"running","quorum_acks":15,"read_fastpath":24,"reclaimed":6,` +
 		`"recovered_ops":7,` +
 		`"rejected":8,"repl_pulls_served":25,"replica_lag_lsn":16,` +
