@@ -13,7 +13,6 @@ import (
 type stubBackend struct{}
 
 func (stubBackend) ApplyReplicated([]durable.Record) (uint64, error) { return 0, nil }
-func (stubBackend) WaitLocalDurable(uint64) error                    { return nil }
 func (stubBackend) InstallState(map[uint32]durable.ShardState) (bool, error) {
 	return true, nil
 }

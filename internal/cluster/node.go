@@ -72,9 +72,6 @@ type Backend interface {
 	// batch produced (0 when everything was skipped) and classifies
 	// failures with ErrReplGap, ErrReplStale or ErrReplDiverged.
 	ApplyReplicated(recs []durable.Record) (uint64, error)
-	// WaitLocalDurable blocks until the local WAL has fsynced lsn —
-	// the precondition for acknowledging replicated records upstream.
-	WaitLocalDurable(lsn uint64) error
 	// InstallState folds a full per-shard image into the local table,
 	// keeping only shards (epoch, version)-ahead of local state, and
 	// persists a local snapshot so the catch-up survives a restart.
@@ -130,16 +127,6 @@ type Config struct {
 	QuorumTimeout time.Duration
 	// Logf receives membership and promotion notices.
 	Logf func(format string, args ...any)
-	// OnPromoteStart and OnPromoteDone bracket a promotion: the node
-	// is taking over the listed shards and is replaying peer state
-	// (recovering), then serving them (running). Wired to the server's
-	// lifecycle phases.
-	OnPromoteStart func(shards []uint32)
-	OnPromoteDone  func(shards []uint32)
-	// OnDemote fires when the node stops serving shards outside a
-	// graceful handover — today, on lease expiry. Wired to the server's
-	// lifecycle (running -> degraded).
-	OnDemote func(shards []uint32)
 }
 
 func (c *Config) fill() error {
@@ -226,6 +213,7 @@ type Node struct {
 	leaseExpirations atomic.Int64 // held -> expired transitions
 	leaseDemotions   atomic.Int64 // shards self-demoted on lease expiry
 	pullsServed      atomic.Int64 // replication pulls answered from the WAL
+	promotions       atomic.Int64 // shard takeovers completed (promote returned true)
 	lastPromotion    atomic.Int64 // ns the latest promote spent on catch-up + epoch bump
 
 	wake   chan struct{}            // touch -> membershipLoop: a predicate's input changed
@@ -389,6 +377,9 @@ func (n *Node) LeaseExpirations() int64 { return n.leaseExpirations.Load() }
 
 // LeaseDemotions counts shards self-demoted on lease expiry.
 func (n *Node) LeaseDemotions() int64 { return n.leaseDemotions.Load() }
+
+// Promotions counts the shard takeovers this node has completed.
+func (n *Node) Promotions() int64 { return n.promotions.Load() }
 
 // PullsServed counts replication pulls this node has answered.
 func (n *Node) PullsServed() int64 { return n.pullsServed.Load() }
@@ -661,9 +652,6 @@ func (n *Node) membershipLoop() {
 		if len(d.demoted) > 0 {
 			n.cfg.Logf("cluster: node %s lease expired (%d/%d witnesses); self-demoted from shards %v",
 				n.cfg.NodeID, d.witnesses, n.cfg.Quorum, d.demoted)
-			if n.cfg.OnDemote != nil {
-				n.cfg.OnDemote(d.demoted)
-			}
 		}
 		if len(d.lost) > 0 {
 			n.cfg.Logf("cluster: node %s demoted from shards %v (owner returned)", n.cfg.NodeID, d.lost)
@@ -696,18 +684,14 @@ func (n *Node) membershipLoop() {
 }
 
 // promote takes over shards — a dead owner's, or this node's own at
-// boot: it declares the recovering phase, closes the quorum-exactness
-// gap by catching up from every reachable peer (an acked record lives
-// on a quorum, and at least one reachable member of any quorum
-// survives the owner), mints the shards' next epoch so every write it
-// will apply outranks any straggler from the previous primary, then
-// serves. The warm replica state makes this a frontier check plus at
-// most one state fetch, not a cold replay. It reports whether the
-// shards are now served.
+// boot: it closes the quorum-exactness gap by catching up from every
+// reachable peer (an acked record lives on a quorum, and at least one
+// reachable member of any quorum survives the owner), mints the shards'
+// next epoch so every write it will apply outranks any straggler from
+// the previous primary, then serves. The warm replica state makes this
+// a frontier check plus at most one state fetch, not a cold replay. It
+// reports whether the shards are now served.
 func (n *Node) promote(shards []uint32) bool {
-	if n.cfg.OnPromoteStart != nil {
-		n.cfg.OnPromoteStart(shards)
-	}
 	n.cfg.Logf("cluster: node %s promoting for shards %v", n.cfg.NodeID, shards)
 	start := time.Now()
 	n.catchUpFromPeers(shards)
@@ -723,9 +707,7 @@ func (n *Node) promote(shards []uint32) bool {
 		n.serving[s] = true
 	}
 	n.mu.Unlock()
-	if n.cfg.OnPromoteDone != nil {
-		n.cfg.OnPromoteDone(shards)
-	}
+	n.promotions.Add(1)
 	n.cfg.Logf("cluster: node %s now primary for shards %v", n.cfg.NodeID, shards)
 	return true
 }
@@ -752,7 +734,7 @@ func (n *Node) catchUpFromPeers(shards []uint32) {
 			if int(s) >= len(frontV) {
 				continue
 			}
-			if frontE[s] > localE[s] || (frontE[s] == localE[s] && frontV[s] > localV[s]) {
+			if durable.Ahead(frontE[s], frontV[s], localE[s], localV[s]) {
 				ahead = true
 				break
 			}

@@ -143,7 +143,7 @@ func (n *Node) pullSession(p Peer) error {
 				// Local fsync BEFORE the ack moves: the next pull's
 				// AckLSN vouches for this batch, so it must be on local
 				// disk first — the prefix-durability invariant.
-				if err := n.cfg.Backend.WaitLocalDurable(localLSN); err != nil {
+				if err := n.cfg.Log.WaitDurable(localLSN); err != nil {
 					return err
 				}
 			}

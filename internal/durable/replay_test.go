@@ -17,7 +17,10 @@ import (
 // stream covers every OpKind, cas hits and misses, deletes of absent
 // keys, dequeues on empty, ops on missing and wrongly typed objects,
 // three times more sessions than the window holds, and re-issued op
-// IDs (duplicate, stale, and re-applied after eviction).
+// IDs (duplicate, stale, and re-applied after eviction). (The follower's
+// half of the property — the same record list through recovery and
+// through ApplyReplicated — is TestRecoveryAndFollowerBitIdentical in
+// internal/server, which can see both.)
 //
 // The root register is one of the stream's targets, and a twin state
 // checks that it is nothing but a register: the twin takes the same
@@ -190,6 +193,30 @@ func TestLiveAndReplayBitIdentical(t *testing.T) {
 	}
 	if objOf(live, RootName) == nil {
 		t.Fatal("stream never wrote the root register: the twin compared nothing")
+	}
+
+	// The same records in the shapes a WAL and a replication stream
+	// deliver them — single ops, a 0xC2 container, a prefix delivered
+	// again (container included), and a last record that carries a
+	// promotion's epoch — must end in the same bytes, one epoch up.
+	last := log[len(log)-1]
+	last.Epoch = 1
+	shaped := append([]Record{}, log[:100]...)
+	shaped = append(shaped, Record{Atomic: log[100:104]})
+	shaped = append(shaped, log[:100]...)
+	shaped = append(shaped, Record{Atomic: log[100:104]})
+	shaped = append(shaped, log[104:len(log)-1]...)
+	shaped = append(shaped, last)
+	rec = Recovery{Shards: map[uint32]ShardState{}}
+	for i, r := range shaped {
+		if err := replayOp(r, uint64(i+1), window, &rec); err != nil {
+			t.Fatalf("replay of shaped record %d: %v", i, err)
+		}
+	}
+	adopted := live
+	adopted.Epoch = 1
+	if !bytes.Equal(stateImage(rec.Shards[0]), stateImage(adopted)) {
+		t.Fatal("the shaped log replayed to a different state than the flat one")
 	}
 
 	for i, s := range kept {

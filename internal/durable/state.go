@@ -152,9 +152,9 @@ func (s ShardState) Clone() ShardState { return s }
 
 // StepOp executes one mutation against s with dedup: the single source
 // of truth for live ops (inside the universal construction's op
-// closure), WAL replay and replicated apply, so a recovered table is
-// bit-identical to the pre-crash one — same values, same dedup entries,
-// same evictions.
+// closure) and, through Fold, for WAL replay and replicated apply, so a
+// recovered table is bit-identical to the pre-crash one — same values,
+// same dedup entries, same evictions.
 //
 // session==0 or seq==0 disables dedup for the op (anonymous clients,
 // idempotent kinds). window bounds the dedup map; <=0 means unbounded.
@@ -211,6 +211,102 @@ func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
 		}
 	}
 	return Outcome{Val: val, OK: ok, Applied: true, Ver: s.Ver, Epoch: s.Epoch}
+}
+
+// Ahead reports whether history position (epoch, ver) lies strictly past
+// (ofEpoch, ofVer). Every reconciliation ranks shard histories this way
+// — lexicographically, epoch first (see ShardState.Epoch) — and does it
+// here, so "comparing bare versions" has one place to be wrong.
+func Ahead(epoch, ver, ofEpoch, ofVer uint64) bool {
+	return epoch > ofEpoch || (epoch == ofEpoch && ver > ofVer)
+}
+
+// Verdict is how a logged record met a shard's (epoch, version).
+type Verdict uint8
+
+const (
+	// Applied: the shard's next version in its own epoch. The op was
+	// re-executed, agreed with the record, and *s moved.
+	Applied Verdict = iota
+	// Adopted: the next version at a HIGHER epoch — a promotion seen
+	// through the log. As Applied, and *s took the record's epoch.
+	Adopted
+	// Covered: at or below s.Ver in s's epoch — already inside the state
+	// (a snapshot image read after its cover LSN, a re-delivered batch).
+	Covered
+	// Fenced: from a lower epoch — the tail of a fork that a state
+	// install superseded. Never data.
+	Fenced
+	// Gap: past the next version; the record stream cannot bridge to s.
+	Gap
+	// Rewrite: a higher epoch at or below s.Ver — it would rewrite
+	// history without the install snapshot that must fence the old line.
+	Rewrite
+	// Diverged: the next version, but re-execution disagrees with the
+	// recorded (Val, OK, Ver).
+	Diverged
+)
+
+// Fold is the one rule by which a logged mutation r meets a shard's
+// state: recovery, a follower's replicated apply and the members of an
+// atomic container (folded one by one, each against its own shard) all
+// classify through it and differ only in what they do with the verdict.
+// *s moves on Applied and Adopted and is untouched otherwise: the step
+// runs on a private copy, because StepOp has already mutated its
+// argument by the time a divergence is visible.
+func Fold(s *ShardState, window int, r Record) Verdict {
+	switch {
+	case r.Epoch < s.Epoch:
+		return Fenced
+	case r.Ver <= s.Ver && r.Epoch > s.Epoch:
+		return Rewrite
+	case r.Ver <= s.Ver:
+		return Covered
+	case r.Ver != s.Ver+1:
+		return Gap
+	}
+	next := s.Clone()
+	next.Epoch = r.Epoch
+	out := StepOp(&next, window, r.Session, r.Seq, Op{Kind: r.Kind, Obj: r.Obj, Key: r.Key, Arg: r.Arg, Arg2: r.Arg2})
+	if !out.Applied || out.Val != r.Val || out.Ver != r.Ver || out.OK != r.OK {
+		return Diverged
+	}
+	adopted := r.Epoch > s.Epoch
+	*s = next
+	if adopted {
+		return Adopted
+	}
+	return Applied
+}
+
+// Contradicts cross-checks a Covered record against the dedup window:
+// if the window still remembers the record's op ID, its recorded
+// version and value must match; if the window remembers the session
+// but has never seen an op this new, s's history cannot contain the
+// record at all — despite claiming its version range — which is a
+// fork. Ops that aged out of the window (or carried no ID) pass: the
+// check is best-effort defense in depth behind epoch fencing, not a
+// proof.
+func (s ShardState) Contradicts(r Record) bool {
+	if r.Session == 0 || r.Seq == 0 {
+		return false
+	}
+	e, ok := s.Dedup.Get(r.Session)
+	if !ok {
+		return false // session evicted: cannot check
+	}
+	if r.Seq > e.Seq {
+		return true // s claims r.Ver yet never saw this op
+	}
+	if r.Seq == e.Seq {
+		return e.Ver != r.Ver || e.Val != r.Val || e.OK != r.OK
+	}
+	for _, old := range e.Recent {
+		if old.Seq == r.Seq {
+			return old.Ver != r.Ver || old.Val != r.Val || old.OK != r.OK
+		}
+	}
+	return false // aged out of the per-session history window
 }
 
 // applyOp executes op's state change on s, returning the result value

@@ -335,28 +335,20 @@ func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recov
 	return n, nil
 }
 
-// replayOp folds one op record into the recovering table. The snapshot
-// image may already include records appended after the snapshot's
-// cover LSN (the image is read after the cover is captured), so
-// coverage is judged per shard by (epoch, version), not by LSN.
-//
-// Epoch ordering: a record from a lower epoch than the recovering
-// state is the tail of a fork a replicated state install already
-// superseded — the install's snapshot fenced it, so the record is
-// skipped, never replayed over the acknowledged history. A record
-// from a HIGHER epoch that continues the version line is adopted,
-// epoch included: a follower that pulls a promoted primary's first
-// post-bump record appends it before any local snapshot at the new
-// epoch exists, so replay must cross epoch boundaries exactly the way
-// the live apply path does (contiguous version, higher epoch). A
-// higher-epoch record at or below the state's version would rewrite
-// history without the install snapshot that is required to fence it,
-// and is reported as corruption.
+// replayOp folds one op record into the recovering table; Fold is the
+// rule. The snapshot image may already include records appended after
+// the snapshot's cover LSN (the image is read after the cover is
+// captured), so coverage is judged per shard by (epoch, version), not by
+// LSN: a Covered record is inside the image and a Fenced one is the tail
+// of a fork the install's snapshot superseded, and both are skipped in
+// silence. An Adopted record is how replay crosses an epoch boundary
+// exactly as the live path did — a follower appends a promoted
+// primary's first post-bump record before any local snapshot at the new
+// epoch exists. Everything else is corruption and refuses the directory.
 func replayOp(r Record, lsn uint64, window int, rec *Recovery) error {
 	if len(r.Atomic) > 0 {
 		// An atomic group replays sub by sub: each sub carries its own
-		// shard's (epoch, version) coordinates, so the per-shard skip/
-		// gap/fork logic below applies unchanged — a snapshot that
+		// shard's (epoch, version) coordinates, so a snapshot that
 		// already covers some subs skips exactly those.
 		for _, sub := range r.Atomic {
 			if err := replayOp(sub, lsn, window, rec); err != nil {
@@ -366,27 +358,19 @@ func replayOp(r Record, lsn uint64, window int, rec *Recovery) error {
 		return nil
 	}
 	s := rec.Shards[r.Shard]
-	if r.Epoch < s.Epoch {
-		return nil // tail of a fork superseded by a state install
-	}
-	if r.Epoch > s.Epoch && r.Ver <= s.Ver {
+	switch Fold(&s, window, r) {
+	case Applied, Adopted:
+		rec.Shards[r.Shard] = s
+	case Rewrite:
 		return fmt.Errorf("durable: shard %d: record LSN %d at epoch %d rewrites version %d inside epoch-%d state (missing epoch-fencing snapshot)",
 			r.Shard, lsn, r.Epoch, r.Ver, s.Epoch)
-	}
-	if r.Ver <= s.Ver {
-		return nil // already inside the snapshot image
-	}
-	if r.Ver != s.Ver+1 {
+	case Gap:
 		return fmt.Errorf("durable: shard %d: record LSN %d has version %d, want %d (gap in shard history)",
 			r.Shard, lsn, r.Ver, s.Ver+1)
+	case Diverged:
+		return fmt.Errorf("durable: shard %d: replay of LSN %d diverged from its record (val=%d ok=%v ver=%d)",
+			r.Shard, lsn, r.Val, r.OK, r.Ver)
 	}
-	s.Epoch = r.Epoch // adopt an epoch bump that continues the line
-	out := StepOp(&s, window, r.Session, r.Seq, Op{Kind: r.Kind, Obj: r.Obj, Key: r.Key, Arg: r.Arg, Arg2: r.Arg2})
-	if !out.Applied || out.Val != r.Val || out.Ver != r.Ver || out.OK != r.OK {
-		return fmt.Errorf("durable: shard %d: replay of LSN %d diverged (applied=%v val=%d ok=%v ver=%d, recorded val=%d ok=%v ver=%d)",
-			r.Shard, lsn, out.Applied, out.Val, out.OK, out.Ver, r.Val, r.OK, r.Ver)
-	}
-	rec.Shards[r.Shard] = s
 	return nil
 }
 

@@ -1,9 +1,10 @@
 package server
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"kexclusion/internal/durable"
 	"kexclusion/internal/wire"
@@ -41,24 +42,34 @@ import (
 // hook: the group holds batchMu exclusively, so parking it on a chaos
 // gate would stall every mutation on the server.
 
-// atomicAck marks one response in an atomic group whose ack is
-// contingent on the group's durability frontier (index relative to
-// the group).
-type atomicAck struct {
-	idx   int
-	id    uint64
-	shard uint32
-	epoch uint64
+// span is the contiguous run of versions [first, last] one record
+// covers on one shard, all at one epoch: a single mutation's is one
+// version long, a group's may be several.
+type span struct {
+	shard       uint32
+	first, last uint64
+	epoch       uint64
+}
+
+// extend grows the span of r's shard over r, opening one at first touch.
+func extend(spans []span, r durable.Record) []span {
+	for i := range spans {
+		if spans[i].shard == r.Shard {
+			spans[i].last, spans[i].epoch = r.Ver, r.Epoch
+			return spans
+		}
+	}
+	return append(spans, span{shard: r.Shard, first: r.Ver, last: r.Ver, epoch: r.Epoch})
 }
 
 // applyAtomicStart validates and commits one atomic group as process
-// p, up to — but not including — its durability wait (the caller
-// funnels lsn into the pipeline's finishWait, like applyStart). resps
-// has one entry per request, in order. fresh is the number of newly
-// applied members, charged to the snapshot cadence by the caller.
+// p, up to — but not including — its durability wait (responses that
+// presume it are marked in the cycle's ledger, like applyStart's). It
+// returns one response per request, in order, and adds the newly
+// applied members to c.fresh for the snapshot cadence.
 //
 // The caller must hold the server's replMu.
-func (t *table) applyAtomicStart(p int, reqs []wire.Request) (resps []wire.Response, acks []atomicAck, lsn uint64, fresh int) {
+func (t *table) applyAtomicStart(p int, reqs []wire.Request, c *cycle) []wire.Response {
 	abortAll := func(at int, reason string) []wire.Response {
 		out := make([]wire.Response, len(reqs))
 		for i, req := range reqs {
@@ -83,10 +94,10 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request) (resps []wire.Respo
 	for i, req := range reqs {
 		op, ok := durableOp(req)
 		if !ok {
-			return abortAll(i, fmt.Sprintf("%s is not a mutation; atomic groups carry only mutations", req.Kind)), nil, 0, 0
+			return abortAll(i, fmt.Sprintf("%s is not a mutation; atomic groups carry only mutations", req.Kind))
 		}
 		if int(req.Shard) >= len(t.shards) || req.Shard >= 1<<31 {
-			return abortAll(i, fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards))), nil, 0, 0
+			return abortAll(i, fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards)))
 		}
 		ops[i] = op
 	}
@@ -95,29 +106,22 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request) (resps []wire.Respo
 	defer t.batchMu.Unlock()
 
 	// Step the group against private clones of the committed states.
-	type scratchShard struct {
-		st        durable.ShardState
-		baseVer   uint64
-		baseEpoch uint64
-		touched   bool
-	}
-	scratch := make(map[uint32]*scratchShard)
-	var order []uint32
+	scratch := make(map[uint32]*durable.ShardState)
 	outs := make([]durable.Outcome, len(reqs))
 	var subs []durable.Record
+	spans := make([]span, 0, len(reqs))
 	for i, req := range reqs {
 		sc := scratch[req.Shard]
 		if sc == nil {
-			base := t.shards[req.Shard].obj.Peek()
-			sc = &scratchShard{st: base.Clone(), baseVer: base.Ver, baseEpoch: base.Epoch}
+			base := t.shards[req.Shard].obj.Peek().Clone()
+			sc = &base
 			scratch[req.Shard] = sc
-			order = append(order, req.Shard)
 		}
-		out := durable.StepOp(&sc.st, t.window, req.Session, req.Seq, ops[i])
+		out := durable.StepOp(sc, t.window, req.Session, req.Seq, ops[i])
 		outs[i] = out
 		switch {
 		case out.Stale:
-			return abortAll(i, fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq)), nil, 0, 0
+			return abortAll(i, fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq))
 		case out.Duplicate:
 			// Answered from history below; moves nothing.
 		default:
@@ -126,19 +130,19 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request) (resps []wire.Respo
 				// aborts before anything is installed. The scratch clones
 				// are discarded, so the members stepped before this one
 				// never existed.
-				return abortAll(i, fmt.Sprintf("%s rejected (observed value %d)", req.Kind, out.Val)), nil, 0, 0
+				return abortAll(i, fmt.Sprintf("%s rejected (observed value %d)", req.Kind, out.Val))
 			}
-			sc.touched = true
 			subs = append(subs, durable.Record{
 				Session: req.Session, Seq: req.Seq, Shard: req.Shard,
 				Kind: ops[i].Kind, Obj: ops[i].Obj, Key: ops[i].Key,
 				Arg: ops[i].Arg, Arg2: ops[i].Arg2,
 				Val: out.Val, Ver: out.Ver, Epoch: out.Epoch, OK: true,
 			})
+			spans = extend(spans, subs[len(subs)-1])
 		}
 	}
 
-	resps = make([]wire.Response, len(reqs))
+	resps := make([]wire.Response, len(reqs))
 	for i, req := range reqs {
 		fl := foundFlag(req.Kind, outs[i].OK)
 		if outs[i].Duplicate {
@@ -151,104 +155,86 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request) (resps []wire.Respo
 		resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: fl, Value: outs[i].Val}
 	}
 
-	// Commit: install each touched shard's stepped clone. Under batchMu
-	// (no client mutations) and replMu (no replicated applies or state
-	// installs) the committed state cannot have moved since the Peek, so
-	// the version check cannot fail; it stands guard over that invariant
-	// rather than handling a reachable case.
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, sid := range order {
-		sc := scratch[sid]
-		if !sc.touched {
-			continue
-		}
-		v := t.shards[sid].obj.Apply(p, func(st durable.ShardState) (durable.ShardState, any) {
-			if st.Ver != sc.baseVer || st.Epoch != sc.baseEpoch {
+	// Commit: install each touched shard's stepped clone, in shard-index
+	// order. Under batchMu (no client mutations) and replMu (no replicated
+	// applies or state installs) the committed state cannot have moved
+	// since the Peek, so the version check cannot fail; it stands guard
+	// over that invariant rather than handling a reachable case.
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.shard, b.shard) })
+	for _, sp := range spans {
+		stepped := scratch[sp.shard]
+		v := t.shards[sp.shard].obj.Apply(p, func(st durable.ShardState) (durable.ShardState, any) {
+			if st.Ver != sp.first-1 || st.Epoch != sp.epoch {
 				return st, false
 			}
-			return sc.st, true
+			return *stepped, true
 		})
 		if !v.(bool) {
-			return internalAll("atomic commit invariant violated: shard state moved under the group lock"), nil, 0, 0
+			return internalAll("atomic commit invariant violated: shard state moved under the group lock")
 		}
 	}
-	fresh = len(subs)
-
-	if t.log == nil {
-		return resps, nil, 0, fresh
-	}
-
-	// Durability. Duplicated members piggyback on their original
-	// records: once those are appended, the group's frontier bounds
-	// them. Fresh members ride the single atomic record.
-	if len(subs) > 0 {
-		for _, sid := range order {
-			sc := scratch[sid]
-			if !sc.touched {
-				continue
-			}
-			if !t.shards[sid].seq.waitTurn(sc.baseVer+1, sc.baseEpoch) {
-				// Unreachable under replMu (only a state install moves the
+	if t.log != nil {
+		// Durability. Fresh members ride the single atomic record, which
+		// covers each touched shard's whole version span. Duplicated
+		// members piggyback on their original records: once those are
+		// appended, the group's frontier bounds them.
+		lsn := t.log.End()
+		if len(subs) > 0 {
+			var err error
+			lsn, err = t.logInOrder(durable.Record{Atomic: subs}, spans)
+			if errors.Is(err, errSuperseded) {
+				// Unreachable under replMu (only a state install moves a
 				// sequencer backward); answered honestly if it ever fires.
-				return internalAll("atomic group superseded by a state install before it was logged; retry"), nil, 0, 0
+				// The group IS installed in memory and its turns are
+				// released, so without a record the shards whose turn it did
+				// take would carry a hole in the WAL: fence the table under
+				// a snapshot, as a follower does for a group it cannot log.
+				if serr := t.log.WriteSnapshot(t.peekAll); serr != nil {
+					err = serr
+				}
+			}
+			if err != nil {
+				// Applied in memory but not durable: nothing may be acked
+				// (logInOrder has the poisoned-log argument).
+				return internalAll(err.Error())
 			}
 		}
-		alsn, aerr := t.log.Append(durable.Record{Atomic: subs})
-		for _, sid := range order {
-			sc := scratch[sid]
-			if sc.touched {
-				// The group advanced the shard possibly several versions
-				// under one record; same-epoch forward install admits the
-				// next append after all of them.
-				t.shards[sid].seq.install(sc.st.Ver, sc.baseEpoch)
-			}
-		}
-		if aerr != nil {
-			// Applied in memory, durability failed; the poisoned log fails
-			// every later wait (see applyStart's twin comment).
-			return internalAll(aerr.Error()), nil, 0, 0
-		}
-		lsn = alsn
-	} else {
-		lsn = t.log.End()
-	}
-	for i, req := range reqs {
-		if outs[i].Duplicate {
-			if !t.shards[req.Shard].seq.waitAppended(outs[i].Ver, outs[i].Epoch) {
+		for i, req := range reqs {
+			if outs[i].Duplicate && !t.shards[req.Shard].seq.waitAppended(outs[i].Ver, outs[i].Epoch) {
 				resps[i] = errResponse(req.ID, wire.StatusInternal,
 					"original write superseded by a replication state install; retry")
 				continue
 			}
+			c.await(i, req.Shard, outs[i].Epoch, lsn)
 		}
-		acks = append(acks, atomicAck{idx: i, id: req.ID, shard: req.Shard, epoch: outs[i].Epoch})
 	}
-	return resps, acks, lsn, fresh
+	c.fresh += len(subs)
+	return resps
 }
 
 // applyAtomicGroup is the server-side wrapper: shard-ownership gate,
 // the replMu hold, and the committed-group counter.
-func (s *Server) applyAtomicGroup(p int, reqs []wire.Request) (resps []wire.Response, acks []atomicAck, lsn uint64, fresh int) {
+func (s *Server) applyAtomicGroup(p int, reqs []wire.Request, c *cycle) []wire.Response {
 	if s.node != nil {
 		for _, req := range reqs {
 			if int(req.Shard) < s.cfg.Shards && !s.node.Owns(req.Shard) {
 				s.notPrimary.Add(1)
-				hint := s.node.PrimaryAddr(req.Shard)
-				resps = make([]wire.Response, len(reqs))
+				refusal := s.notPrimaryResponse(0, req.Shard)
+				resps := make([]wire.Response, len(reqs))
 				for i, r := range reqs {
-					resps[i] = wire.Response{ID: r.ID, Status: wire.StatusNotPrimary, Data: []byte(hint)}
-					if hint == "" {
-						resps[i].Value = int64(s.node.LeaseDuration() / time.Millisecond)
-					}
+					resps[i] = refusal
+					resps[i].ID = r.ID
 				}
-				return resps, nil, 0, 0
+				return resps
 			}
 		}
 	}
+	fresh := c.fresh
 	s.replMu.Lock()
-	resps, acks, lsn, fresh = s.tab.applyAtomicStart(p, reqs)
+	resps := s.tab.applyAtomicStart(p, reqs, c)
 	s.replMu.Unlock()
-	if fresh > 0 {
+	if c.fresh > fresh {
 		s.batchAtomic.Add(1)
 	}
-	return resps, acks, lsn, fresh
+	return resps
 }

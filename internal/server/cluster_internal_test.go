@@ -424,7 +424,7 @@ func TestAppendSequencerInstallAbortsWaiters(t *testing.T) {
 	if !g.waitTurn(5, 1) {
 		t.Fatal("next version of the installed line refused")
 	}
-	g.advance(5, 1)
+	g.install(5, 1)
 
 	// Same-epoch supersede: an install covering the waiter's version.
 	go func() { turn <- g.waitTurn(7, 1) }()

@@ -246,11 +246,8 @@ func TestClusterReplicationRedirectAndFailover(t *testing.T) {
 	if v, err := ch.Add(0, 7); err != nil || v != want[0]+7 {
 		t.Fatalf("post-failover Add = %d, %v; want %d", v, err, want[0]+7)
 	}
-	if heir.srv.Promotions() < 1 {
+	if heir.srv.Node().Promotions() < 1 {
 		t.Fatalf("successor %s reports no promotions", heir.id)
-	}
-	if ph := heir.srv.PromotionPhase(); ph != server.PhaseRunning {
-		t.Fatalf("promotion phase %v, want running", ph)
 	}
 
 	// The remaining non-owner redirects to the new primary once its
@@ -327,7 +324,7 @@ func TestClusterPromotionGatedBelowQuorum(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if p := srv.Promotions(); p != 0 {
+	if p := srv.Node().Promotions(); p != 0 {
 		t.Fatalf("isolated minority completed %d promotions", p)
 	}
 }
@@ -446,7 +443,7 @@ func bootStaggered(t *testing.T) (serve, session time.Duration) {
 			}
 		}
 		if serve == 0 && served == shards {
-			if nodes[2].srv.Promotions() == 0 {
+			if nodes[2].srv.Node().Promotions() == 0 {
 				t.Fatal("the ring gives node-2 no shard: the serve bound would not cover the last member's own promotion")
 			}
 			serve = time.Since(booted)

@@ -149,9 +149,6 @@ type Server struct {
 	replMu     sync.Mutex    // serializes replicated applies and state installs
 	notPrimary atomic.Int64
 	quorumAcks atomic.Int64
-	promotions atomic.Int64
-	promoteMu  sync.Mutex
-	promoteLC  *Lifecycle
 
 	sinceSnap   atomic.Int64
 	snapRunning atomic.Bool
@@ -236,9 +233,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.log, s.recovery = log, rec
 		tc.log, tc.recovered = log, rec.Shards
-		if cfg.SnapshotEvery > 0 {
-			tc.applied = s.maybeSnapshot
-		}
 	}
 	// In cluster mode the table gets one extra process slot: identity N
 	// is the replication apply loop, one more sequential process in the
@@ -690,6 +684,45 @@ func completeFrameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+int(n)
 }
 
+// cycle is the ack ledger of one served pipeline: the responses in
+// request order, which of them presume durability, and the frontier
+// they presume. applyStart and applyAtomicStart write it through await;
+// serveCycle settles it once — one durability wait, one quorum wait —
+// after the whole pipeline has applied and appended.
+type cycle struct {
+	resps   []wire.Response
+	waiting []pendingAck
+	// maxLsn is the durability frontier: every waiting response is
+	// contingent on it being covered.
+	maxLsn uint64
+	// fresh counts newly applied (non-duplicate) mutations that reached
+	// the log, charged to the snapshot cadence once the wait succeeds.
+	fresh int
+}
+
+// pendingAck is one response withheld until the frontier is covered;
+// shard and epoch feed the post-quorum fencing recheck in cluster mode.
+type pendingAck struct {
+	idx   int
+	shard uint32
+	epoch uint64
+}
+
+// await marks the i-th response of the operation now being applied —
+// its responses land at the end of c.resps — as contingent on lsn.
+func (c *cycle) await(i int, shard uint32, epoch, lsn uint64) {
+	c.waiting = append(c.waiting, pendingAck{idx: len(c.resps) + i, shard: shard, epoch: epoch})
+	c.maxLsn = max(c.maxLsn, lsn)
+}
+
+// refuse downgrades every waiting response: none of them may be sent as
+// the ack it was.
+func (c *cycle) refuse(reason string) {
+	for _, w := range c.waiting {
+		c.resps[w.idx] = errResponse(c.resps[w.idx].ID, wire.StatusInternal, reason)
+	}
+}
+
 // serveCycle answers one drained pipeline: control operations inline,
 // object operations batch-applied — admitted under the shed ceiling as
 // one unit, their WAL appends funneled into a single group-commit wait
@@ -697,14 +730,14 @@ func completeFrameBuffered(br *bufio.Reader) bool {
 // request order, one per request. closing reports that the connection
 // should end after the responses are flushed (drain answered).
 func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []wire.Response, closing bool) {
-	resps = make([]wire.Response, 0, total)
+	c := cycle{resps: make([]wire.Response, 0, total)}
 	if s.draining() {
 		for _, f := range frames {
 			for _, req := range f.Reqs {
-				resps = append(resps, errResponse(req.ID, wire.StatusDraining, "server draining"))
+				c.resps = append(c.resps, errResponse(req.ID, wire.StatusDraining, "server draining"))
 			}
 		}
-		return resps, true
+		return c.resps, true
 	}
 
 	objOps := 0
@@ -720,49 +753,22 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 		shedHint, admitted = s.shed.opBeginN(objOps)
 	}
 
-	// The durability frontier: every wait-marked response is contingent
-	// on maxLsn being covered, checked once after the whole pipeline has
-	// applied and appended. shard and epoch feed the post-quorum fencing
-	// recheck in cluster mode.
-	type pendingAck struct {
-		idx   int
-		id    uint64
-		shard uint32
-		epoch uint64
-	}
-	var (
-		waiting []pendingAck
-		maxLsn  uint64
-		applied int
-	)
 	for _, f := range frames {
+		if f.Atomic && !admitted {
+			for _, req := range f.Reqs {
+				c.resps = append(c.resps, busyResponse(req.ID, shedHint))
+			}
+			continue
+		}
 		if f.Atomic {
 			// An atomic group is one unit: validated, committed and logged
 			// under one record by applyAtomicGroup; its durability wait
 			// joins the pipeline's single finishWait below.
-			base := len(resps)
-			var aresps []wire.Response
-			if !admitted {
-				for _, req := range f.Reqs {
-					aresps = append(aresps, busyResponse(req.ID, shedHint))
-				}
-			} else {
-				var aacks []atomicAck
-				var alsn uint64
-				var afresh int
-				aresps, aacks, alsn, afresh = s.applyAtomicGroup(p, f.Reqs)
-				for _, a := range aacks {
-					waiting = append(waiting, pendingAck{idx: base + a.idx, id: a.id, shard: a.shard, epoch: a.epoch})
-				}
-				if len(aacks) > 0 && alsn > maxLsn {
-					maxLsn = alsn
-				}
-				applied += afresh
-				for i, req := range f.Reqs {
-					s.countObjOp(req, aresps[i])
-				}
+			aresps := s.applyAtomicGroup(p, f.Reqs, &c)
+			for i, req := range f.Reqs {
+				s.countObjOp(req, aresps[i])
 			}
-			resps = append(resps, aresps...)
+			c.resps = append(c.resps, aresps...)
 			continue
 		}
 		for _, req := range f.Reqs {
@@ -775,23 +781,8 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 			case !admitted:
 				resp = busyResponse(req.ID, shedHint)
 			case s.node != nil && int(req.Shard) < s.cfg.Shards && !s.node.Owns(req.Shard):
-				// Misrouted shard: refuse before touching the object and
-				// hint the owning primary's client address in Data. The
-				// op was not applied, so the client retries the same op
-				// ID at the hinted address and dedup keeps it exactly
-				// once. When this node knows no better primary (its own
-				// lease expired, typically mid-partition), the hint is
-				// empty and Value carries a Retry-After of one lease
-				// interval — the earliest a usurper can exist.
 				s.notPrimary.Add(1)
-				resp = wire.Response{
-					ID:     req.ID,
-					Status: wire.StatusNotPrimary,
-					Data:   []byte(s.node.PrimaryAddr(req.Shard)),
-				}
-				if len(resp.Data) == 0 {
-					resp.Value = int64(s.node.LeaseDuration() / time.Millisecond)
-				}
+				resp = s.notPrimaryResponse(req.ID, req.Shard)
 			case req.Kind.IsRead():
 				// The one read path, a root get included: answered from
 				// the shard's committed state, no slot, no WAL, no quorum,
@@ -803,32 +794,19 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 				resp = s.tab.readFast(req)
 				s.countObjOp(req, resp)
 			default:
-				var lsn, epoch uint64
-				var wait, fresh bool
-				resp, lsn, epoch, wait, fresh = s.applyObjOp(p, req)
-				if wait {
-					waiting = append(waiting, pendingAck{idx: len(resps), id: req.ID, shard: req.Shard, epoch: epoch})
-					if lsn > maxLsn {
-						maxLsn = lsn
-					}
-				}
-				if fresh {
-					applied++
-				}
+				resp = s.applyObjOp(p, req, &c)
 				s.countObjOp(req, resp)
 			}
-			resps = append(resps, resp)
+			c.resps = append(c.resps, resp)
 		}
 	}
-	if len(waiting) > 0 {
-		if err := s.tab.finishWait(maxLsn); err != nil {
+	if len(c.waiting) > 0 {
+		if err := s.tab.finishWait(c.maxLsn); err != nil {
 			// No response whose ack presumed durability may be sent:
 			// the log is poisoned, so the honest answer is an internal
 			// error for each — and no snapshot cadence is charged.
-			for _, w := range waiting {
-				resps[w.idx] = errResponse(w.id, wire.StatusInternal, err.Error())
-			}
-			applied = 0
+			c.refuse(err.Error())
+			c.fresh = 0
 		} else if s.node != nil {
 			// The quorum gate: local durability covered maxLsn, now the
 			// configured quorum must too — one wait for the whole
@@ -836,10 +814,8 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 			// On timeout the ops ARE applied and locally durable, but
 			// under-replicated; StatusInternal makes the client retry,
 			// and dedup re-serves the original results exactly once.
-			if err := s.node.WaitQuorum(maxLsn); err != nil {
-				for _, w := range waiting {
-					resps[w.idx] = errResponse(w.id, wire.StatusInternal, err.Error())
-				}
+			if err := s.node.WaitQuorum(c.maxLsn); err != nil {
+				c.refuse(err.Error())
 			} else {
 				// Fencing recheck: quorum acks vouch for LSN prefixes, not
 				// histories. If a shard's epoch moved while this pipeline
@@ -848,9 +824,9 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 				// data — withhold its ack and let the retry settle against
 				// the installed history.
 				acked := 0
-				for _, w := range waiting {
+				for _, w := range c.waiting {
 					if st := s.tab.shards[w.shard].obj.Peek(); st.Epoch != w.epoch {
-						resps[w.idx] = errResponse(w.id, wire.StatusInternal,
+						c.resps[w.idx] = errResponse(c.resps[w.idx].ID, wire.StatusInternal,
 							"shard re-installed at a new epoch during the quorum wait; retry")
 						continue
 					}
@@ -860,28 +836,47 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 			}
 		}
 	}
-	s.tab.noteApplied(applied)
+	if s.log != nil && s.cfg.SnapshotEvery > 0 {
+		for i := 0; i < c.fresh; i++ {
+			s.maybeSnapshot()
+		}
+	}
 	if objOps > 0 && admitted {
 		s.shed.opEndN(objOps)
 	}
-	return resps, false
+	return c.resps, false
+}
+
+// notPrimaryResponse refuses an op on a shard this node does not serve,
+// before touching the object, and hints the owning primary's client
+// address in Data. The op was not applied, so the client retries the
+// same op ID at the hinted address and dedup keeps it exactly once.
+// When this node knows no better primary (its own lease expired,
+// typically mid-partition), the hint is empty and Value carries a
+// Retry-After of one lease interval — the earliest a usurper can exist.
+func (s *Server) notPrimaryResponse(id uint64, shard uint32) wire.Response {
+	resp := wire.Response{ID: id, Status: wire.StatusNotPrimary, Data: []byte(s.node.PrimaryAddr(shard))}
+	if len(resp.Data) == 0 {
+		resp.Value = int64(s.node.LeaseDuration() / time.Millisecond)
+	}
+	return resp
 }
 
 // applyObjOp runs one mutation under the configured per-op deadline,
 // counting withdrawals. The durability wait is the caller's
 // (see table.applyStart).
-func (s *Server) applyObjOp(p int, req wire.Request) (resp wire.Response, lsn, epoch uint64, wait, fresh bool) {
+func (s *Server) applyObjOp(p int, req wire.Request, c *cycle) wire.Response {
 	ctx := context.Background()
 	if s.cfg.OpTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.OpTimeout)
 		defer cancel()
 	}
-	resp, lsn, epoch, wait, fresh = s.tab.applyStart(ctx, p, req, s.cfg.ApplyGate)
+	resp := s.tab.applyStart(ctx, p, req, s.cfg.ApplyGate, c)
 	if resp.Status == wire.StatusTimeout {
 		s.opDeadlines.Add(1)
 	}
-	return resp, lsn, epoch, wait, fresh
+	return resp
 }
 
 // countObjOp charges a completed (StatusOK) object operation to

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,6 @@ type table struct {
 	window int
 	log    *durable.Log // nil without -data-dir: dedup only, in memory
 	dupes  *atomic.Int64
-	// applied, when non-nil, is called once per applied (non-duplicate)
-	// mutation after it is durable — the snapshot trigger.
-	applied func()
 	// batchMu is the atomic-group gate: single-op mutations hold it
 	// shared across their Apply, an atomic group holds it exclusively
 	// from validation through commit — so the states a group validated
@@ -69,7 +67,6 @@ type tableConfig struct {
 	log       *durable.Log
 	recovered map[uint32]durable.ShardState
 	dupes     *atomic.Int64
-	applied   func()
 }
 
 // newTable builds shards independent resilient objects, each with the
@@ -77,11 +74,10 @@ type tableConfig struct {
 // when the server restarted from a data directory.
 func newTable(n, k, shards int, impl core.Constructor, tc tableConfig) *table {
 	t := &table{
-		shards:  make([]tableShard, shards),
-		window:  tc.window,
-		log:     tc.log,
-		dupes:   tc.dupes,
-		applied: tc.applied,
+		shards: make([]tableShard, shards),
+		window: tc.window,
+		log:    tc.log,
+		dupes:  tc.dupes,
 	}
 	for i := range t.shards {
 		m := obs.New()
@@ -129,9 +125,9 @@ func (t *table) peekAll() map[uint32]durable.ShardState {
 // runs to completion — a deadline can refuse work, never corrupt it.
 //
 // Mutations are acknowledged only after the WAL covers them (when one
-// is configured), but the wait itself is the caller's: applyStart
-// returns the durability frontier the returned response is contingent
-// on (lsn, with wait true), and the session loop funnels a whole
+// is configured), but the wait itself is the caller's: applyStart marks
+// the returned response contingent on a durability frontier in the
+// cycle's ledger (c.await), and the session loop funnels a whole
 // pipeline's frontiers into ONE finishWait — one group-commit, one
 // fsync, a batch of acks. An applied op's frontier is its own record's
 // LSN; a deduplicated retry's is the log end after the original's
@@ -139,26 +135,18 @@ func (t *table) peekAll() map[uint32]durable.ShardState {
 // cannot be lost to a crash that the original ack would have survived.
 // If the original's append FAILED, the sequencer has still advanced
 // past it, but the log is poisoned and the wait refuses — a
-// never-logged op is never re-acked as durable.
-//
-// applied reports a fresh (non-duplicate) mutation that reached the
-// log: the caller charges the snapshot cadence for each, after the
-// pipeline's wait succeeds.
-//
-// epoch is the shard's failover epoch at the op's linearization point.
-// A clustered caller re-checks it after the quorum wait: if the shard
-// was re-installed at a different epoch in between, the op's record
-// may be a fenced fork and its ack must be withheld.
-func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate func(shard uint32, kind wire.Kind)) (resp wire.Response, lsn, epoch uint64, wait, applied bool) {
+// never-logged op is never re-acked as durable. The epoch entered with
+// the frontier is the shard's at the op's linearization point.
+func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate func(shard uint32, kind wire.Kind), c *cycle) wire.Response {
 	if int(req.Shard) >= len(t.shards) || req.Shard >= 1<<31 {
 		return errResponse(req.ID, wire.StatusBadShard,
-			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards))), 0, 0, false, false
+			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards)))
 	}
 	sh := t.shards[req.Shard]
 
 	op, ok := durableOp(req)
 	if !ok {
-		return errResponse(req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown kind %s", req.Kind)), 0, 0, false, false
+		return errResponse(req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown kind %s", req.Kind))
 	}
 
 	// Shared hold on the atomic-group gate: a group validating its
@@ -173,61 +161,93 @@ func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate fu
 	})
 	t.batchMu.RUnlock()
 	if err != nil {
-		return timeoutResponse(req.ID), 0, 0, false, false
+		return timeoutResponse(req.ID)
 	}
 	out := v.(durable.Outcome)
-	flags := foundFlag(req.Kind, out.OK)
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: foundFlag(req.Kind, out.OK), Value: out.Val}
 	switch {
 	case out.Stale:
 		return errResponse(req.ID, wire.StatusBadRequest,
-			fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq)), 0, 0, false, false
+			fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq))
 	case out.Duplicate:
 		sh.m.DupeHit()
 		if t.dupes != nil {
 			t.dupes.Add(1)
 		}
+		resp.Flags |= wire.FlagDuplicate
 		if t.log != nil {
 			// The original application is at shard version out.Ver; once
 			// its record is in the log, the log's current end bounds it.
 			if !sh.seq.waitAppended(out.Ver, out.Epoch) {
 				return errResponse(req.ID, wire.StatusInternal,
-					"original write superseded by a replication state install; retry"), 0, 0, false, false
+					"original write superseded by a replication state install; retry")
 			}
-			return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagDuplicate | flags, Value: out.Val},
-				t.log.End(), out.Epoch, true, false
+			c.await(0, req.Shard, out.Epoch, t.log.End())
 		}
-		return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagDuplicate | flags, Value: out.Val}, 0, 0, false, false
+		return resp
 	}
 
 	if t.log != nil {
-		if !sh.seq.waitTurn(out.Ver, out.Epoch) {
-			// A replication state install superseded the history this op
-			// applied on before its record reached the log. The in-memory
-			// application was discarded with the fork; the client retries
-			// and either dedups against the installed state or re-applies.
-			return errResponse(req.ID, wire.StatusInternal,
-				"write superseded by a replication state install before it was logged; retry"), 0, 0, false, false
-		}
-		alsn, aerr := t.log.Append(durable.Record{
+		lsn, err := t.logInOrder(durable.Record{
 			Session: req.Session, Seq: req.Seq, Shard: req.Shard,
 			Kind: op.Kind, Obj: op.Obj, Key: op.Key, Arg: op.Arg, Arg2: op.Arg2,
 			Val: out.Val, Ver: out.Ver, Epoch: out.Epoch, OK: out.OK,
-		})
-		sh.seq.advance(out.Ver, out.Epoch)
-		if aerr != nil {
-			// The op IS applied in memory; only its durability failed.
-			// Advancing the sequencer keeps later writers from wedging in
-			// waitTurn, and is safe because the failed Append poisoned the
-			// log: every later append (which would otherwise persist a
-			// version past the hole) and every durability wait now fails,
-			// so no mutation is acked as durable after this point — the
-			// client sees internal errors, never a durable ack the next
-			// recovery would contradict.
-			return errResponse(req.ID, wire.StatusInternal, aerr.Error()), 0, 0, false, false
+		}, []span{{shard: req.Shard, first: out.Ver, last: out.Ver, epoch: out.Epoch}})
+		if err != nil {
+			return errResponse(req.ID, wire.StatusInternal, err.Error())
 		}
-		return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: flags, Value: out.Val}, alsn, out.Epoch, true, true
+		c.await(0, req.Shard, out.Epoch, lsn)
 	}
-	return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: flags, Value: out.Val}, 0, 0, false, true
+	c.fresh++
+	return resp
+}
+
+// errSuperseded answers a refused turn (see waitTurn). The in-memory
+// application was discarded with the fork; the client retries and
+// either dedups against the installed state or re-applies.
+var errSuperseded = errors.New("write superseded by a replication state install before it was logged; retry")
+
+// logInOrder is the one way a record reaches the WAL: it takes the turn
+// of every shard rec touches, in the order given, appends rec once, and
+// releases every span — so the log stays a prefix-faithful transcript
+// of each shard it holds, whether the record is a primary's own, a
+// group's container or a follower's verbatim copy of either.
+//
+// A refused turn appends nothing and answers errSuperseded; the spans
+// are still released, because the turns already taken would otherwise
+// park every later writer of those shards forever. A caller whose
+// in-memory effect outlives the refusal (a group on several shards)
+// must then fence it under a snapshot: the released versions are
+// otherwise a hole in the WAL.
+//
+// A failed append releases them too. The op IS applied in memory; only
+// its durability failed. Moving on keeps later writers from wedging in
+// waitTurn, and is safe because the failed Append poisoned the log:
+// every later append (which would otherwise persist a version past the
+// hole) and every durability wait now fails, so no mutation is acked as
+// durable after this point — the client sees internal errors, never a
+// durable ack the next recovery would contradict.
+func (t *table) logInOrder(rec durable.Record, spans []span) (lsn uint64, err error) {
+	for _, sp := range spans {
+		if !t.shards[sp.shard].seq.waitTurn(sp.first, sp.epoch) {
+			err = errSuperseded
+			break
+		}
+	}
+	if err == nil {
+		lsn, err = t.log.Append(rec)
+	}
+	t.release(spans)
+	return lsn, err
+}
+
+// release admits the version after each span: what it covers is
+// accounted for, by the append just made or by the snapshot a caller
+// that fences instead of appending is about to write.
+func (t *table) release(spans []span) {
+	for _, sp := range spans {
+		t.shards[sp.shard].seq.install(sp.last, sp.epoch)
+	}
 }
 
 // objName is where the wire's root kinds meet the object table: get,
@@ -340,17 +360,6 @@ func (t *table) finishWait(lsn uint64) error {
 	return t.log.WaitDurable(lsn)
 }
 
-// noteApplied charges n freshly applied (non-duplicate, durable)
-// mutations to the snapshot cadence.
-func (t *table) noteApplied(n int) {
-	if t.applied == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		t.applied()
-	}
-}
-
 // appendSequencer admits WAL appends for one shard strictly in
 // mutation-version order within a failover epoch. The universal
 // construction linearizes mutations and hands each a dense version
@@ -364,9 +373,7 @@ func (t *table) noteApplied(n int) {
 // primary inflates its counter with never-acked writes). The sequencer
 // therefore tracks the epoch its version line belongs to, and both
 // waits abort — returning false — when an install moves the line out
-// from under a waiter. A pre-install wait API would instead wedge such
-// a waiter forever: install used to be forward-only, so a waiter at a
-// version the install retreated past could never match `next` again.
+// from under a waiter.
 type appendSequencer struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -393,7 +400,7 @@ func (g *appendSequencer) waitTurn(ver, epoch uint64) bool {
 	defer g.mu.Unlock()
 	for {
 		switch {
-		case g.epoch > epoch || (g.epoch == epoch && g.next > ver):
+		case durable.Ahead(g.epoch, g.next, epoch, ver):
 			return false
 		case g.epoch == epoch && g.next == ver:
 			return true
@@ -404,31 +411,21 @@ func (g *appendSequencer) waitTurn(ver, epoch uint64) bool {
 	}
 }
 
-// advance admits the version after (ver, epoch) (called after the
-// append, success or not — an append failure must not wedge every
-// later writer). It is a no-op when an install moved the sequencer
-// while the append was in flight: the appended record belongs to a
-// superseded line (replay fences it by epoch), and blindly bumping
-// `next` would instead punch a version gap into the installed line.
-func (g *appendSequencer) advance(ver, epoch uint64) {
-	g.mu.Lock()
-	if g.epoch == epoch && g.next == ver {
-		g.next = ver + 1
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-// install moves the sequencer to an installed state image or epoch
-// bump: versions at or below ver in that epoch were made durable by
-// the image's snapshot, not by local appends, so the next admitted
-// append is ver+1. Within an epoch the sequencer never retreats; a
+// install moves the sequencer past (ver, epoch): versions at or below
+// ver in that epoch are accounted for — by the append of a granted turn
+// (success or not: an append failure must not wedge every later
+// writer), or by the snapshot of a state image or epoch bump — so the
+// next admitted append is ver+1. Within an epoch the sequencer never
+// retreats, which also makes it a no-op when an install moved the
+// sequencer while an append was in flight: the appended record belongs
+// to a superseded line (replay fences it by epoch), and blindly bumping
+// `next` would instead punch a version gap into the installed line. A
 // higher epoch always wins, even when its version is lower — that is
 // precisely the discarded-fork case, and the retreat is what aborts
 // the fork's stranded waiters.
 func (g *appendSequencer) install(ver, epoch uint64) {
 	g.mu.Lock()
-	if epoch > g.epoch || (epoch == g.epoch && g.next <= ver) {
+	if durable.Ahead(epoch, ver+1, g.epoch, g.next) {
 		g.epoch = epoch
 		g.next = ver + 1
 		g.cond.Broadcast()
@@ -447,7 +444,7 @@ func (g *appendSequencer) waitAppended(ver, epoch uint64) bool {
 		if g.epoch > epoch {
 			return false
 		}
-		if g.epoch == epoch && g.next > ver {
+		if durable.Ahead(g.epoch, g.next, epoch, ver) {
 			return true
 		}
 		g.cond.Wait()
