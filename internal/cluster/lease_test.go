@@ -16,7 +16,7 @@ func (stubBackend) ApplyReplicated([]durable.Record) (uint64, error) { return 0,
 func (stubBackend) InstallState(map[uint32]durable.ShardState) (bool, error) {
 	return true, nil
 }
-func (stubBackend) Frontier() (vers, epochs []uint64)         { return []uint64{0}, []uint64{0} }
+func (stubBackend) Frontier() (vers, epochs []uint64)         { return make([]uint64, 64), make([]uint64, 64) }
 func (stubBackend) StateImage() map[uint32]durable.ShardState { return nil }
 func (stubBackend) BumpEpochs([]uint32) error                 { return nil }
 

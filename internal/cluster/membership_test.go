@@ -34,7 +34,7 @@ func membershipNode(t *testing.T, t0 time.Time) *Node {
 	n := &Node{
 		cfg: cfg, ring: ring, quorum: newQuorumTracker(cfg.Quorum),
 		peers:   map[string]Peer{},
-		serving: map[uint32]bool{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
+		serving: map[uint32]bool{}, minted: map[uint32]uint64{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
 		pins: map[string]int{}, redial: map[string]chan struct{}{},
 		wake: make(chan struct{}, 1), stopCh: make(chan struct{}),
 	}
@@ -382,7 +382,7 @@ func TestMembershipLoopNeedsNoTick(t *testing.T) {
 		ring, _ := NewRing([]string{"a"})
 		n := &Node{
 			cfg: cfg, ring: ring, peers: map[string]Peer{"a": cfg.Peers[0]},
-			serving: map[uint32]bool{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
+			serving: map[uint32]bool{}, minted: map[uint32]uint64{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
 			pins: map[string]int{}, wake: make(chan struct{}, 1), stopCh: make(chan struct{}),
 		}
 		start := time.Now()

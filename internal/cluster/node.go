@@ -200,7 +200,8 @@ type Node struct {
 	ln net.Listener
 
 	mu        sync.Mutex
-	serving   map[uint32]bool // shards this node currently serves
+	serving   map[uint32]bool   // shards this node currently serves
+	minted    map[uint32]uint64 // shard -> epoch this node's latest promotion minted: its own records
 	lastSeen  map[string]time.Time
 	contacted map[string]bool   // peers actually heard from this incarnation
 	pins      map[string]int    // follower node ID -> WAL pin handle
@@ -213,6 +214,7 @@ type Node struct {
 	leaseExpirations atomic.Int64 // held -> expired transitions
 	leaseDemotions   atomic.Int64 // shards self-demoted on lease expiry
 	pullsServed      atomic.Int64 // replication pulls answered from the WAL
+	recordsServed    atomic.Int64 // records those pulls shipped
 	promotions       atomic.Int64 // shard takeovers completed (promote returned true)
 	lastPromotion    atomic.Int64 // ns the latest promote spent on catch-up + epoch bump
 
@@ -255,6 +257,7 @@ func New(cfg Config) (*Node, error) {
 		quorum:    newQuorumTracker(cfg.Quorum),
 		ln:        ln,
 		serving:   make(map[uint32]bool),
+		minted:    make(map[uint32]uint64),
 		lastSeen:  make(map[string]time.Time),
 		contacted: make(map[string]bool),
 		pins:      make(map[string]int),
@@ -279,17 +282,19 @@ func (n *Node) ReplAddr() string { return n.ln.Addr().String() }
 // Quorum is the effective ack quorum.
 func (n *Node) Quorum() int { return n.cfg.Quorum }
 
-// Start brings the node to service: it catches up from any reachable
-// peer ahead of local state (a restarted node rejoining must not serve
-// stale shards), then launches the accept loop, the per-peer pull
-// loops, and the failure detector. It does NOT serve anything yet —
-// every serving transition, the boot-time claim of ring-owned shards
-// included, goes through the membership loop's promote path, which is
-// quorum-gated and bumps the shard epochs. One path means one set of
-// rules: a node that cannot see a quorum serves nothing, so a
-// partitioned minority cannot inflate a history it would later try to
-// impose on the majority.
+// Start brings the node to service: it launches the accept loop (first:
+// members starting together must answer each other's catch-up), catches
+// up from any reachable peer ahead of local state (a restarted node
+// rejoining must not serve stale shards), then the per-peer pull loops
+// and the failure detector. It does NOT serve anything yet — every
+// serving transition, the boot-time claim of ring-owned shards included,
+// goes through the membership loop's promote path, which is quorum-gated
+// and bumps the shard epochs. One path means one set of rules: a node
+// that cannot see a quorum serves nothing, so a partitioned minority
+// cannot inflate a history it would later try to impose on the majority.
 func (n *Node) Start() {
+	n.wg.Add(2)
+	go n.acceptLoop()
 	owned := n.ownedShards(func(string) bool { return true })
 	if len(n.others) > 0 {
 		n.catchUpFromPeers(owned)
@@ -297,8 +302,6 @@ func (n *Node) Start() {
 	n.cfg.Logf("cluster: node %s started; claiming %d/%d ring-owned shards via promotion at quorum %d",
 		n.cfg.NodeID, len(owned), n.cfg.Shards, n.cfg.Quorum)
 
-	n.wg.Add(2)
-	go n.acceptLoop()
 	go n.membershipLoop()
 	for _, p := range n.others {
 		n.wg.Add(1)
@@ -383,6 +386,9 @@ func (n *Node) Promotions() int64 { return n.promotions.Load() }
 
 // PullsServed counts replication pulls this node has answered.
 func (n *Node) PullsServed() int64 { return n.pullsServed.Load() }
+
+// RecordsServed counts the records those pulls shipped.
+func (n *Node) RecordsServed() int64 { return n.recordsServed.Load() }
 
 // Timings reports every peer's time since last contact (since this
 // node's start for one not heard from), how long until the Quorum-th
@@ -685,16 +691,27 @@ func (n *Node) membershipLoop() {
 
 // promote takes over shards — a dead owner's, or this node's own at
 // boot: it closes the quorum-exactness gap by catching up from every
-// reachable peer (an acked record lives on a quorum, and at least one
-// reachable member of any quorum survives the owner), mints the shards'
-// next epoch so every write it will apply outranks any straggler from
-// the previous primary, then serves. The warm replica state makes this
-// a frontier check plus at most one state fetch, not a cold replay. It
-// reports whether the shards are now served.
+// reachable peer, and goes on only if it and those that answered form a
+// quorum (an acked record lives on a quorum, which meets this one;
+// streams carry origin records only, so nothing else brings the record
+// here), mints the shards' next epoch so every
+// write it will apply outranks any straggler from the previous primary,
+// then serves. The warm replica state makes this a frontier check plus
+// at most one state fetch, not a cold replay. It reports whether the
+// shards are now served; too few answers is a failure, retried.
 func (n *Node) promote(shards []uint32) bool {
 	n.cfg.Logf("cluster: node %s promoting for shards %v", n.cfg.NodeID, shards)
 	start := time.Now()
-	n.catchUpFromPeers(shards)
+	if answered := n.catchUpFromPeers(shards); answered+1 < n.cfg.Quorum {
+		n.cfg.Logf("cluster: node %s: %d/%d peers answered its catch-up, need %d; not promoting",
+			n.cfg.NodeID, answered, len(n.others), n.cfg.Quorum-1)
+		return false
+	}
+	// A peer that answered the catch-up is alive: its shards are not ours.
+	alive := n.aliveFn()
+	if shards = slices.DeleteFunc(shards, func(s uint32) bool { return n.ring.OwnerAmong(s, alive) != n.cfg.NodeID }); len(shards) == 0 {
+		return true
+	}
 	err := n.cfg.Backend.BumpEpochs(shards)
 	n.lastPromotion.Store(int64(time.Since(start)))
 	if err != nil {
@@ -702,9 +719,10 @@ func (n *Node) promote(shards []uint32) bool {
 		n.cfg.Logf("cluster: node %s: epoch bump for shards %v failed, not serving: %v", n.cfg.NodeID, shards, err)
 		return false
 	}
+	_, epochs := n.cfg.Backend.Frontier()
 	n.mu.Lock()
 	for _, s := range shards {
-		n.serving[s] = true
+		n.serving[s], n.minted[s] = true, epochs[s]
 	}
 	n.mu.Unlock()
 	n.promotions.Add(1)
@@ -718,10 +736,10 @@ func (n *Node) promote(shards []uint32) bool {
 // the point: after a fork, the acknowledged history lives at a higher
 // epoch but possibly a LOWER version than a deposed primary's
 // never-acked tail — a bare version comparison would skip exactly the
-// peer that holds the data. Unreachable peers are skipped: they are
-// the dead node itself, or nodes whose acked history another reachable
-// quorum member also holds.
-func (n *Node) catchUpFromPeers(shards []uint32) {
+// peer that holds the data. It reports how many peers answered: their
+// frontier arrived and, when it was ahead, their image installed. Only
+// those are known to hold nothing this node lacks.
+func (n *Node) catchUpFromPeers(shards []uint32) (answered int) {
 	localV, localE := n.cfg.Backend.Frontier()
 	for _, p := range n.others {
 		frontV, frontE, err := n.queryFrontier(p)
@@ -729,6 +747,7 @@ func (n *Node) catchUpFromPeers(shards []uint32) {
 			n.cfg.Logf("cluster: node %s: frontier from %s unavailable: %v", n.cfg.NodeID, p.ID, err)
 			continue
 		}
+		n.touch(p.ID)
 		ahead := false
 		for _, s := range shards {
 			if int(s) >= len(frontV) {
@@ -740,9 +759,15 @@ func (n *Node) catchUpFromPeers(shards []uint32) {
 			}
 		}
 		if !ahead {
+			answered++
 			continue
 		}
-		img, _, err := n.fetchState(p)
+		conn, _, err := n.dialRepl(p)
+		var img map[uint32]durable.ShardState
+		if err == nil {
+			img, _, err = n.stateCatchUp(conn)
+			conn.Close()
+		}
 		if err != nil {
 			n.cfg.Logf("cluster: node %s: state from %s unavailable: %v", n.cfg.NodeID, p.ID, err)
 			continue
@@ -752,8 +777,10 @@ func (n *Node) catchUpFromPeers(shards []uint32) {
 			continue
 		}
 		localV, localE = n.cfg.Backend.Frontier()
+		answered++
 		n.cfg.Logf("cluster: node %s caught up from %s", n.cfg.NodeID, p.ID)
 	}
+	return answered
 }
 
 // dialTimeout bounds synchronous peer RPCs (frontier, state fetch).
@@ -811,15 +838,4 @@ func (n *Node) queryFrontier(p Peer) (vers, epochs []uint64, err error) {
 		return nil, nil, fmt.Errorf("cluster: peer %s frontier: %s", p.ID, f.Status)
 	}
 	return f.Vers, f.Epochs, nil
-}
-
-// fetchState dials a peer for its full state image and the log
-// position it covers.
-func (n *Node) fetchState(p Peer) (map[uint32]durable.ShardState, uint64, error) {
-	conn, _, err := n.dialRepl(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer conn.Close()
-	return n.stateCatchUp(conn)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"slices"
 	"time"
 
 	"kexclusion/internal/durable"
@@ -92,12 +93,13 @@ func (n *Node) pullSession(p Peer) error {
 		}
 	}
 
+	resynced := false // the previous pull ended in a state image
 	for {
-		req := wire.PullRequest{
-			FromLSN:    pos,
-			AckLSN:     ack,
-			WaitMillis: uint32(n.cfg.PullWait / time.Millisecond),
+		wait := n.cfg.PullWait
+		if resynced {
+			wait = 0 // the ack an image could not move moves with the next answer: do not park it
 		}
+		req := wire.PullRequest{FromLSN: pos, AckLSN: ack, WaitMillis: uint32(wait / time.Millisecond)}
 		// The peer parks a caught-up pull for WaitMillis; allow that
 		// plus generous slack before declaring the stream dead.
 		b, err := replCall(conn, req.Encode(), n.cfg.PullWait+dialTimeout)
@@ -113,23 +115,31 @@ func (n *Node) pullSession(p Peer) error {
 		}
 		n.touch(p.ID)
 
-		if resp.Pruned {
-			// Our tail was pruned out from under us (the peer was not
-			// pinned while we were away). Re-enter via a state image.
-			if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
-				return err
-			}
-			continue
-		}
-
+		// Our tail was pruned out from under us (the peer was not pinned
+		// while we were away): re-enter via a state image.
+		image := resp.Pruned
 		if len(resp.Records) > 0 {
 			localLSN, err := n.cfg.Backend.ApplyReplicated(resp.Records)
-			if err != nil {
+			if localLSN > 0 {
+				// Local fsync BEFORE the ack moves (here or by a resync):
+				// the next pull's AckLSN vouches for what applied, so it
+				// must be on local disk first — prefix durability.
+				if err := n.cfg.Log.WaitDurable(localLSN); err != nil {
+					return err
+				}
+			}
+			switch {
+			case errors.Is(err, ErrReplGap) && !resynced:
+				// Streams carry origin records only: records missed on their
+				// one stream meet the next primary as a gap; an image bridges it.
+				n.cfg.Logf("cluster: node %s: %v; resyncing from %s in place", n.cfg.NodeID, err, p.ID)
+				image = true
+			case err != nil:
 				// The ack stays where it was — nothing past it is vouched
-				// for. A gap resyncs via state image on the next session; a
-				// stale or diverged stream does too, but its image will not
-				// cover local state either, so the ack keeps holding until
-				// the peer heals (stale) or an operator steps in (diverged).
+				// for. A second gap resyncs on the next session; a stale or
+				// diverged stream does too, but its image will not cover
+				// local state either, so the ack keeps holding until the
+				// peer heals (stale) or an operator steps in (diverged).
 				if errors.Is(err, ErrReplDiverged) {
 					n.cfg.Logf("cluster: node %s: OPERATOR INTERVENTION NEEDED: history from %s diverged from local state within one epoch: %v",
 						n.cfg.NodeID, p.ID, err)
@@ -139,14 +149,12 @@ func (n *Node) pullSession(p Peer) error {
 				n.setResume(p.ID, 0, ack)
 				return err
 			}
-			if localLSN > 0 {
-				// Local fsync BEFORE the ack moves: the next pull's
-				// AckLSN vouches for this batch, so it must be on local
-				// disk first — the prefix-durability invariant.
-				if err := n.cfg.Log.WaitDurable(localLSN); err != nil {
-					return err
-				}
+		}
+		if resynced = image; image {
+			if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
+				return err
 			}
+			continue
 		}
 		pos = resp.ResumeLSN
 		ack = pos
@@ -319,8 +327,9 @@ func (n *Node) serveRepl(conn net.Conn) {
 }
 
 // servePull answers one pull: register the piggybacked ack (quorum
-// progress + retention pin + liveness), then read a batch from the
-// local WAL, long-polling when the follower is caught up.
+// progress + retention pin + liveness), then read a batch of this
+// node's own records from the local WAL, long-polling while there are
+// none; other origins' records are stepped over (ResumeLSN moves on).
 func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 	n.pullsServed.Add(1)
 	n.registerAck(from, req.AckLSN)
@@ -329,18 +338,36 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 	if max <= 0 || max > wire.MaxPullRecords {
 		max = wire.MaxPullRecords
 	}
-	// Park while caught up, until the log grows or the poll budget ends
-	// (a log already past FromLSN returns at once), then read it once.
-	n.cfg.Log.WaitEnd(req.FromLSN+1, time.Duration(req.WaitMillis)*time.Millisecond)
-	recs, pos, err := n.cfg.Log.ReadRecords(req.FromLSN, max)
-	if errors.Is(err, durable.ErrPruned) {
-		return wire.PullResponse{Status: wire.StatusOK, Pruned: true, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
+	deadline := time.Now().Add(time.Duration(req.WaitMillis) * time.Millisecond)
+	for pos := req.FromLSN; ; {
+		// Park while caught up, until the log grows or the poll budget ends
+		// (a log already past pos returns at once), then read it once.
+		n.cfg.Log.WaitEnd(pos+1, time.Until(deadline))
+		recs, next, err := n.cfg.Log.ReadRecords(pos, max)
+		if errors.Is(err, durable.ErrPruned) {
+			return wire.PullResponse{Status: wire.StatusOK, Pruned: true, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
+		}
+		if err != nil {
+			n.cfg.Logf("cluster: node %s: reading log for %s: %v", n.cfg.NodeID, from, err)
+			return wire.PullResponse{Status: wire.StatusInternal, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
+		}
+		// Own: a shard served now, or an epoch minted here (a quorum wait may
+		// outlive a demotion). A container goes by its first member.
+		n.mu.Lock()
+		recs = slices.DeleteFunc(recs, func(r durable.Record) bool {
+			if len(r.Atomic) > 0 {
+				r = r.Atomic[0]
+			}
+			e, ok := n.minted[r.Shard]
+			return !n.serving[r.Shard] && (!ok || e != r.Epoch)
+		})
+		n.mu.Unlock()
+		if len(recs) > 0 || next == pos || !time.Now().Before(deadline) {
+			n.recordsServed.Add(int64(len(recs)))
+			return wire.PullResponse{Status: wire.StatusOK, Records: recs, ResumeLSN: next, End: n.cfg.Log.End()}
+		}
+		pos = next
 	}
-	if err != nil {
-		n.cfg.Logf("cluster: node %s: reading log for %s: %v", n.cfg.NodeID, from, err)
-		return wire.PullResponse{Status: wire.StatusInternal, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
-	}
-	return wire.PullResponse{Status: wire.StatusOK, Records: recs, ResumeLSN: pos, End: n.cfg.Log.End()}
 }
 
 // registerAck folds a follower's durable-LSN ack into quorum progress

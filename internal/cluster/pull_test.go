@@ -12,21 +12,32 @@ import (
 // TestServePullAnswers drives servePull against a real WAL at the three
 // positions a follower can be in — behind, caught up and pruned — and
 // pins what each answers and how long it parks: WaitEnd first, then one
-// read, must answer exactly as read, park, read again did.
+// read, must answer exactly as read, park, read again did. The node
+// minted shard 0's epoch only: records of shard 1 are another origin's
+// copies, stepped over without ending the long-poll.
 func TestServePullAnswers(t *testing.T) {
 	log, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	ver := uint64(0)
-	appendOne := func() {
+	vers := map[uint32]uint64{}
+	next := func(shard uint32) durable.Record {
+		vers[shard]++
+		ver := vers[shard]
+		return durable.Record{Session: 9, Seq: ver, Shard: shard, Kind: durable.OpRegAdd, Arg: 1, Val: int64(ver), Ver: ver, OK: true}
+	}
+	appendRec := func(r durable.Record) {
 		t.Helper()
-		ver++
-		if _, err := log.Append(durable.Record{Session: 9, Seq: ver, Kind: durable.OpRegAdd, Arg: 1, Val: int64(ver), Ver: ver, OK: true}); err != nil {
+		lsn, err := log.Append(r)
+		if err == nil {
+			err = log.WaitDurable(lsn) // a record is readable once a wait wrote it
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	appendOne := func() { appendRec(next(0)) }
 	for i := 0; i < 60; i++ {
 		appendOne() // several 512-byte segments
 	}
@@ -34,6 +45,7 @@ func TestServePullAnswers(t *testing.T) {
 		cfg:    Config{NodeID: "a", Log: log, Logf: t.Logf},
 		quorum: newQuorumTracker(2),
 		pins:   map[string]int{},
+		minted: map[uint32]uint64{0: 0},
 	}
 	const long = 5000 // ms: a pull that parks this long fails the test's own clock
 	timed := func(req wire.PullRequest) (wire.PullResponse, time.Duration) {
@@ -83,8 +95,8 @@ func TestServePullAnswers(t *testing.T) {
 	if _, took = timed(wire.PullRequest{FromLSN: end, AckLSN: end}); took > 20*time.Millisecond {
 		t.Fatalf("caught up, no budget: parked %v", took)
 	}
-	if n.quorum.ackOf("b") != end || n.PullsServed() != 5 {
-		t.Fatalf("ack %d after %d pulls, want %d after 5", n.quorum.ackOf("b"), n.PullsServed(), end)
+	if n.quorum.ackOf("b") != end || n.PullsServed() != 5 || n.RecordsServed() != 65 {
+		t.Fatalf("ack %d after %d pulls shipping %d records, want %d after 5 shipping 65", n.quorum.ackOf("b"), n.PullsServed(), n.RecordsServed(), end)
 	}
 
 	// Pruned: b's pin sits at its ack, so a snapshot drops every sealed
@@ -99,6 +111,43 @@ func TestServePullAnswers(t *testing.T) {
 	}
 	if took > time.Second {
 		t.Fatalf("pruned: parked %v", took)
+	}
+
+	// Origin only: a pull that finds only shard-1 records parks on, then
+	// answers the next shard-0 record — a container, which goes by its
+	// first member — with ResumeLSN past both.
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		appendRec(next(1))
+		time.Sleep(20 * time.Millisecond)
+		appendRec(durable.Record{Atomic: []durable.Record{next(0), next(0)}})
+	}()
+	served := n.RecordsServed()
+	resp, took = timed(wire.PullRequest{FromLSN: end, AckLSN: end, WaitMillis: long})
+	if resp.Status != wire.StatusOK || len(resp.Records) != 1 || len(resp.Records[0].Atomic) != 2 || resp.ResumeLSN != end+2 {
+		t.Fatalf("stepping over shard 1: %d records, resume %d, status %s; want shard 0's container, resume %d", len(resp.Records), resp.ResumeLSN, resp.Status, end+2)
+	}
+	if took < 35*time.Millisecond || took > time.Second {
+		t.Fatalf("stepping over shard 1: answered after %v, want at the shard-0 append ~40ms in", took)
+	}
+	end += 2
+
+	// Nothing of its own until the budget ends — shard 1's container, and
+	// shard 0 at an epoch another node minted — is an empty answer whose
+	// ResumeLSN has still moved past them.
+	appendRec(durable.Record{Atomic: []durable.Record{next(1)}})
+	relayed := next(0)
+	relayed.Epoch = 1
+	appendRec(relayed)
+	resp, took = timed(wire.PullRequest{FromLSN: end, AckLSN: end, WaitMillis: 40})
+	if resp.Status != wire.StatusOK || len(resp.Records) != 0 || resp.ResumeLSN != end+2 {
+		t.Fatalf("nothing of its own: %d records, resume %d, status %s; want 0, resume %d", len(resp.Records), resp.ResumeLSN, resp.Status, end+2)
+	}
+	if took < 40*time.Millisecond || took > time.Second {
+		t.Fatalf("nothing of its own: answered after %v of a 40ms budget", took)
+	}
+	if got := n.RecordsServed() - served; got != 1 {
+		t.Fatalf("%d records shipped by the two pulls, want 1: shard 1's are not this node's", got)
 	}
 }
 

@@ -134,6 +134,9 @@ func BenchmarkReadRecordsTail(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			if err := l.WaitDurable(l.End()); err != nil { // a record is readable once written
+				b.Fatal(err)
+			}
 			from := l.End() - tail
 			read0 := l.ReadBytes()
 			b.ReportAllocs()

@@ -133,7 +133,8 @@ func checkIndex(t *testing.T, l *Log) {
 }
 
 // appendMixed appends n log records through session sess, every fifth
-// one a type-9 atomic container of two adds, and returns the next
+// one a type-9 atomic container of two adds, waits for the last one (a
+// record is readable only once a wait wrote it), and returns the next
 // unused sequence number.
 func appendMixed(t *testing.T, l *Log, s *ShardState, sess, seq uint64, n int) uint64 {
 	t.Helper()
@@ -145,14 +146,19 @@ func appendMixed(t *testing.T, l *Log, s *ShardState, sess, seq uint64, n int) u
 		seq++
 		return Record{Session: sess, Seq: seq - 1, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true}
 	}
+	var lsn uint64
 	for i := 0; i < n; i++ {
 		r := add()
 		if i%5 == 4 {
 			r = Record{Atomic: []Record{r, add()}}
 		}
-		if _, err := l.Append(r); err != nil {
+		var err error
+		if lsn, err = l.Append(r); err != nil {
 			t.Fatalf("append: %v", err)
 		}
+	}
+	if err := l.WaitDurable(lsn); err != nil {
+		t.Fatalf("wait: %v", err)
 	}
 	return seq
 }

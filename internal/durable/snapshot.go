@@ -185,21 +185,25 @@ func DecodeState(data []byte) (map[uint32]ShardState, error) {
 	return shards, err
 }
 
-// WriteSnapshot captures a point-in-time image of the table and writes
-// it atomically (temp file, fsync, rename, directory fsync), then
-// prunes segments and snapshots the new image makes redundant. peek is
-// called once, after the cover LSN is captured, and must return a
-// consistent per-shard image (resilient.Shared's Peek qualifies: each
-// shard image is some linearized state at least as new as the capture
-// point).
+// WriteSnapshot writes the log's buffer (a cover never runs ahead of the
+// file), captures a point-in-time image of the table and writes it
+// atomically (temp file, fsync, rename, directory fsync), then prunes
+// segments and snapshots the new image makes redundant. peek is called
+// once, after the cover LSN is captured, and must return a consistent
+// per-shard image (resilient.Shared's Peek qualifies: each shard image
+// is some linearized state at least as new as the capture point).
 func (l *Log) WriteSnapshot(peek func() map[uint32]ShardState) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
 	l.mu.Lock()
+	err := l.writeLocked()
 	if l.closed {
+		err = fmt.Errorf("durable: log is closed")
+	}
+	if err != nil {
 		l.mu.Unlock()
-		return fmt.Errorf("durable: log is closed")
+		return err
 	}
 	cover := l.end
 	markers := l.markers

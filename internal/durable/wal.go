@@ -140,10 +140,12 @@ type Log struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when a commit lands or fails, or the log closes
-	endCond *sync.Cond // broadcast when end advances (WaitEnd long-polls)
+	endCond *sync.Cond // broadcast when written advances (WaitEnd long-polls)
 	f       *os.File   // active segment
 	segs    []segment  // all live segments, ascending; last is active
 	end     uint64     // last assigned LSN
+	written uint64     // last LSN whose frame is in the file; readers see up to here
+	pending []byte     // frames of LSNs (written, end], for the active segment's next write
 	durable uint64     // last LSN covered by an fsync
 	markers uint64     // restart markers ever appended (incl. pruned)
 	syncs   uint64     // fsyncs landed
@@ -258,6 +260,7 @@ func (l *Log) recover() (Recovery, error) {
 		next = sg.start + n
 	}
 	l.end = next - 1
+	l.written = l.end
 	l.durable = l.end // everything on disk at open time counts as durable
 	l.markers = rec.RestartCount
 
@@ -390,11 +393,11 @@ func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *
 	return nil
 }
 
-// Append writes one op record and returns its LSN. Pair with
-// WaitDurable before acknowledging: that is where the durability point
-// lives (SyncAlways and SyncInterval fsync there, group-committing
-// whatever has been appended; SyncNever returns immediately). Append
-// never waits for the disk, except to rotate a full segment.
+// Append buffers one op record and returns its LSN; it does no I/O,
+// except to rotate a full segment. Pair with WaitDurable before
+// acknowledging: that is where the record is written (and becomes
+// readable) and where the durability point lives (SyncAlways and
+// SyncInterval fsync there, group-committing whatever has been appended).
 //
 // A failed append or fsync poisons the log permanently: the record's
 // version number is consumed by the caller's sequencer even though no
@@ -436,29 +439,38 @@ func (l *Log) poisonLocked(err error) {
 	}
 }
 
-// appendLocked writes one framed record, rotating first if the active
-// segment is full.
+// appendLocked buffers one framed record (the segment's size and index
+// count it at once), rotating first if the active segment is full.
 func (l *Log) appendLocked(frame []byte) error {
 	if l.segs[len(l.segs)-1].size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
 	sg := &l.segs[len(l.segs)-1]
 	if (l.end+1-sg.start)%indexStride == 0 {
 		sg.index = append(sg.index, sg.size)
 	}
 	sg.size += int64(len(frame))
+	l.pending = append(l.pending, frame...)
 	l.end++
-	l.endCond.Broadcast()
-	if l.opts.Policy == SyncNever {
-		// Nothing ever waits under SyncNever; mark durable so End/
-		// WaitDurable stay coherent for observers.
-		l.durable = l.end
+	return nil
+}
+
+// writeLocked puts every buffered frame into the active segment in one
+// write(2) and wakes the log's readers. A failed write poisons the log;
+// the file may hold part of the buffer, so nothing is written after it.
+func (l *Log) writeLocked() error {
+	if len(l.pending) == 0 || l.fail != nil {
+		return l.fail
 	}
+	if _, err := l.f.Write(l.pending); err != nil {
+		l.poisonLocked(err)
+		return l.fail
+	}
+	l.pending = l.pending[:0]
+	l.written = l.end
+	l.endCond.Broadcast()
 	return nil
 }
 
@@ -501,11 +513,14 @@ func (l *Log) fsync(f *os.File) error {
 	return err
 }
 
-// syncLocked fsyncs the active segment with l.mu held and advances the
-// durable watermark to everything appended so far. It is for the callers
-// that must exclude appends — Open, rotateLocked and Close — each with
-// no commit in flight; everything else commits through commitLocked.
+// syncLocked writes and fsyncs the active segment with l.mu held, up to
+// everything appended so far. It is for the callers that must exclude
+// appends — Open, rotateLocked and Close — each with no commit in
+// flight; everything else commits through commitLocked.
 func (l *Log) syncLocked() error {
+	if err := l.writeLocked(); err != nil {
+		return err
+	}
 	if err := l.fsync(l.f); err != nil {
 		return err
 	}
@@ -516,14 +531,17 @@ func (l *Log) syncLocked() error {
 
 // commitLocked is the group-commit engine. The caller holds l.mu, has
 // found durable < end and no commit in flight, and becomes the leader:
-// it captures the end and the active file, RELEASES the mutex for the
-// fsync — appends and log reads proceed, waiters park on cond — and
-// advances durable to the captured end, never to l.end: a record
-// appended mid-sync may not have reached the disk and is covered by the
-// next commit, which a parked waiter starts the moment this one lands.
-// A failed fsync poisons the log: the leader, every parked waiter and
-// every record appended meanwhile get the failure, and nothing is acked.
+// it writes the buffer, captures the end and the active file, RELEASES
+// the mutex for the fsync — appends and log reads proceed, waiters park
+// on cond — and advances durable to the captured end, never to l.end: a
+// record appended mid-sync is covered by the next commit, which a parked
+// waiter starts the moment this one lands. A failed write or fsync
+// poisons the log: the leader, every parked waiter and every record
+// appended meanwhile get the failure, and nothing is acked.
 func (l *Log) commitLocked() {
+	if l.writeLocked() != nil {
+		return // poisoned; the poison woke every waiter
+	}
 	target, f := l.end, l.f
 	l.syncing = true
 	l.mu.Unlock()
@@ -560,7 +578,9 @@ func (l *Log) syncer() {
 
 // WaitDurable blocks until an fsync covers lsn: the first waiter in
 // leads a commit on the spot (commitLocked), the rest park behind it.
-// Under SyncNever every LSN is born covered and it returns immediately.
+// A waiter whose record is still buffered writes the buffer before it
+// leads or parks, so a burst reaches the log's readers at once; under
+// SyncNever that write is the durability point.
 //
 // A poisoned log fails every wait, even for an LSN that reached disk
 // before the failure: after a poison, a caller may be asking about the
@@ -573,11 +593,15 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		if l.fail != nil {
 			return l.fail
 		}
-		if l.durable >= lsn {
+		if l.durable >= lsn || l.opts.Policy == SyncNever && l.written >= lsn {
 			return nil
 		}
 		if l.closed {
 			return fmt.Errorf("durable: log closed before LSN %d became durable", lsn)
+		}
+		if l.written < lsn && len(l.pending) > 0 {
+			l.writeLocked() // a failure poisons, and the loop answers it
+			continue
 		}
 		if l.syncing {
 			l.cond.Wait()
@@ -606,8 +630,8 @@ func (l *Log) Syncs() uint64 {
 // fsync is SyncNanos/Syncs.
 func (l *Log) SyncNanos() uint64 { return l.syncNanos.Load() }
 
-// Close flushes, wakes all waiters, and closes the files. Appends and
-// waits after Close fail.
+// Close writes what is buffered (and syncs it, unless SyncNever), wakes
+// all waiters, and closes the files. Appends and waits after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	// The final sync and closeFiles must not run under a commit's feet.
@@ -619,8 +643,12 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if l.opts.Policy != SyncNever && l.fail == nil && l.durable < l.end {
-		err = l.syncLocked()
+	if l.fail == nil && l.durable < l.end {
+		if l.opts.Policy == SyncNever {
+			err = l.writeLocked()
+		} else {
+			err = l.syncLocked()
+		}
 	}
 	l.closed = true
 	l.cond.Broadcast()
@@ -704,10 +732,10 @@ func (l *Log) minPinLocked() (uint64, bool) {
 	return min, found
 }
 
-// WaitEnd blocks until the log end reaches at least min, the timeout
-// lapses, or the log closes/poisons, returning the current end. It is
-// the long-poll primitive replication pulls park on: a caught-up
-// follower's pull waits here instead of spinning.
+// WaitEnd blocks until the written end reaches at least min, the
+// timeout lapses, or the log closes/poisons, returning the written end.
+// It is the long-poll primitive replication pulls park on: a caught-up
+// follower's pull waits here, and wakes once per write, not per record.
 func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -718,10 +746,10 @@ func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 	defer timer.Stop()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.end < min && !l.closed && l.fail == nil && time.Now().Before(deadline) {
+	for l.written < min && !l.closed && l.fail == nil && time.Now().Before(deadline) {
 		l.endCond.Wait()
 	}
-	return l.end
+	return l.written
 }
 
 // ReadRecords reads up to maxRecords op records with LSNs strictly
@@ -730,9 +758,9 @@ func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 // caller resuming at end never re-reads them). A from below the oldest
 // live segment returns ErrPruned — the tail was pruned behind a
 // snapshot and the reader needs a state image instead. Safe against
-// concurrent appends: the end, the segment list and every segment's
-// byte length are captured together at entry, nothing past them is
-// read, and appends never mutate written bytes.
+// concurrent appends: the written end, the segment list and every
+// segment's written length are captured together at entry, nothing past
+// them is read, and writes never mutate written bytes.
 //
 // The read costs O(batch), not O(segment): it seeks through the
 // segment's sparse index to the nearest indexed record at or below
@@ -746,16 +774,17 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 		l.mu.Unlock()
 		return nil, from, fmt.Errorf("durable: log is closed")
 	}
-	end := l.end
+	end := l.written
 	segs := make([]segment, len(l.segs))
 	copy(segs, l.segs)
+	segs[len(segs)-1].size -= int64(len(l.pending))
 	l.mu.Unlock()
 
 	if from >= end {
 		return nil, from, nil
 	}
-	if len(segs) == 0 || segs[0].start > from+1 {
-		return nil, from, fmt.Errorf("%w: want LSN %d, oldest live segment starts at %d", ErrPruned, from+1, oldestStart(segs))
+	if segs[0].start > from+1 { // there is always an active segment
+		return nil, from, fmt.Errorf("%w: want LSN %d, oldest live segment starts at %d", ErrPruned, from+1, segs[0].start)
 	}
 
 	var out []Record
@@ -779,14 +808,6 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 		}
 	}
 	return out, pos, nil
-}
-
-// oldestStart names the first live LSN for the ErrPruned diagnostic.
-func oldestStart(segs []segment) uint64 {
-	if len(segs) == 0 {
-		return 0
-	}
-	return segs[0].start
 }
 
 // readSegment appends sg's op records with LSNs in (pos, stop] to out,

@@ -472,20 +472,24 @@ func TestCommitEngine(t *testing.T) {
 			lead := waitAsync(l, first)
 			g.started(t, lead)
 
-			// (a) The disk is busy, the log is not.
+			// (a) The disk is busy, the log is not: appends go through, and
+			// a waiter writes the burst before it parks, so it is readable
+			// while the fsync is still in flight.
 			const parked = 4
 			var lsns [parked]uint64
 			for i := range lsns {
 				lsns[i] = appendAdds(t, l, uint64(1+i), 1)
 			}
-			recs, pos, err := l.ReadRecords(first, parked+1)
-			if err != nil || len(recs) != parked || pos != lsns[parked-1] {
-				t.Fatalf("read during an fsync: %d records to LSN %d, err %v; want %d to %d", len(recs), pos, err, parked, lsns[parked-1])
-			}
-
 			released := make(chan error, parked)
 			for _, lsn := range lsns {
 				go func() { released <- l.WaitDurable(lsn) }()
+			}
+			if got := l.WaitEnd(lsns[parked-1], watchdog); got != lsns[parked-1] {
+				t.Fatalf("written end %d during an fsync, want %d: the parked waiters did not write", got, lsns[parked-1])
+			}
+			recs, pos, err := l.ReadRecords(first, parked+1)
+			if err != nil || len(recs) != parked || pos != lsns[parked-1] {
+				t.Fatalf("read during an fsync: %d records to LSN %d, err %v; want %d to %d", len(recs), pos, err, parked, lsns[parked-1])
 			}
 			stillWaiting(t, lead, "the leader")
 			g.release <- nil

@@ -13,13 +13,21 @@ import (
 // quorum: the follower pulls, the covering fsyncs and the quorum wait
 // are all inside the round. diskB/pull is what the primary's WAL read
 // back per pull it served; it must not grow with b.N, i.e. with how
-// full the active segment is.
+// full the active segment is. records/op is what every node's pulls
+// shipped per acked op: a record crosses the cluster once per follower
+// (N−1 = 2), not once per stream (6).
 func BenchmarkQuorumRound(b *testing.B) {
 	const depth = 8
 	nodes := startTestCluster(b, 3, 1, 2)
 	owner := ownerOf(b, nodes, 0)
 	c := dial(b, owner.addr)
 	defer c.Close()
+	shipped := func() (n int64) {
+		for _, node := range nodes {
+			n += node.srv.Stats().ReplRecordsServed
+		}
+		return n
+	}
 	round := func(first uint64) {
 		var ps [depth]*client.Pending
 		for i := range ps {
@@ -36,7 +44,8 @@ func BenchmarkQuorumRound(b *testing.B) {
 		}
 	}
 	round(1) // first contact: followers connect and catch up
-	before := owner.srv.Stats()
+	waitReplicated(b, nodes)
+	before, shipped0 := owner.srv.Stats(), shipped()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,10 +53,16 @@ func BenchmarkQuorumRound(b *testing.B) {
 	}
 	b.StopTimer()
 
+	waitReplicated(b, nodes)
 	after := owner.srv.Stats()
 	if got, want := after.QuorumAcks-before.QuorumAcks, int64(b.N*depth); got != want {
 		b.Fatalf("%d acks passed the quorum gate, want %d", got, want)
 	}
+	perOp := float64(shipped()-shipped0) / float64(b.N*depth)
+	if perOp > 2.05 {
+		b.Fatalf("%.2f records shipped per acked op, want at most N-1 = 2: a record crossed the cluster more than once per follower", perOp)
+	}
+	b.ReportMetric(perOp, "records/op")
 	b.ReportMetric(float64(after.WALReadBytes-before.WALReadBytes)/float64(after.ReplPullsServed-before.ReplPullsServed), "diskB/pull")
 	b.ReportMetric(float64(b.N*depth)/float64(after.WALFsyncs-before.WALFsyncs), "ops/fsync")
 }

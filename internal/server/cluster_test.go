@@ -55,11 +55,11 @@ func testPeers(t testing.TB, size int) []cluster.Peer {
 }
 
 // bootNode builds member i of peers with a tight failure detector,
-// binds it and starts serving.
-func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum int) *cnode {
+// binds it and starts serving; logf, when given, receives its log.
+func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum int, logf ...func(string, ...any)) *cnode {
 	t.Helper()
 	p := peers[i]
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		N:       4,
 		K:       2,
 		Shards:  shards,
@@ -73,7 +73,11 @@ func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum 
 			PullWait:      50 * time.Millisecond,
 			QuorumTimeout: 5 * time.Second,
 		},
-	})
+	}
+	if len(logf) > 0 {
+		cfg.Logf = logf[0]
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func ownerOf(t testing.TB, nodes []*cnode, shard uint32) *cnode {
 
 // waitReplicated polls until every live node's followers have acked its
 // whole WAL (worst-case replica lag zero everywhere).
-func waitReplicated(t *testing.T, nodes []*cnode) {
+func waitReplicated(t testing.TB, nodes []*cnode) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

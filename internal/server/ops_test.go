@@ -57,7 +57,7 @@ func goldenStats() wire.Stats {
 		PeerContactAge: map[string]time.Duration{"node-c": 2 * time.Second, "node-b": 150 * time.Millisecond},
 		PerShard:       []obs.Snapshot{snap, idle},
 		Phase:          "degraded", ReadFastpath: 33, Reclaimed: 39,
-		RecoveredOps: 17, Rejected: 6, ReplPullsServed: 14, RestartCount: 3,
+		RecoveredOps: 17, Rejected: 6, ReplPullsServed: 14, ReplRecordsServed: 28, RestartCount: 3,
 		Shards: 2, ShedAdmissions: 11, ShedOps: 9,
 		WALFsyncNanos: 3_250_000, WALFsyncs: 15, WALReadBytes: 4096,
 	}

@@ -107,6 +107,7 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	gauge("recovered_ops", "Mutations reconstructed from the data directory at startup.", st.RecoveredOps)
 	counter("rejected_total", "Connections rejected by admission backpressure.", st.Rejected)
 	counter("repl_pulls_served_total", "Replication pulls answered from this node's WAL (0 off-cluster).", st.ReplPullsServed)
+	counter("repl_records_served_total", "Records those pulls shipped: each of this node's own records once per follower (0 off-cluster).", st.ReplRecordsServed)
 	gauge("replica_lag_lsn", "Worst follower lag behind this node's WAL end, in records (0 off-cluster).", st.ReplicaLagLSN)
 	gauge("restart_count", "Prior incarnations that opened this data directory.", st.RestartCount)
 

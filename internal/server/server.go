@@ -463,6 +463,7 @@ func (s *Server) Stats() wire.Stats {
 	}
 	if s.node != nil {
 		st.ReplPullsServed = s.node.PullsServed()
+		st.ReplRecordsServed = s.node.RecordsServed()
 		st.ReplicaLagLSN = int64(s.node.ReplicaLag())
 		st.LeaseHeld = s.node.LeaseHeld()
 		st.LeaseExpirations = s.node.LeaseExpirations()

@@ -414,6 +414,8 @@ type Stats struct {
 	// its WAL (zero off-cluster); with WALReadBytes it gives the bytes
 	// a pull costs, which must not grow with the segment.
 	ReplPullsServed int64 `json:"repl_pulls_served"`
+	// ReplRecordsServed counts the records those pulls shipped.
+	ReplRecordsServed int64 `json:"repl_records_served"`
 	// ReplicaLagLSN is the instantaneous worst-case replication lag:
 	// this node's log end minus the lowest follower-acknowledged LSN
 	// (zero off-cluster, when fully caught up, or with no followers).

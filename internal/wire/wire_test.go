@@ -214,7 +214,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		ObjMapOps: 20, ObjQueueOps: 21, ObjRegisterOps: 22, ObjSnapshotOps: 23,
 		OpDeadlines: 5, PeerContactAge: map[string]time.Duration{"node-b": 31}, PerShard: nil,
 		Phase: "running", QuorumAcks: 15, ReadFastpath: 24, Reclaimed: 6,
-		RecoveredOps: 7, Rejected: 8, ReplPullsServed: 25, ReplicaLagLSN: 16,
+		RecoveredOps: 7, Rejected: 8, ReplPullsServed: 25, ReplRecordsServed: 32, ReplicaLagLSN: 16,
 		RestartCount: 9, Shards: 4, ShedAdmissions: 12, ShedOps: 13,
 		WALFsyncNanos: 28, WALFsyncs: 26, WALReadBytes: 27,
 	}
@@ -227,7 +227,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		`"op_deadlines":5,"peer_contact_age_ns":{"node-b":31},"per_shard":null,` +
 		`"phase":"running","quorum_acks":15,"read_fastpath":24,"reclaimed":6,` +
 		`"recovered_ops":7,` +
-		`"rejected":8,"repl_pulls_served":25,"replica_lag_lsn":16,` +
+		`"rejected":8,"repl_pulls_served":25,"repl_records_served":32,"replica_lag_lsn":16,` +
 		`"restart_count":9,"shards":4,"shed_admissions":12,"shed_ops":13,` +
 		`"wal_fsync_ns":28,"wal_fsyncs":26,"wal_read_bytes":27}`
 	if got := string(s.JSON()); got != want {
