@@ -104,6 +104,19 @@ func probeOwner(proxies []*netfault.Proxy) (int, error) {
 	return owner, nil
 }
 
+// verdictDial connects a verdict read with a bounded retry budget: right
+// after the workers close, a member may not have reclaimed their
+// identities yet and refuse the dial busy ("all identities leased") —
+// a race of the harness, not a fault of the server.
+func verdictDial(addr string, seed int64) (*client.Client, error) {
+	return client.DialRetry(addr, client.RetryPolicy{
+		Seed:        seed,
+		MaxAttempts: 20,
+		BaseDelay:   10 * time.Millisecond,
+		MaxDelay:    250 * time.Millisecond,
+	})
+}
+
 // isNotPrimaryErr extracts a cluster redirect from err (nil otherwise).
 func isNotPrimaryErr(err error) *wire.Error {
 	var we *wire.Error
@@ -318,7 +331,7 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 	}
 	survivorStats := make(map[string]wire.Stats, len(followers))
 	for _, i := range followers {
-		c, err := client.DialTimeout(realAddrs[i], 2*time.Second)
+		c, err := verdictDial(realAddrs[i], cfg.seed)
 		if err != nil {
 			return fmt.Errorf("verdict stats from member %d: %w", i, err)
 		}
@@ -383,7 +396,7 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 		failures++
 		fmt.Fprintf(out, "CONTRACT VIOLATION: cluster never re-converged after node-%d rejoined: %v\n", primary, convErr)
 	} else {
-		c, cerr := client.DialTimeout(proxies[converged].Addr(), 2*time.Second)
+		c, cerr := verdictDial(proxies[converged].Addr(), cfg.seed)
 		if cerr != nil {
 			return fmt.Errorf("rejoin verdict read: %w", cerr)
 		}

@@ -90,6 +90,48 @@ func BenchmarkStepOp(b *testing.B) {
 	}
 }
 
+// BenchmarkStepRun is the large-state set-up's unit of work — one
+// session's pipelined burst of DedupDepth map puts on one shard of 1024
+// sessions, 64 objects and 16 384 keys — stepped as one run (one clone
+// of the state and of the map, one dedup write) and as that many
+// StepOps, each on its own clone. Both report per op.
+func BenchmarkStepRun(b *testing.B) {
+	st := benchState("1024sess_64obj_16kkeys", 1024, 64, 1<<14)
+	prev, _ := st.Dedup.Get(1)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = benchKey((i * 97) % (1 << 14))
+	}
+	put := func(i int) Op { return Op{Kind: OpMapPut, Obj: "map:0", Key: keys[i%len(keys)], Arg: int64(i)} }
+	for _, mode := range []string{"run", "one-by-one"} {
+		b.Run(mode, func(b *testing.B) {
+			s, seq := st, prev.Seq
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += DedupDepth {
+				burst := min(DedupDepth, b.N-i)
+				if mode == "run" {
+					c := s.Clone()
+					r := NewRun(benchWindow)
+					for j := 0; j < burst; j++ {
+						seq++
+						sinkOutcome = r.Step(&c, 1, seq, put(i+j))
+					}
+					r.End(&c)
+					s = c
+					continue
+				}
+				for j := 0; j < burst; j++ {
+					seq++
+					c := s.Clone()
+					sinkOutcome = StepOp(&c, benchWindow, 1, seq, put(i+j))
+					s = c
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStepOpEvict is the cost evictOldest leaves on the books:
 // every op comes from a session new to a full window, so every op
 // scans the window for its oldest entry.

@@ -17,7 +17,7 @@ import (
 // applied op.
 type ShardState struct {
 	// Ver counts applied mutations: it increments by exactly one per
-	// StepOp that applies, in linearization order. The server's WAL
+	// mutation that applies, in linearization order. The server's WAL
 	// sequencer appends records in Ver order, so Ver is also the
 	// record's position in the shard's durable history.
 	Ver uint64
@@ -32,10 +32,11 @@ type ShardState struct {
 	Epoch uint64
 	// Objs is the shard's named-object table: registers (the root
 	// register among them, under RootName), maps, queues, and
-	// snapshot objects keyed by name. A mutation clones the
-	// one object it touches and rebinds its name, so per-op cost is one
-	// O(log₃₂ objects) path copy plus the object's own copy-on-write
-	// cost, never O(objects) or O(total data).
+	// snapshot objects keyed by name. A run (see Run) clones an object
+	// on its first write and rebinds its name, then writes the private
+	// clone in place, so per-run cost is one O(log₃₂ objects) path copy
+	// per object touched plus each op's own copy-on-write cost, never
+	// O(objects) or O(total data).
 	Objs object.Table
 	// Dedup maps a client session identity to its recent ops. One
 	// entry per session, holding the newest op inline plus a short
@@ -83,8 +84,9 @@ type DedupEntry struct {
 	// re-acknowledged.
 	Ver uint64
 	// Recent holds up to DedupDepth-1 older ops in descending seq
-	// order. Never mutated in place: StepOp builds a fresh slice on every
-	// update, so clones sharing the backing array stay consistent.
+	// order. Never mutated in place once published: a run copies it at
+	// a stretch's first op and shifts only its own copy, so clones
+	// sharing the backing array stay consistent.
 	Recent []DedupOp
 }
 
@@ -144,17 +146,18 @@ type Outcome struct {
 }
 
 // Clone copies the state in O(1). resilient.Shared calls it before
-// every speculative op execution, so StepOp may mutate its receiver
-// freely: Dedup and Objs are persistent maps that StepOp rebinds, never
+// every speculative op execution, so a Run may mutate its receiver
+// freely: Dedup and Objs are persistent maps that it rebinds, never
 // writes, and the Recent slices and object states they point at are
-// immutable once published (copy-on-write).
+// immutable once published (copy-on-write) — a run writes in place only
+// the objects it cloned itself.
 func (s ShardState) Clone() ShardState { return s }
 
-// StepOp executes one mutation against s with dedup: the single source
-// of truth for live ops (inside the universal construction's op
-// closure) and, through Fold, for WAL replay and replicated apply, so a
-// recovered table is bit-identical to the pre-crash one — same values,
-// same dedup entries, same evictions.
+// StepOp executes one mutation against s with dedup: a run of one (see
+// Run), the single source of truth for live ops and, through Fold, for
+// WAL replay and replicated apply, so a recovered table is
+// bit-identical to the pre-crash one — same values, same dedup entries,
+// same evictions.
 //
 // session==0 or seq==0 disables dedup for the op (anonymous clients,
 // idempotent kinds). window bounds the dedup map; <=0 means unbounded.
@@ -167,50 +170,97 @@ func (s ShardState) Clone() ShardState { return s }
 // re-evaluated against state that has since moved — exactly-once for
 // failures, not just successes.
 func StepOp(s *ShardState, window int, session, seq uint64, op Op) Outcome {
+	r := NewRun(window)
+	out := r.Step(s, session, seq, op)
+	r.End(s)
+	return out
+}
+
+// Run steps consecutive mutations of one shard on one private state s,
+// passed to every Step and to End, exactly as StepOp would one at a time
+// — every Outcome, and after End every byte of *s — but publishes
+// nothing between them: an object is cloned on its first write in the
+// run and written in place afterwards, and a session's dedup entry is
+// written once per stretch of its ops (a session new to the window at
+// once, so eviction order is unchanged).
+type Run struct {
+	window int
+	owned  [8]*object.State // cloned by the run; past 8, a clone per write as in StepOp
+	nOwned int
+	sess   uint64     // the session whose entry the run holds
+	entry  DedupEntry // sess's entry as the window will hold it
+	dirty  bool       // entry is ahead of the window, and entry.Recent is the run's
+}
+
+// NewRun starts a run; End must close it before its state is published.
+func NewRun(window int) Run { return Run{window: window} }
+
+// Step executes one mutation of the run on s, as StepOp specifies.
+func (r *Run) Step(s *ShardState, session, seq uint64, op Op) Outcome {
 	dedup := session != 0 && seq != 0
-	var prev DedupEntry
-	var had bool
-	if dedup {
-		if prev, had = s.Dedup.Get(session); had {
-			if seq == prev.Seq {
-				return Outcome{Val: prev.Val, OK: prev.OK, Duplicate: true, Ver: prev.Ver, Epoch: s.Epoch}
-			}
-			if seq < prev.Seq {
-				// An older seq: answer from the history if the window
-				// still holds it (a pipelined burst healing after a
-				// connection loss re-issues every un-acked op, oldest
-				// included), stale only once it has aged out.
-				for _, old := range prev.Recent {
-					if old.Seq == seq {
-						return Outcome{Val: old.Val, OK: old.OK, Duplicate: true, Ver: old.Ver, Epoch: s.Epoch}
-					}
-				}
-				return Outcome{Stale: true}
-			}
+	if dedup && session != r.sess {
+		r.flush(s)
+		r.sess = 0
+		if e, ok := s.Dedup.Get(session); ok {
+			r.sess, r.entry = session, e
 		}
 	}
-	val, ok := applyOp(s, op)
-	s.Ver++
-	if dedup {
-		entry := DedupEntry{Seq: seq, Val: val, OK: ok, Ver: s.Ver}
-		if had {
-			// Push the superseded newest op into the history: a fresh
-			// slice every time (never append to prev.Recent in place —
-			// speculative clones share its backing array).
-			keep := len(prev.Recent)
-			if keep > DedupDepth-2 {
-				keep = DedupDepth - 2
-			}
-			entry.Recent = make([]DedupOp, 0, keep+1)
-			entry.Recent = append(entry.Recent, DedupOp{Seq: prev.Seq, Val: prev.Val, OK: prev.OK, Ver: prev.Ver})
-			entry.Recent = append(entry.Recent, prev.Recent[:keep]...)
+	known := dedup && session == r.sess
+	if known && seq <= r.entry.Seq {
+		// A re-issue (a burst healing after a connection loss re-issues
+		// every un-acked op): answered from history, stale once aged out.
+		if old, ok := r.entry.find(seq); ok {
+			return Outcome{Val: old.Val, OK: old.OK, Duplicate: true, Ver: old.Ver, Epoch: s.Epoch}
 		}
-		s.Dedup = s.Dedup.Set(session, entry)
-		if window > 0 && s.Dedup.Len() > window {
+		return Outcome{Stale: true}
+	}
+	val, ok := r.applyOp(s, op)
+	s.Ver++
+	switch {
+	case known:
+		r.push(DedupOp{Seq: seq, Val: val, OK: ok, Ver: s.Ver})
+	case dedup:
+		r.sess, r.entry = session, DedupEntry{Seq: seq, Val: val, OK: ok, Ver: s.Ver}
+		s.Dedup = s.Dedup.Set(session, r.entry)
+		if r.window > 0 && s.Dedup.Len() > r.window {
 			evictOldest(s)
 		}
 	}
 	return Outcome{Val: val, OK: ok, Applied: true, Ver: s.Ver, Epoch: s.Epoch}
+}
+
+// End writes the pending dedup entry and gives up the run's objects:
+// *s is the state to publish, immutable from here on.
+func (r *Run) End(s *ShardState) {
+	r.flush(s)
+	for _, o := range r.owned[:r.nOwned] {
+		o.Q.Seal()
+	}
+}
+
+// push makes op the session's newest, the superseded one heading its
+// history of DedupDepth-1. The window's history is shared with published
+// states: a stretch's first push copies it (as does one that grows it),
+// later ones shift the copy in place.
+func (r *Run) push(op DedupOp) {
+	e := &r.entry
+	if n := min(len(e.Recent)+1, DedupDepth-1); !r.dirty || n > cap(e.Recent) {
+		recent := make([]DedupOp, n)
+		copy(recent[1:], e.Recent)
+		e.Recent = recent
+	} else {
+		copy(e.Recent[1:], e.Recent)
+	}
+	e.Recent[0] = DedupOp{Seq: e.Seq, Val: e.Val, OK: e.OK, Ver: e.Ver}
+	e.Seq, e.Val, e.OK, e.Ver, r.dirty = op.Seq, op.Val, op.OK, op.Ver, true
+}
+
+// flush writes the pending entry, publishing its history.
+func (r *Run) flush(s *ShardState) {
+	if r.dirty {
+		s.Dedup = s.Dedup.Set(r.sess, r.entry)
+		r.dirty = false
+	}
 }
 
 // Ahead reports whether history position (epoch, ver) lies strictly past
@@ -298,21 +348,35 @@ func (s ShardState) Contradicts(r Record) bool {
 	if r.Seq > e.Seq {
 		return true // s claims r.Ver yet never saw this op
 	}
-	if r.Seq == e.Seq {
-		return e.Ver != r.Ver || e.Val != r.Val || e.OK != r.OK
-	}
-	for _, old := range e.Recent {
-		if old.Seq == r.Seq {
-			return old.Ver != r.Ver || old.Val != r.Val || old.OK != r.OK
-		}
-	}
-	return false // aged out of the per-session history window
+	old, ok := e.find(r.Seq) // not ok: aged out of the history window
+	return ok && (old.Ver != r.Ver || old.Val != r.Val || old.OK != r.OK)
 }
 
-// applyOp executes op's state change on s, returning the result value
-// and the op-level verdict. It must be fully deterministic: replay
-// re-executes it and cross-checks the recorded (Val, OK, Ver).
-func applyOp(s *ShardState, op Op) (int64, bool) {
+// find returns the op seq names if e still remembers it.
+func (e DedupEntry) find(seq uint64) (DedupOp, bool) {
+	if e.Seq == seq {
+		return DedupOp{Seq: e.Seq, Val: e.Val, OK: e.OK, Ver: e.Ver}, true
+	}
+	for _, old := range e.Recent {
+		if old.Seq == seq {
+			return old, true
+		}
+	}
+	return DedupOp{}, false
+}
+
+// opClass is the object class each mutation kind applies to.
+var opClass = [...]object.Type{
+	OpRegAdd: object.TypeRegister, OpRegSet: object.TypeRegister,
+	OpMapPut: object.TypeMap, OpMapCAS: object.TypeMap, OpMapDel: object.TypeMap,
+	OpQEnq: object.TypeQueue, OpQDeq: object.TypeQueue, OpSnapUpdate: object.TypeSnapshot,
+}
+
+// applyOp executes op's state change on s, returning the
+// result value and the op-level verdict. It must be fully
+// deterministic: replay re-executes it and cross-checks the recorded
+// (Val, OK, Ver).
+func (r *Run) applyOp(s *ShardState, op Op) (int64, bool) {
 	cur, ok := s.Objs.Get(op.Obj)
 	if op.Kind == OpCreate {
 		if op.Obj == RootName {
@@ -340,37 +404,37 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 		}
 		cur = rootAtBirth
 	}
-	// mutate clones the target object and republishes it, keeping the
-	// previously published *State immutable for clones that share it.
+	// mutate returns the target object to write: the run's own copy if it
+	// has one, else a clone bound under the name — keeping the published
+	// *State immutable for the clones that share it.
 	mutate := func() *object.State {
+		for _, o := range r.owned[:r.nOwned] {
+			if o == cur {
+				return cur
+			}
+		}
 		c := cur.Clone()
+		if r.nOwned < len(r.owned) {
+			r.owned[r.nOwned], r.nOwned = c, r.nOwned+1
+		}
 		s.Objs = s.Objs.Set(op.Obj, c)
 		return c
 	}
+	if int(op.Kind) >= len(opClass) || cur.Type != opClass[op.Kind] {
+		return 0, false // a class conflict (or a kind no class has)
+	}
 	switch op.Kind {
 	case OpRegAdd:
-		if cur.Type != object.TypeRegister {
-			return 0, false
-		}
 		c := mutate()
 		c.Reg += op.Arg
 		return c.Reg, true
 	case OpRegSet:
-		if cur.Type != object.TypeRegister {
-			return 0, false
-		}
 		mutate().Reg = op.Arg
 		return op.Arg, true
 	case OpMapPut:
-		if cur.Type != object.TypeMap {
-			return 0, false
-		}
 		mutate().M.Put(op.Key, op.Arg)
 		return op.Arg, true
 	case OpMapCAS:
-		if cur.Type != object.TypeMap {
-			return 0, false
-		}
 		// A missing key compares as 0, so cas(key, 0→v) initializes.
 		cv, _ := cur.M.Get(op.Key)
 		if cv != op.Arg2 {
@@ -379,34 +443,22 @@ func applyOp(s *ShardState, op Op) (int64, bool) {
 		mutate().M.Put(op.Key, op.Arg)
 		return op.Arg, true
 	case OpMapDel:
-		if cur.Type != object.TypeMap {
-			return 0, false
-		}
 		if _, present := cur.M.Get(op.Key); !present {
 			return 0, false
 		}
 		old, _ := mutate().M.Delete(op.Key)
 		return old, true
 	case OpQEnq:
-		if cur.Type != object.TypeQueue {
-			return 0, false
-		}
 		c := mutate()
 		c.Q.PushBack(op.Arg)
 		return int64(c.Q.Len()), true
 	case OpQDeq:
-		if cur.Type != object.TypeQueue {
-			return 0, false
-		}
 		if cur.Q.Len() == 0 {
 			return 0, false
 		}
 		v, _ := mutate().Q.PopFront()
 		return v, true
 	case OpSnapUpdate:
-		if cur.Type != object.TypeSnapshot {
-			return 0, false
-		}
 		slot := op.Arg2
 		if slot < 0 || slot >= int64(len(cur.Slots)) {
 			return 0, false

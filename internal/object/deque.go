@@ -55,6 +55,11 @@ func (d Deque[T]) Clone() Deque[T] {
 	return c
 }
 
+// Seal gives up the back chunk before the deque is published: the next
+// PushBack, on a clone, copies it. A deque pushed to and sealed is then
+// equal in memory whether it was cloned before every push or only once.
+func (d *Deque[T]) Seal() { d.ownBack = false }
+
 // PushBack appends v.
 func (d *Deque[T]) PushBack(v T) {
 	if len(d.chunks) == 0 || d.tail == chunkCap {

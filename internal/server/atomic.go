@@ -14,7 +14,7 @@ import (
 // mutations all-or-nothing, across shards, under ONE WAL record.
 //
 // The protocol is validate-then-install. The group takes the table's
-// batchMu exclusively (single-op mutations hold it shared across their
+// batchMu exclusively (runs of mutations hold it shared across their
 // Apply) and the server's replMu (excluding replicated applies and
 // state installs), Peeks every touched shard's committed state, and
 // steps the whole group against private clones. Only if every fresh
@@ -64,7 +64,7 @@ func extend(spans []span, r durable.Record) []span {
 
 // applyAtomicStart validates and commits one atomic group as process
 // p, up to — but not including — its durability wait (responses that
-// presume it are marked in the cycle's ledger, like applyStart's). It
+// presume it are marked in the cycle's ledger, like applyRun's). It
 // returns one response per request, in order, and adds the newly
 // applied members to c.fresh for the snapshot cadence.
 //
@@ -148,9 +148,7 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request, c *cycle) []wire.Re
 		if outs[i].Duplicate {
 			fl |= wire.FlagDuplicate
 			t.shards[req.Shard].m.DupeHit()
-			if t.dupes != nil {
-				t.dupes.Add(1)
-			}
+			t.dupes.Add(1)
 		}
 		resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: fl, Value: outs[i].Val}
 	}
@@ -181,7 +179,7 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request, c *cycle) []wire.Re
 		lsn := t.log.End()
 		if len(subs) > 0 {
 			var err error
-			lsn, err = t.logInOrder(durable.Record{Atomic: subs}, spans)
+			lsn, err = t.logInOrder(spans, durable.Record{Atomic: subs})
 			if errors.Is(err, errSuperseded) {
 				// Unreachable under replMu (only a state install moves a
 				// sequencer backward); answered honestly if it ever fires.
@@ -215,18 +213,16 @@ func (t *table) applyAtomicStart(p int, reqs []wire.Request, c *cycle) []wire.Re
 // applyAtomicGroup is the server-side wrapper: shard-ownership gate,
 // the replMu hold, and the committed-group counter.
 func (s *Server) applyAtomicGroup(p int, reqs []wire.Request, c *cycle) []wire.Response {
-	if s.node != nil {
-		for _, req := range reqs {
-			if int(req.Shard) < s.cfg.Shards && !s.node.Owns(req.Shard) {
-				s.notPrimary.Add(1)
-				refusal := s.notPrimaryResponse(0, req.Shard)
-				resps := make([]wire.Response, len(reqs))
-				for i, r := range reqs {
-					resps[i] = refusal
-					resps[i].ID = r.ID
-				}
-				return resps
+	for _, req := range reqs {
+		if s.refuses(req.Shard) {
+			s.notPrimary.Add(1)
+			refusal := s.notPrimaryResponse(0, req.Shard)
+			resps := make([]wire.Response, len(reqs))
+			for i, r := range reqs {
+				resps[i] = refusal
+				resps[i].ID = r.ID
 			}
+			return resps
 		}
 	}
 	fresh := c.fresh

@@ -160,7 +160,7 @@ func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, error) {
 		if adopted {
 			s.tab.release(spans)
 		} else {
-			lsn, err := s.tab.logInOrder(rec, spans)
+			lsn, err := s.tab.logInOrder(spans, rec)
 			if err == nil {
 				maxLsn = max(maxLsn, lsn)
 				continue

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestAtomicRefusedTurnReleasesAndFences(t *testing.T) {
 	}
 	var c cycle
 	for _, req := range []wire.Request{add(0, 1), add(1, 2)} {
-		if resp := tab.applyStart(context.Background(), 0, req, nil, &c); resp.Status != wire.StatusOK {
+		if resp := tab.applyRun(context.Background(), 0, []wire.Request{req}, nil, &c)[0]; resp.Status != wire.StatusOK {
 			t.Fatalf("seeding shard %d: %+v", req.Shard, resp)
 		}
 	}
@@ -56,7 +58,7 @@ func TestAtomicRefusedTurnReleasesAndFences(t *testing.T) {
 	}
 
 	done := make(chan wire.Response, 1)
-	go func() { done <- tab.applyStart(context.Background(), 1, add(0, 5), nil, &c) }()
+	go func() { done <- tab.applyRun(context.Background(), 1, []wire.Request{add(0, 5)}, nil, &c)[0] }()
 	select {
 	case resp := <-done:
 		if resp.Status != wire.StatusOK || resp.Value != 3 {
@@ -209,5 +211,136 @@ func TestRecoveryAndFollowerBitIdentical(t *testing.T) {
 	log.Close()
 	if !bytes.Equal(durable.EncodeState(recovered.Shards), want) {
 		t.Fatal("the follower's WAL and snapshots recover to a different state than it served")
+	}
+}
+
+// TestRecoveryAndFollowerBitIdenticalPipelined is
+// TestRecoveryAndFollowerBitIdentical under a pipelined load: a durable
+// server serves seeded pipelines — runs of puts, enqueues, dequeues,
+// cas and register adds from several sessions, broken by reads and by
+// 0xC2 groups, with op IDs re-issued inside a run and after it — and
+// recovery of its directory, a follower applying its WAL record by
+// record and recovery of the follower's directory all end in the bytes
+// the server served.
+func TestRecoveryAndFollowerBitIdenticalPipelined(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "primary")
+	s, err := New(Config{N: 1, K: 1, Shards: 2, DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.closeLog)
+	rng := rand.New(rand.NewSource(26))
+	var id uint64
+	seqs := map[uint64]uint64{}
+	var sent []wire.Request
+	mutation := func(shard uint32) wire.Request {
+		id++
+		session := uint64(1 + rng.Intn(3))
+		if len(sent) > 0 && rng.Intn(10) == 0 {
+			r := sent[len(sent)-1-rng.Intn(min(len(sent), 40))] // a re-issue
+			r.ID = id
+			return r
+		}
+		seqs[session]++
+		r := wire.Request{ID: id, Shard: shard, Session: session, Seq: seqs[session], Arg: int64(rng.Intn(5)), Arg2: int64(rng.Intn(5))}
+		switch rng.Intn(5) {
+		case 0:
+			r.Kind = wire.KindAdd
+		case 1:
+			r.Kind, r.Obj, r.Key = wire.KindMapPut, "kv", string(rune('a'+rng.Intn(4)))
+		case 2:
+			r.Kind, r.Obj, r.Key = wire.KindMapCAS, "kv", string(rune('a'+rng.Intn(4)))
+		case 3:
+			r.Kind, r.Obj = wire.KindQEnq, "q"
+		default:
+			r.Kind, r.Obj = wire.KindQDeq, "q"
+		}
+		sent = append(sent, r)
+		return r
+	}
+	serve := func(frames ...wire.ReqFrame) {
+		total := 0
+		for _, f := range frames {
+			total += len(f.Reqs)
+		}
+		resps, _ := s.serveCycle(0, frames, total)
+		for i, resp := range resps {
+			if resp.Status != wire.StatusOK && resp.Status != wire.StatusBadRequest { // bad request: a stale re-issue
+				t.Fatalf("response %d: %+v (%s)", i, resp, resp.Data)
+			}
+		}
+	}
+	for shard := uint32(0); shard < 2; shard++ {
+		id++
+		serve(wire.ReqFrame{Reqs: []wire.Request{
+			{ID: id, Kind: wire.KindCreate, Shard: shard, Obj: "kv", Arg: int64(object.TypeMap), Session: 9, Seq: uint64(2*shard + 1)},
+			{ID: id + 1, Kind: wire.KindCreate, Shard: shard, Obj: "q", Arg: int64(object.TypeQueue), Session: 9, Seq: uint64(2*shard + 2)},
+		}, Batched: true})
+		id++
+	}
+	for cycle := 0; cycle < 60; cycle++ {
+		var frames []wire.ReqFrame
+		for f := 0; f < 1+rng.Intn(3); f++ {
+			if rng.Intn(6) == 0 {
+				id += 2
+				seqs[4] += 2
+				frames = append(frames, wire.ReqFrame{Batched: true, Atomic: true, Reqs: []wire.Request{
+					{ID: id - 1, Kind: wire.KindAdd, Shard: 0, Arg: 1, Session: 4, Seq: seqs[4] - 1},
+					{ID: id, Kind: wire.KindAdd, Shard: 1, Arg: -1, Session: 4, Seq: seqs[4]},
+				}})
+				continue
+			}
+			frame := wire.ReqFrame{Batched: true}
+			shard := uint32(rng.Intn(2))
+			for n := 1 + rng.Intn(48); n > 0; n-- {
+				switch {
+				case rng.Intn(12) == 0:
+					id++
+					frame.Reqs = append(frame.Reqs, wire.Request{ID: id, Kind: wire.KindMapGet, Shard: shard, Obj: "kv", Key: "a"})
+				case rng.Intn(16) == 0:
+					shard ^= 1
+				}
+				frame.Reqs = append(frame.Reqs, mutation(shard))
+			}
+			frames = append(frames, frame)
+		}
+		serve(frames...)
+	}
+	st := s.Stats()
+	t.Logf("%d ops in %d runs, %d dupes, %d groups", st.ApplyRunOps, st.ApplyRuns, st.AppliedDupes, st.BatchAtomic)
+	if st.ApplyRunOps < 3*st.ApplyRuns || st.AppliedDupes == 0 || st.BatchAtomic == 0 {
+		t.Fatalf("load too thin: %d ops in %d runs, %d dupes, %d groups", st.ApplyRunOps, st.ApplyRuns, st.AppliedDupes, st.BatchAtomic)
+	}
+	want := durable.EncodeState(s.tab.peekAll())
+	recs, _, err := s.log.ReadRecords(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.closeLog()
+
+	log, recovered, err := durable.Open(durable.Options{Dir: dir, DedupWindow: 1024})
+	if err != nil {
+		t.Fatalf("recovery of the served directory: %v", err)
+	}
+	log.Close()
+	if !bytes.Equal(durable.EncodeState(recovered.Shards), want) {
+		t.Fatal("recovery of the pipelined load differs from the state it served")
+	}
+
+	f := soloClusterServer(t)
+	if _, err := (&replBackend{s: f}).ApplyReplicated(recs); err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	if !bytes.Equal(durable.EncodeState(f.tab.peekAll()), want) {
+		t.Fatal("the follower's table differs from the state the pipelined load served")
+	}
+	f.closeLog()
+	log, recovered, err = durable.Open(durable.Options{Dir: f.cfg.DataDir, DedupWindow: 1024})
+	if err != nil {
+		t.Fatalf("recovery of the follower's directory: %v", err)
+	}
+	log.Close()
+	if !bytes.Equal(durable.EncodeState(recovered.Shards), want) {
+		t.Fatal("the follower's WAL and snapshots recover to a different state than the origin served")
 	}
 }

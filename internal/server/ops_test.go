@@ -48,7 +48,7 @@ func goldenStats() wire.Stats {
 	var idle obs.Snapshot // second shard: untouched
 	return wire.Stats{
 		ActiveSessions: 3, AdmitQueue: 1, Admitted: 42, AppliedDupes: 5,
-		BatchAtomic: 6, Draining: false, IdleReclaims: 2, Impl: "fastpath",
+		ApplyRunOps: 71, ApplyRuns: 12, BatchAtomic: 6, Draining: false, IdleReclaims: 2, Impl: "fastpath",
 		InflightOps: 4, K: 2, LastPromotion: 7500 * time.Microsecond,
 		LeaseDemotions: 2, LeaseExpirations: 1,
 		LeaseHeld: true, LeaseMargin: 850 * time.Millisecond,

@@ -67,6 +67,8 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	gauge("admit_queue", "Connections parked waiting for an identity (the shed watermarks' input).", st.AdmitQueue)
 	counter("admitted_total", "Connections granted an identity lease.", st.Admitted)
 	counter("applied_dupes_total", "Mutations answered from the dedup window without re-applying.", st.AppliedDupes)
+	counter("apply_run_ops_total", "Mutations carried by the runs apply_runs_total counts; over it, the mean run length.", st.ApplyRunOps)
+	counter("apply_runs_total", "Runs of one pipeline's consecutive same-shard mutations, each applied through the universal construction as one operation.", st.ApplyRuns)
 	counter("batch_atomic_total", "Atomic groups committed all-or-nothing under one WAL record.", st.BatchAtomic)
 	gauge("draining", "1 while graceful shutdown is in progress.", b01(st.Draining))
 	gauge("goroutines", "Goroutines in the server process.", int64(goroutines))
@@ -115,7 +117,7 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	quantileGauge("acquire_latency_p50_seconds", "Median slot-acquisition latency (upper bucket edge).", 0.5)
 	quantileGauge("acquire_latency_p99_seconds", "99th-percentile slot-acquisition latency (upper bucket edge).", 0.99)
 	shardCounter("acquires_total", "Completed slot acquisitions.", func(s wire.Stats, i int) int64 { return s.PerShard[i].Acquires })
-	shardCounter("applied_ops_total", "Operations applied through the universal construction.", func(s wire.Stats, i int) int64 { return s.PerShard[i].AppliedOps })
+	shardCounter("applied_ops_total", "Universal-construction applications, not mutations: one per run (apply_runs_total), per atomic-group shard install and per replicated record or state install.", func(s wire.Stats, i int) int64 { return s.PerShard[i].AppliedOps })
 	shardCounter("cas_retries_total", "Failed bounded-decrement CAS attempts.", func(s wire.Stats, i int) int64 { return s.PerShard[i].CASRetries })
 	shardCounter("crash_charges_total", "Injected slot-costing crashes.", func(s wire.Stats, i int) int64 { return s.PerShard[i].CrashCharges })
 	shardGauge("current_holders", "Slots currently held.", func(s wire.Stats, i int) int64 { return s.PerShard[i].CurrentHolders })

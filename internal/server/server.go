@@ -68,7 +68,9 @@ type Config struct {
 	// OpTimeout is the per-operation deadline: a mutation still waiting
 	// for a k-assignment slot when it expires withdraws from the entry
 	// section and is answered with wire.StatusTimeout — not applied, safe
-	// to retry. Reads take no slot. Zero runs mutations without a deadline.
+	// to retry. A pipelined run of mutations waits for one slot under one
+	// deadline and withdraws whole. Reads take no slot. Zero runs
+	// mutations without a deadline.
 	OpTimeout time.Duration
 	// ApplyGate, when non-nil, is called inside every mutation — while
 	// the session holds a k-assignment slot and a name in the wait-free
@@ -132,7 +134,6 @@ type Server struct {
 
 	idleReclaims atomic.Int64
 	opDeadlines  atomic.Int64
-	appliedDupes atomic.Int64
 
 	readFastpath atomic.Int64
 	batchAtomic  atomic.Int64
@@ -209,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		shed:    newShedder(cfg.Shed, lc, cfg.AdmitTimeout),
 		drainCh: make(chan struct{}),
 	}
-	tc := tableConfig{window: cfg.DedupWindow, dupes: &s.appliedDupes}
+	tc := tableConfig{window: cfg.DedupWindow}
 	if cfg.DataDir != "" {
 		// The recovery window gets its own phase so readiness probes
 		// report an honest not-ready while the snapshot + WAL tail
@@ -439,7 +440,9 @@ func (s *Server) Stats() wire.Stats {
 		Reclaimed:           s.sm.reclaimed.Load(),
 		IdleReclaims:        s.idleReclaims.Load(),
 		OpDeadlines:         s.opDeadlines.Load(),
-		AppliedDupes:        s.appliedDupes.Load(),
+		AppliedDupes:        s.tab.dupes.Load(),
+		ApplyRunOps:         s.tab.runOps.Load(),
+		ApplyRuns:           s.tab.runs.Load(),
 		BatchAtomic:         s.batchAtomic.Load(),
 		ReadFastpath:        s.readFastpath.Load(),
 		ObjRegisterOps:      s.objRegOps.Load(),
@@ -687,7 +690,7 @@ func completeFrameBuffered(br *bufio.Reader) bool {
 
 // cycle is the ack ledger of one served pipeline: the responses in
 // request order, which of them presume durability, and the frontier
-// they presume. applyStart and applyAtomicStart write it through await;
+// they presume. applyRun and applyAtomicStart write it through await;
 // serveCycle settles it once — one durability wait, one quorum wait —
 // after the whole pipeline has applied and appended.
 type cycle struct {
@@ -754,6 +757,10 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 		shedHint, admitted = s.shed.opBeginN(objOps)
 	}
 
+	// Mutations are applied in runs (see applyRun); anything else ends the
+	// run first — a read must see the writes before it, and a 0xC2 group
+	// is its own unit.
+	var run []wire.Request
 	for _, f := range frames {
 		if f.Atomic && !admitted {
 			for _, req := range f.Reqs {
@@ -765,6 +772,7 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 			// An atomic group is one unit: validated, committed and logged
 			// under one record by applyAtomicGroup; its durability wait
 			// joins the pipeline's single finishWait below.
+			s.applyRun(p, &run, &c)
 			aresps := s.applyAtomicGroup(p, f.Reqs, &c)
 			for i, req := range f.Reqs {
 				s.countObjOp(req, aresps[i])
@@ -773,6 +781,15 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 			continue
 		}
 		for _, req := range f.Reqs {
+			_, mutation := durableOp(req)
+			joins := mutation && admitted && !s.refuses(req.Shard)
+			if len(run) > 0 && (!joins || req.Shard != run[0].Shard || len(run) == durable.DedupDepth) {
+				s.applyRun(p, &run, &c)
+			}
+			if joins {
+				run = append(run, req)
+				continue
+			}
 			var resp wire.Response
 			switch {
 			case req.Kind == wire.KindPing:
@@ -781,7 +798,7 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 				resp = wire.Response{ID: req.ID, Status: wire.StatusOK, Data: s.Stats().JSON()}
 			case !admitted:
 				resp = busyResponse(req.ID, shedHint)
-			case s.node != nil && int(req.Shard) < s.cfg.Shards && !s.node.Owns(req.Shard):
+			case s.refuses(req.Shard):
 				s.notPrimary.Add(1)
 				resp = s.notPrimaryResponse(req.ID, req.Shard)
 			case req.Kind.IsRead():
@@ -795,12 +812,12 @@ func (s *Server) serveCycle(p int, frames []wire.ReqFrame, total int) (resps []w
 				resp = s.tab.readFast(req)
 				s.countObjOp(req, resp)
 			default:
-				resp = s.applyObjOp(p, req, &c)
-				s.countObjOp(req, resp)
+				resp = errResponse(req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown kind %s", req.Kind))
 			}
 			c.resps = append(c.resps, resp)
 		}
 	}
+	s.applyRun(p, &run, &c)
 	if len(c.waiting) > 0 {
 		if err := s.tab.finishWait(c.maxLsn); err != nil {
 			// No response whose ack presumed durability may be sent:
@@ -863,21 +880,34 @@ func (s *Server) notPrimaryResponse(id uint64, shard uint32) wire.Response {
 	return resp
 }
 
-// applyObjOp runs one mutation under the configured per-op deadline,
-// counting withdrawals. The durability wait is the caller's
-// (see table.applyStart).
-func (s *Server) applyObjOp(p int, req wire.Request, c *cycle) wire.Response {
+// refuses reports whether an op on shard belongs to another member.
+func (s *Server) refuses(shard uint32) bool {
+	return s.node != nil && int(shard) < s.cfg.Shards && !s.node.Owns(shard)
+}
+
+// applyRun applies the run cut so far, if any — a maximal stretch of
+// consecutive mutations on one shard, at most durable.DedupDepth, applied
+// as ONE operation (table.applyRun) under one per-op deadline — and
+// starts the next. A run's slice is never reused: a helper still holding
+// its announced closure may read it.
+func (s *Server) applyRun(p int, run *[]wire.Request, c *cycle) {
+	if len(*run) == 0 {
+		return
+	}
 	ctx := context.Background()
 	if s.cfg.OpTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.OpTimeout)
 		defer cancel()
 	}
-	resp := s.tab.applyStart(ctx, p, req, s.cfg.ApplyGate, c)
-	if resp.Status == wire.StatusTimeout {
-		s.opDeadlines.Add(1)
+	resps := s.tab.applyRun(ctx, p, *run, s.cfg.ApplyGate, c)
+	for i, req := range *run {
+		if resps[i].Status == wire.StatusTimeout {
+			s.opDeadlines.Add(1)
+		}
+		s.countObjOp(req, resps[i])
 	}
-	return resp
+	c.resps, *run = append(c.resps, resps...), nil
 }
 
 // countObjOp charges a completed (StatusOK) object operation to

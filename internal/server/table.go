@@ -45,14 +45,16 @@ type table struct {
 	shards []tableShard
 	window int
 	log    *durable.Log // nil without -data-dir: dedup only, in memory
-	dupes  *atomic.Int64
-	// batchMu is the atomic-group gate: single-op mutations hold it
+	// batchMu is the atomic-group gate: runs of mutations hold it
 	// shared across their Apply, an atomic group holds it exclusively
 	// from validation through commit — so the states a group validated
 	// against cannot move before it installs the stepped ones. Reads
 	// skip it entirely (they only Peek committed cells), and the lock
 	// order with the server's replMu is replMu → batchMu.
 	batchMu sync.RWMutex
+	// dupes counts mutations answered from the dedup window; runs and
+	// runOps count applied runs and their mutations.
+	dupes, runs, runOps atomic.Int64
 }
 
 type tableShard struct {
@@ -66,7 +68,6 @@ type tableConfig struct {
 	window    int
 	log       *durable.Log
 	recovered map[uint32]durable.ShardState
-	dupes     *atomic.Int64
 }
 
 // newTable builds shards independent resilient objects, each with the
@@ -77,7 +78,6 @@ func newTable(n, k, shards int, impl core.Constructor, tc tableConfig) *table {
 		shards: make([]tableShard, shards),
 		window: tc.window,
 		log:    tc.log,
-		dupes:  tc.dupes,
 	}
 	for i := range t.shards {
 		m := obs.New()
@@ -113,93 +113,103 @@ func (t *table) peekAll() map[uint32]durable.ShardState {
 	return out
 }
 
-// applyStart runs one mutation (reads all go to readFast) as process p
-// under ctx, up to — but not including — its durability wait. gate,
-// when non-nil, is invoked inside the object operation — i.e. while p
-// holds a k-assignment slot and a name inside the wait-free core —
-// which is exactly where crash-fault tests need to stall a session
-// before killing its socket. If ctx expires while p is still waiting
-// for a slot, the acquisition withdraws and the answer is
-// StatusTimeout: the operation was not applied and is safe to retry,
-// even a non-idempotent one. Once p holds its slot the operation always
-// runs to completion — a deadline can refuse work, never corrupt it.
+// applyRun applies a run — consecutive mutations of one shard, at most
+// durable.DedupDepth, cut from one pipeline by serveCycle — as process p
+// under ctx, up to but not including the durability wait, and answers
+// each member. The run is ONE application of the universal construction
+// (one slot, one announce, one clone, stepped by a durable.Run), so every
+// member linearizes at the run's install, in pipeline order. gate, when
+// non-nil, is invoked per member inside it, where crash-fault tests stall
+// a session holding a slot. If ctx expires while p still waits for its
+// slot, every member answers StatusTimeout: nothing was applied, all of
+// it is safe to retry. Once p holds its slot the run completes.
 //
-// Mutations are acknowledged only after the WAL covers them (when one
-// is configured), but the wait itself is the caller's: applyStart marks
-// the returned response contingent on a durability frontier in the
-// cycle's ledger (c.await), and the session loop funnels a whole
-// pipeline's frontiers into ONE finishWait — one group-commit, one
-// fsync, a batch of acks. An applied op's frontier is its own record's
-// LSN; a deduplicated retry's is the log end after the original's
-// append — conservative, but it guarantees the re-acknowledged result
-// cannot be lost to a crash that the original ack would have survived.
-// If the original's append FAILED, the sequencer has still advanced
-// past it, but the log is poisoned and the wait refuses — a
-// never-logged op is never re-acked as durable. The epoch entered with
-// the frontier is the shard's at the op's linearization point.
-func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate func(shard uint32, kind wire.Kind), c *cycle) wire.Response {
-	if int(req.Shard) >= len(t.shards) || req.Shard >= 1<<31 {
-		return errResponse(req.ID, wire.StatusBadShard,
-			fmt.Sprintf("shard %d out of range [0,%d)", req.Shard, len(t.shards)))
+// The caller waits once for the pipeline's frontier (c.await). The
+// applied members' records are appended in one logInOrder turn over the
+// run's version span. A duplicate's frontier is the log end once its
+// original is appended (a re-ack cannot be lost to a crash the original
+// ack would have survived), and it waits for that only after the run's
+// own turn — the original may be a member of this very run. If the
+// original's append failed, the log is poisoned and the wait refuses.
+func (t *table) applyRun(ctx context.Context, p int, run []wire.Request, gate func(shard uint32, kind wire.Kind), c *cycle) []wire.Response {
+	shard, resps := run[0].Shard, make([]wire.Response, len(run))
+	if int(shard) >= len(t.shards) || shard >= 1<<31 {
+		for i, req := range run {
+			resps[i] = errResponse(req.ID, wire.StatusBadShard,
+				fmt.Sprintf("shard %d out of range [0,%d)", shard, len(t.shards)))
+		}
+		return resps
 	}
-	sh := t.shards[req.Shard]
-
-	op, ok := durableOp(req)
-	if !ok {
-		return errResponse(req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown kind %s", req.Kind))
+	sh, ops := t.shards[shard], make([]durable.Op, len(run))
+	for i, req := range run {
+		ops[i], _ = durableOp(req)
 	}
 
 	// Shared hold on the atomic-group gate: a group validating its
-	// scratch states cannot interleave with this mutation's commit.
+	// scratch states cannot interleave with this run's commit.
 	t.batchMu.RLock()
 	v, err := sh.obj.ApplyCtx(ctx, p, func(s durable.ShardState) (durable.ShardState, any) {
-		if gate != nil {
-			gate(req.Shard, req.Kind)
+		outs, r := make([]durable.Outcome, len(run)), durable.NewRun(t.window)
+		for i, req := range run {
+			if gate != nil {
+				gate(shard, req.Kind)
+			}
+			outs[i] = r.Step(&s, req.Session, req.Seq, ops[i])
 		}
-		out := durable.StepOp(&s, t.window, req.Session, req.Seq, op)
-		return s, out
+		r.End(&s)
+		return s, outs
 	})
 	t.batchMu.RUnlock()
 	if err != nil {
-		return timeoutResponse(req.ID)
-	}
-	out := v.(durable.Outcome)
-	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: foundFlag(req.Kind, out.OK), Value: out.Val}
-	switch {
-	case out.Stale:
-		return errResponse(req.ID, wire.StatusBadRequest,
-			fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq))
-	case out.Duplicate:
-		sh.m.DupeHit()
-		if t.dupes != nil {
-			t.dupes.Add(1)
+		for i, req := range run {
+			resps[i] = timeoutResponse(req.ID)
 		}
-		resp.Flags |= wire.FlagDuplicate
-		if t.log != nil {
-			// The original application is at shard version out.Ver; once
-			// its record is in the log, the log's current end bounds it.
-			if !sh.seq.waitAppended(out.Ver, out.Epoch) {
-				return errResponse(req.ID, wire.StatusInternal,
-					"original write superseded by a replication state install; retry")
+		return resps
+	}
+	t.runs.Add(1)
+	t.runOps.Add(int64(len(run)))
+	outs := v.([]durable.Outcome)
+	var recs []durable.Record
+	for i, out := range outs {
+		if req := run[i]; out.Applied && t.log != nil {
+			recs = append(recs, durable.Record{
+				Session: req.Session, Seq: req.Seq, Shard: shard,
+				Kind: ops[i].Kind, Obj: ops[i].Obj, Key: ops[i].Key, Arg: ops[i].Arg, Arg2: ops[i].Arg2,
+				Val: out.Val, Ver: out.Ver, Epoch: out.Epoch, OK: out.OK,
+			})
+		}
+	}
+	var lsn uint64
+	if len(recs) > 0 {
+		lsn, err = t.logInOrder([]span{{shard, recs[0].Ver, recs[len(recs)-1].Ver, recs[0].Epoch}}, recs...)
+	}
+	for i, req := range run {
+		out := outs[i]
+		resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: foundFlag(req.Kind, out.OK), Value: out.Val}
+		switch {
+		case out.Stale:
+			resps[i] = errResponse(req.ID, wire.StatusBadRequest,
+				fmt.Sprintf("stale op: session %#x already moved past seq %d", req.Session, req.Seq))
+		case out.Applied && err != nil:
+			resps[i] = errResponse(req.ID, wire.StatusInternal, err.Error())
+		case out.Applied:
+			c.fresh++
+			if t.log != nil {
+				c.await(i, shard, out.Epoch, lsn)
 			}
-			c.await(0, req.Shard, out.Epoch, t.log.End())
+		default: // a duplicate: its original is at shard version out.Ver
+			sh.m.DupeHit()
+			t.dupes.Add(1)
+			resps[i].Flags |= wire.FlagDuplicate
+			if t.log != nil && !sh.seq.waitAppended(out.Ver, out.Epoch) {
+				resps[i] = errResponse(req.ID, wire.StatusInternal,
+					"original write superseded by a replication state install; retry")
+			} else if t.log != nil {
+				c.await(i, shard, out.Epoch, t.log.End())
+			}
 		}
-		return resp
 	}
-
-	if t.log != nil {
-		lsn, err := t.logInOrder(durable.Record{
-			Session: req.Session, Seq: req.Seq, Shard: req.Shard,
-			Kind: op.Kind, Obj: op.Obj, Key: op.Key, Arg: op.Arg, Arg2: op.Arg2,
-			Val: out.Val, Ver: out.Ver, Epoch: out.Epoch, OK: out.OK,
-		}, []span{{shard: req.Shard, first: out.Ver, last: out.Ver, epoch: out.Epoch}})
-		if err != nil {
-			return errResponse(req.ID, wire.StatusInternal, err.Error())
-		}
-		c.await(0, req.Shard, out.Epoch, lsn)
-	}
-	c.fresh++
-	return resp
+	return resps
 }
 
 // errSuperseded answers a refused turn (see waitTurn). The in-memory
@@ -207,11 +217,11 @@ func (t *table) applyStart(ctx context.Context, p int, req wire.Request, gate fu
 // either dedups against the installed state or re-applies.
 var errSuperseded = errors.New("write superseded by a replication state install before it was logged; retry")
 
-// logInOrder is the one way a record reaches the WAL: it takes the turn
-// of every shard rec touches, in the order given, appends rec once, and
-// releases every span — so the log stays a prefix-faithful transcript
-// of each shard it holds, whether the record is a primary's own, a
-// group's container or a follower's verbatim copy of either.
+// logInOrder is the one way records reach the WAL: it takes the turn of
+// every span, in the order given, appends recs in order, and releases
+// every span — so the log stays a prefix-faithful transcript of each
+// shard it holds, whether the records are a primary's run, a group's
+// container or a follower's verbatim copy of either.
 //
 // A refused turn appends nothing and answers errSuperseded; the spans
 // are still released, because the turns already taken would otherwise
@@ -227,15 +237,15 @@ var errSuperseded = errors.New("write superseded by a replication state install 
 // hole) and every durability wait now fails, so no mutation is acked as
 // durable after this point — the client sees internal errors, never a
 // durable ack the next recovery would contradict.
-func (t *table) logInOrder(rec durable.Record, spans []span) (lsn uint64, err error) {
+func (t *table) logInOrder(spans []span, recs ...durable.Record) (lsn uint64, err error) {
 	for _, sp := range spans {
 		if !t.shards[sp.shard].seq.waitTurn(sp.first, sp.epoch) {
 			err = errSuperseded
 			break
 		}
 	}
-	if err == nil {
-		lsn, err = t.log.Append(rec)
+	for i := 0; err == nil && i < len(recs); i++ {
+		lsn, err = t.log.Append(recs[i])
 	}
 	t.release(spans)
 	return lsn, err

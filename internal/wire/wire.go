@@ -350,6 +350,9 @@ type Stats struct {
 	// retried op whose first application was already acknowledged (or
 	// was in flight); the object was not touched again.
 	AppliedDupes int64 `json:"applied_dupes"`
+	// ApplyRuns counts runs, each applied as one operation; ApplyRunOps their mutations.
+	ApplyRunOps int64 `json:"apply_run_ops"`
+	ApplyRuns   int64 `json:"apply_runs"`
 	// BatchAtomic counts atomic groups committed all-or-nothing (one WAL
 	// record each; aborted groups are not counted).
 	BatchAtomic int64 `json:"batch_atomic"`

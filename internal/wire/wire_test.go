@@ -208,7 +208,7 @@ func TestStatsRoundTrip(t *testing.T) {
 func TestStatsJSONGolden(t *testing.T) {
 	s := Stats{
 		ActiveSessions: 1, AdmitQueue: 10, Admitted: 2, AppliedDupes: 3,
-		BatchAtomic: 19, Draining: true, IdleReclaims: 4, Impl: "fastpath",
+		ApplyRunOps: 34, ApplyRuns: 33, BatchAtomic: 19, Draining: true, IdleReclaims: 4, Impl: "fastpath",
 		InflightOps: 11, K: 2, LastPromotion: 29, LeaseDemotions: 18, LeaseExpirations: 17,
 		LeaseHeld: true, LeaseMargin: 30, N: 8, NotPrimaryRedirects: 14,
 		ObjMapOps: 20, ObjQueueOps: 21, ObjRegisterOps: 22, ObjSnapshotOps: 23,
@@ -219,7 +219,7 @@ func TestStatsJSONGolden(t *testing.T) {
 		WALFsyncNanos: 28, WALFsyncs: 26, WALReadBytes: 27,
 	}
 	const want = `{"active_sessions":1,"admit_queue":10,"admitted":2,"applied_dupes":3,` +
-		`"batch_atomic":19,` +
+		`"apply_run_ops":34,"apply_runs":33,"batch_atomic":19,` +
 		`"draining":true,"idle_reclaims":4,"impl":"fastpath","inflight_ops":11,` +
 		`"k":2,"last_promotion_ns":29,"lease_demotions":18,"lease_expirations":17,"lease_held":true,` +
 		`"lease_margin_ns":30,"n":8,"notprimary_redirects":14,` +
