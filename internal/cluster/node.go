@@ -177,12 +177,7 @@ func (c *Config) fill() error {
 	if !found {
 		return fmt.Errorf("cluster: node id %q not in peer list", c.NodeID)
 	}
-	if c.Quorum < 1 {
-		c.Quorum = 1
-	}
-	if c.Quorum > len(c.Peers) {
-		c.Quorum = len(c.Peers)
-	}
+	c.Quorum = min(max(c.Quorum, 1), len(c.Peers))
 	return nil
 }
 
@@ -458,11 +453,7 @@ func (n *Node) WaitQuorum(lsn uint64) error {
 			return fmt.Errorf("cluster: quorum %d not reached for LSN %d within %v",
 				n.cfg.Quorum, lsn, n.cfg.QuorumTimeout)
 		}
-		w := slice
-		if w > remain {
-			w = remain
-		}
-		err := n.quorum.wait(lsn, w)
+		err := n.quorum.wait(lsn, min(slice, remain))
 		if err == nil {
 			if !n.LeaseHeld() {
 				return fmt.Errorf("%w: cannot vouch for LSN %d", ErrLeaseLost, lsn)

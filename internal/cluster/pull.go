@@ -351,16 +351,8 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 			n.cfg.Logf("cluster: node %s: reading log for %s: %v", n.cfg.NodeID, from, err)
 			return wire.PullResponse{Status: wire.StatusInternal, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
 		}
-		// Own: a shard served now, or an epoch minted here (a quorum wait may
-		// outlive a demotion). A container goes by its first member.
 		n.mu.Lock()
-		recs = slices.DeleteFunc(recs, func(r durable.Record) bool {
-			if len(r.Atomic) > 0 {
-				r = r.Atomic[0]
-			}
-			e, ok := n.minted[r.Shard]
-			return !n.serving[r.Shard] && (!ok || e != r.Epoch)
-		})
+		recs = slices.DeleteFunc(recs, func(r durable.Record) bool { return !own(r, n.serving, n.minted) })
 		n.mu.Unlock()
 		if len(recs) > 0 || next == pos || !time.Now().Before(deadline) {
 			n.recordsServed.Add(int64(len(recs)))
@@ -368,6 +360,17 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 		}
 		pos = next
 	}
+}
+
+// own is servePull's origin filter: rec's shard is served here now, or
+// rec carries the epoch this node minted for it (a quorum wait may
+// outlive a demotion). A container goes by its first member.
+func own(rec durable.Record, serving map[uint32]bool, minted map[uint32]uint64) bool {
+	if len(rec.Atomic) > 0 {
+		rec = rec.Atomic[0]
+	}
+	e, ok := minted[rec.Shard]
+	return serving[rec.Shard] || ok && e == rec.Epoch
 }
 
 // registerAck folds a follower's durable-LSN ack into quorum progress

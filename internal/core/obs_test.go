@@ -121,6 +121,51 @@ func TestLocalSpinFastPathDegenerateGroupChurn(t *testing.T) {
 	}
 }
 
+// TestRegistryMetricsAccounting drives every registry entry (fixed-k
+// entries at their own k) with n goroutines × ops acquire/release
+// cycles under one metrics sink. The counters the workload determines
+// must balance: every acquisition released, none left holding, and the
+// sink never seeing more than k holders at once.
+func TestRegistryMetricsAccounting(t *testing.T) {
+	const n, k, ops = 6, 2, 8
+	for _, c := range Registry() {
+		kk := k
+		if c.FixedK != 0 {
+			kk = c.FixedK
+		}
+		t.Run(c.Name, func(t *testing.T) {
+			m := obs.New()
+			kx := c.New(n, kk, WithMetrics(m))
+			var wg sync.WaitGroup
+			for p := 0; p < n; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 0; i < ops; i++ {
+						kx.Acquire(p)
+						runtime.Gosched()
+						kx.Release(p)
+					}
+				}(p)
+			}
+			wg.Wait()
+			s := m.Snapshot()
+			if s.Acquires != s.Releases {
+				t.Errorf("acquires=%d releases=%d, want equal", s.Acquires, s.Releases)
+			}
+			if s.Acquires < n*ops {
+				t.Errorf("acquires=%d, want >= %d (the workload is fixed)", s.Acquires, n*ops)
+			}
+			if s.CurrentHolders != 0 {
+				t.Errorf("current_holders=%d after quiescence", s.CurrentHolders)
+			}
+			if s.PeakHolders > int64(kk) {
+				t.Errorf("peak_holders=%d > k=%d", s.PeakHolders, kk)
+			}
+		})
+	}
+}
+
 // seedSpinUntil and seedDecIfPositive replicate the pre-instrumentation
 // originals exactly — same call structure, same closure, no counters —
 // so baselineCounting below is the "current code path" the nil-sink

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // referenceReadRecords is the reader ReadRecords replaced, kept as the
@@ -306,29 +305,40 @@ func TestReadRecordsConcurrentWithRotationAndPrune(t *testing.T) {
 
 	var mu sync.Mutex // orders Step with Append, so version order is LSN order
 	var s ShardState
-	var writers, readerWG sync.WaitGroup // appenders and the pruner; readers
+	var appending, pruning, readerWG sync.WaitGroup
 	done := make(chan struct{})
+	marks := make(chan uint64, appenders*perAppender/100) // every 100th LSN appended
 	for a := 0; a < appenders; a++ {
-		writers.Add(1)
+		appending.Add(1)
 		go func(sess uint64) {
-			defer writers.Done()
+			defer appending.Done()
 			for seq := uint64(1); seq <= perAppender; seq++ {
 				mu.Lock()
 				out := StepOp(&s, 0, sess, seq, rootAdd(1))
-				_, err := l.Append(Record{Session: sess, Seq: seq, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
+				lsn, err := l.Append(Record{Session: sess, Seq: seq, Kind: OpRegAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
 				mu.Unlock()
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
+				if lsn%100 == 0 {
+					marks <- lsn
+				}
 			}
 		}(uint64(a + 1))
 	}
-	writers.Add(1)
+	go func() { appending.Wait(); close(marks) }()
+	pruning.Add(1)
 	go func() { // pruner: a snapshot every 100 records, while appends go on
-		defer writers.Done()
-		for next := uint64(100); next <= appenders*perAppender; next += 100 {
-			l.WaitEnd(next, 10*time.Second)
+		defer pruning.Done()
+		for next := range marks {
+			// Append only buffers: WaitDurable writes the record (under
+			// SyncNever that write is the whole commit), so the snapshot
+			// never waits on a tail nobody else would write.
+			if err := l.WaitDurable(next); err != nil {
+				t.Errorf("wait durable %d: %v", next, err)
+				return
+			}
 			err := l.WriteSnapshot(func() map[uint32]ShardState {
 				mu.Lock()
 				defer mu.Unlock()
@@ -369,7 +379,7 @@ func TestReadRecordsConcurrentWithRotationAndPrune(t *testing.T) {
 			}
 		}(int64(r + 1))
 	}
-	writers.Wait()
+	pruning.Wait() // marks closes after the appenders, so they are done too
 	close(done)
 	readerWG.Wait()
 	if _, _, err := l.ReadRecords(0, 1); !errors.Is(err, ErrPruned) {

@@ -62,6 +62,37 @@ func TestApplyCtxExactlyOnceOrNotAtAll(t *testing.T) {
 	}
 }
 
+// TestSharedMetricsAccounting: under one sink, the universal core
+// counts every applied op once, and the wrapper grants one name per
+// slot acquisition.
+func TestSharedMetricsAccounting(t *testing.T) {
+	const n, k, ops = 6, 2, 8
+	m := obs.New()
+	s := NewSharedConfig(n, k, int64(0), nil, Config{Metrics: m})
+	inc := func(st int64) (int64, any) { return st + 1, st + 1 }
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				s.Apply(p, inc)
+			}
+		}(p)
+	}
+	wg.Wait()
+	snap := m.Snapshot()
+	if snap.AppliedOps != n*ops || s.Peek() != n*ops {
+		t.Fatalf("applied_ops=%d state=%d, want %d", snap.AppliedOps, s.Peek(), n*ops)
+	}
+	if snap.NameAttempts != snap.Acquires {
+		t.Fatalf("name grants=%d acquires=%d, want equal", snap.NameAttempts, snap.Acquires)
+	}
+	if snap.CurrentHolders != 0 {
+		t.Fatalf("current_holders=%d after quiescence", snap.CurrentHolders)
+	}
+}
+
 func TestApplyCtxConcurrentMixedDeadlines(t *testing.T) {
 	const n, k, iters = 8, 2, 50
 	s := NewShared(n, k, int64(0), nil)

@@ -1,11 +1,57 @@
 package server_test
 
 import (
+	"fmt"
 	"testing"
 
+	"kexclusion/internal/durable"
+	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
 	"kexclusion/internal/wire"
 )
+
+// BenchmarkPipelineDepth is one connection of register adds against one
+// durable server under fsync=always, at depth 1 and depth 8. It counts
+// fsyncs rather than timing them: a depth-8 burst arrives in one flush
+// and its acks must share fsyncs (at least 4 per fsync), while depth-1
+// acks never can (at most 1).
+func BenchmarkPipelineDepth(b *testing.B) {
+	for _, depth := range []int{1, 8} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			srv, addr := startServer(b, server.Config{N: 4, K: 2, Shards: 1, DataDir: b.TempDir(), Fsync: durable.SyncAlways})
+			c := dial(b, addr)
+			defer c.Close()
+			ps := make([]*client.Pending, depth)
+			before := srv.Stats()
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range ps {
+					p, err := c.Go(wire.KindAdd, 0, 1, uint64(i*depth+j+1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					ps[j] = p
+				}
+				for _, p := range ps {
+					if _, err := p.Wait(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+
+			perFsync := float64(b.N*depth) / float64(srv.Stats().WALFsyncs-before.WALFsyncs)
+			b.ReportMetric(perFsync, "ops/fsync")
+			if depth == 1 && perFsync > 1 {
+				b.Fatalf("depth 1: %.2f acks per fsync, want at most 1: an ack skipped its fsync", perFsync)
+			}
+			if depth == 8 && perFsync < 4 {
+				b.Fatalf("depth 8: %.2f acks per fsync, want at least 4: the burst did not share its fsyncs", perFsync)
+			}
+		})
+	}
+}
 
 // BenchmarkQuorumRound is one depth-8 pipelined burst of register adds
 // at shard 0's primary in a 3-node in-process cluster (fsync=always on

@@ -16,7 +16,7 @@ import (
 
 // startServer builds, binds and serves a server on an ephemeral port,
 // returning its address and a stop function that asserts a clean drain.
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
