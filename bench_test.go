@@ -2,7 +2,7 @@
 //
 // Two families:
 //
-//   - Simulator benchmarks (BenchmarkTable1, BenchmarkThm*,
+//   - Simulator benchmarks (BenchmarkTable1, BenchmarkTheorems,
 //     BenchmarkFig3b): run the algorithms on the simulated CC/DSM
 //     machines and report the paper's metric — remote memory references
 //     per critical-section acquisition — as the "remoterefs/acq" and

@@ -121,7 +121,7 @@ func TestLeaseWitnessRules(t *testing.T) {
 // TestWaitQuorumFailsFastOnLeaseLoss is the expiry-races-quorum-wait
 // contract at the tracker level: a primary whose lease lapses while an
 // op waits for follower acks must refuse with ErrLeaseLost in
-// ~LeaseDuration, not stall out the full QuorumTimeout — and certainly
+// ~LeaseDuration, not stall out the full quorumTimeout — and certainly
 // not ack.
 func TestWaitQuorumFailsFastOnLeaseLoss(t *testing.T) {
 	n := &Node{
@@ -129,7 +129,6 @@ func TestWaitQuorumFailsFastOnLeaseLoss(t *testing.T) {
 			NodeID:        "a",
 			Quorum:        2,
 			LeaseDuration: 100 * time.Millisecond,
-			QuorumTimeout: 30 * time.Second,
 		},
 		quorum:    newQuorumTracker(2),
 		lastSeen:  map[string]time.Time{"b": time.Now()},
@@ -141,7 +140,7 @@ func TestWaitQuorumFailsFastOnLeaseLoss(t *testing.T) {
 		t.Fatalf("WaitQuorum under a lapsing lease = %v, want ErrLeaseLost", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("WaitQuorum took %v to notice the lapsed lease (QuorumTimeout is 30s; the lease slice must fail fast)", el)
+		t.Fatalf("WaitQuorum took %v to notice the lapsed lease (quorumTimeout is %v; the lease slice must fail fast)", el, quorumTimeout)
 	}
 }
 
@@ -154,7 +153,6 @@ func TestWaitQuorumRechecksLeaseAfterSatisfaction(t *testing.T) {
 			NodeID:        "a",
 			Quorum:        2,
 			LeaseDuration: 50 * time.Millisecond,
-			QuorumTimeout: 30 * time.Second,
 		},
 		quorum:    newQuorumTracker(2),
 		lastSeen:  map[string]time.Time{"b": time.Now()},
@@ -179,7 +177,6 @@ func TestWaitQuorumStillSucceedsUnderLiveLease(t *testing.T) {
 			NodeID:        "a",
 			Quorum:        2,
 			LeaseDuration: 10 * time.Second,
-			QuorumTimeout: 30 * time.Second,
 		},
 		quorum:    newQuorumTracker(2),
 		lastSeen:  map[string]time.Time{"b": time.Now()},

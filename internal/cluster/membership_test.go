@@ -18,7 +18,7 @@ const (
 
 // membershipNode builds the Node New would, minus the listener: three
 // members a, b, c at quorum 2, viewed from a, every peer boot-stamped at
-// t0 and none heard from. The tests set lastSeen, contacted, serving and
+// t0 and none heard from. The tests set lastSeen, contacted, roles and
 // pins by hand and call evaluate with a clock of their own.
 func membershipNode(t *testing.T, t0 time.Time) *Node {
 	t.Helper()
@@ -33,8 +33,8 @@ func membershipNode(t *testing.T, t0 time.Time) *Node {
 	}
 	n := &Node{
 		cfg: cfg, ring: ring, quorum: newQuorumTracker(cfg.Quorum),
-		peers:   map[string]Peer{},
-		serving: map[uint32]bool{}, minted: map[uint32]uint64{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
+		peers: map[string]Peer{},
+		roles: make([]shardRole, testShards), lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
 		pins: map[string]int{}, redial: map[string]chan struct{}{},
 		wake: make(chan struct{}, 1), stopCh: make(chan struct{}),
 	}
@@ -74,10 +74,12 @@ func sorted(s []uint32) []uint32 {
 	return out
 }
 
+// serve makes the shards primary here, as a promotion that minted epoch
+// 1 for them would.
 func serve(n *Node, shards ...[]uint32) {
 	for _, set := range shards {
 		for _, s := range set {
-			n.serving[s] = true
+			n.roles[s] = shardRole{primary, 1}
 		}
 	}
 }
@@ -228,10 +230,10 @@ func TestMembershipEvaluate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := membershipNode(t, t0)
 			tc.setup(n)
-			before := len(n.serving)
+			before := slices.Clone(n.roles)
 			d := n.evaluate(tc.now)
-			if len(n.serving) != before {
-				t.Fatal("evaluate changed the serving set")
+			if !slices.Equal(n.roles, before) {
+				t.Fatal("evaluate changed a role cell")
 			}
 			w := tc.want
 			if d.held != w.held || d.reach != w.reach || d.gated != w.gated {
@@ -382,7 +384,7 @@ func TestMembershipLoopNeedsNoTick(t *testing.T) {
 		ring, _ := NewRing([]string{"a"})
 		n := &Node{
 			cfg: cfg, ring: ring, peers: map[string]Peer{"a": cfg.Peers[0]},
-			serving: map[uint32]bool{}, minted: map[uint32]uint64{}, lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
+			roles: make([]shardRole, cfg.Shards), lastSeen: map[string]time.Time{}, contacted: map[string]bool{},
 			pins: map[string]int{}, wake: make(chan struct{}, 1), stopCh: make(chan struct{}),
 		}
 		start := time.Now()

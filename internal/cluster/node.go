@@ -43,25 +43,17 @@ var (
 	// moved past: the sender is a deposed primary streaming a fenced
 	// fork. Its records must not be applied or acked.
 	ErrReplStale = errors.New("cluster: replicated records from a deposed epoch")
-	// ErrReplDiverged marks a same-epoch content fork: the record's
-	// version is inside local history but re-execution or the dedup
-	// window disagrees with it. Within one epoch there is one writer,
-	// so this is data loss or corruption — it needs an operator, not a
-	// retry.
+	// ErrReplDiverged marks a same-epoch content fork: re-execution or
+	// the dedup window disagrees with a record inside local history. One
+	// epoch has one writer, so this needs an operator, not a retry.
 	ErrReplDiverged = errors.New("cluster: replicated history diverged from local state")
 )
 
 // Backend is what the cluster node needs from the server it serves:
 // the apply side of replication and the state images promotion and
 // catch-up ship around. Defined here (and implemented by
-// internal/server) so cluster never imports server.
-//
-// All reconciliation is ordered by (epoch, version), lexicographically:
-// a shard's epoch advances on every primary takeover, and a deposed
-// primary's version counter keeps inflating with writes that were
-// never quorum-acked — so a higher epoch at a LOWER version still
-// supersedes. Comparing bare versions is exactly the bug this ordering
-// exists to prevent.
+// internal/server) so cluster never imports server. All reconciliation
+// is ordered by (epoch, version), lexicographically (durable.Ahead).
 type Backend interface {
 	// ApplyReplicated folds replicated op records into the local table
 	// and WAL, idempotently by (shard, epoch, version): records at or
@@ -123,8 +115,6 @@ type Config struct {
 	// PullWait is the long-poll budget a caught-up pull parks for
 	// (default 500ms).
 	PullWait time.Duration
-	// QuorumTimeout bounds the ack-path quorum wait (default 5s).
-	QuorumTimeout time.Duration
 	// Logf receives membership and promotion notices.
 	Logf func(format string, args ...any)
 }
@@ -148,13 +138,7 @@ func (c *Config) fill() error {
 	// under half the lease so a healthy-but-idle cluster never lets the
 	// lease flap between polls.
 	if limit := c.LeaseDuration / 2; c.PullWait > limit {
-		c.PullWait = limit
-		if c.PullWait < 10*time.Millisecond {
-			c.PullWait = 10 * time.Millisecond
-		}
-	}
-	if c.QuorumTimeout <= 0 {
-		c.QuorumTimeout = 5 * time.Second
+		c.PullWait = max(limit, 10*time.Millisecond)
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -165,16 +149,12 @@ func (c *Config) fill() error {
 	if c.Log == nil || c.Backend == nil {
 		return fmt.Errorf("cluster: Log and Backend are required")
 	}
-	found := false
 	for _, p := range c.Peers {
-		if p.ID == c.NodeID {
-			found = true
-		}
 		if p.ID == "" || p.ClientAddr == "" || p.ReplAddr == "" {
 			return fmt.Errorf("cluster: peer %+v needs id, client addr and repl addr", p)
 		}
 	}
-	if !found {
+	if !slices.ContainsFunc(c.Peers, func(p Peer) bool { return p.ID == c.NodeID }) {
 		return fmt.Errorf("cluster: node id %q not in peer list", c.NodeID)
 	}
 	c.Quorum = min(max(c.Quorum, 1), len(c.Peers))
@@ -184,7 +164,7 @@ func (c *Config) fill() error {
 // Node runs one kexserved's share of the cluster: a replication
 // listener serving pulls from its WAL, one pull loop per peer feeding
 // the local table, a failure detector over pull outcomes, and the
-// shard-ownership map the server consults per request.
+// per-shard role cells the server consults per request.
 type Node struct {
 	cfg    Config
 	ring   *Ring
@@ -195,8 +175,7 @@ type Node struct {
 	ln net.Listener
 
 	mu        sync.Mutex
-	serving   map[uint32]bool   // shards this node currently serves
-	minted    map[uint32]uint64 // shard -> epoch this node's latest promotion minted: its own records
+	roles     []shardRole // one cell per shard: what this node is for it
 	lastSeen  map[string]time.Time
 	contacted map[string]bool   // peers actually heard from this incarnation
 	pins      map[string]int    // follower node ID -> WAL pin handle
@@ -251,8 +230,7 @@ func New(cfg Config) (*Node, error) {
 		others:    others,
 		quorum:    newQuorumTracker(cfg.Quorum),
 		ln:        ln,
-		serving:   make(map[uint32]bool),
-		minted:    make(map[uint32]uint64),
+		roles:     make([]shardRole, cfg.Shards),
 		lastSeen:  make(map[string]time.Time),
 		contacted: make(map[string]bool),
 		pins:      make(map[string]int),
@@ -277,23 +255,17 @@ func (n *Node) ReplAddr() string { return n.ln.Addr().String() }
 // Quorum is the effective ack quorum.
 func (n *Node) Quorum() int { return n.cfg.Quorum }
 
-// Start brings the node to service: it launches the accept loop (first:
-// members starting together must answer each other's catch-up), catches
-// up from any reachable peer ahead of local state (a restarted node
-// rejoining must not serve stale shards), then the per-peer pull loops
-// and the failure detector. It does NOT serve anything yet — every
-// serving transition, the boot-time claim of ring-owned shards included,
-// goes through the membership loop's promote path, which is quorum-gated
-// and bumps the shard epochs. One path means one set of rules: a node
-// that cannot see a quorum serves nothing, so a partitioned minority
-// cannot inflate a history it would later try to impose on the majority.
+// Start launches the accept loop (first: members starting together must
+// answer each other's catch-up), catches up from any reachable peer ahead
+// of local state, then starts the pull loops and the membership loop. It
+// serves nothing yet: every shard, the boot-time claim of ring-owned ones
+// included, is served through promote, so a node that cannot see a
+// quorum serves nothing and a partitioned minority inflates no history.
 func (n *Node) Start() {
 	n.wg.Add(2)
 	go n.acceptLoop()
 	owned := n.ownedShards(func(string) bool { return true })
-	if len(n.others) > 0 {
-		n.catchUpFromPeers(owned)
-	}
+	n.catchUpFromPeers(owned)
 	n.cfg.Logf("cluster: node %s started; claiming %d/%d ring-owned shards via promotion at quorum %d",
 		n.cfg.NodeID, len(owned), n.cfg.Shards, n.cfg.Quorum)
 
@@ -320,23 +292,17 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// Owns reports whether this node currently serves shard. Serving is
-// lease-gated: a primary whose quorum witness has gone quiet for a
-// full LeaseDuration answers false here immediately, before the
-// membership loop formally demotes it — the read path and the admit
-// path both consult Owns, so an isolated primary stops admitting
-// writes and serving unleased reads within one lease interval.
+// Owns reports whether shard is primary here under a held lease. The
+// read and admit paths consult it, so an isolated primary stops serving
+// the instant its lease lapses, before the membership loop deposes it.
 func (n *Node) Owns(shard uint32) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.serving[shard] && n.leaseHeldLocked(time.Now())
+	return int(shard) < len(n.roles) && n.roles[shard].role == primary && n.leaseHeldLocked(time.Now())
 }
 
-// leaseWitnessesLocked counts the nodes currently witnessing this
-// node's lease: itself, plus every peer actually contacted this
-// incarnation whose last contact is within LeaseDuration. Boot grace
-// stamps don't count — an unwitnessed node holds no lease it didn't
-// earn.
+// leaseWitnessesLocked counts this node plus every peer contacted this
+// incarnation within LeaseDuration; boot grace stamps do not count.
 func (n *Node) leaseWitnessesLocked(now time.Time) int {
 	cutoff := now.Add(-n.cfg.LeaseDuration)
 	w := 1
@@ -348,10 +314,8 @@ func (n *Node) leaseWitnessesLocked(now time.Time) int {
 	return w
 }
 
-// leaseHeldLocked reports whether a quorum currently witnesses this
-// node. At quorum 1 the lease is vacuously held: a lone member (or an
-// explicitly unreplicated deployment) depends on no peers, exactly as
-// its ack path does.
+// leaseHeldLocked reports whether a quorum witnesses this node; at
+// quorum 1 vacuously, as the ack path depends on no peers either.
 func (n *Node) leaseHeldLocked(now time.Time) bool {
 	if n.cfg.Quorum <= 1 {
 		return true
@@ -408,13 +372,10 @@ func (n *Node) Timings() (ages map[string]time.Duration, margin, promotion time.
 	return ages, margin, time.Duration(n.lastPromotion.Load())
 }
 
-// PrimaryAddr returns the client address of the node currently
-// believed to own shard ("" when unknown), for the NotPrimary redirect
-// hint. An isolated node's ring collapses to itself — hinting its own
-// address would bounce clients right back — so when the computed owner
-// is this node but it is not actually serving (lease expired, or
-// promotion gated), the hint is empty and the refusal carries a
-// Retry-After instead.
+// PrimaryAddr returns the client address of the node believed to own
+// shard, for the NotPrimary redirect hint. It is "" when unknown, and
+// when that is this node but it is not serving: an isolated node's ring
+// collapses to itself, and the refusal carries a Retry-After instead.
 func (n *Node) PrimaryAddr(shard uint32) string {
 	owner := n.ring.OwnerAmong(shard, n.aliveFn())
 	if owner == n.cfg.NodeID && !n.Owns(shard) {
@@ -426,32 +387,28 @@ func (n *Node) PrimaryAddr(shard uint32) string {
 	return ""
 }
 
-// WaitQuorum blocks until the configured quorum has fsynced lsn (the
-// local node counts once; the caller waits only after local
-// durability). The wait re-checks the lease the same way the server's
-// ack path re-checks epochs: it proceeds in short slices and fails
-// fast with ErrLeaseLost the moment the lease lapses — an isolated
-// primary's in-flight writes refuse within ~LeaseDuration instead of
-// stalling the full QuorumTimeout for acks that can never arrive. The
-// lease is re-checked once more after the tracker is satisfied, so a
-// late ack raced by an expiry cannot sneak out as a client ack.
+// quorumTimeout bounds the ack-path quorum wait.
+const quorumTimeout = 5 * time.Second
+
+// WaitQuorum blocks until the configured quorum has fsynced lsn (this
+// node counts once; the caller waits after local durability). It waits
+// in slices and fails with ErrLeaseLost the moment the lease lapses, so
+// an isolated primary's writes refuse within ~LeaseDuration, and checks
+// the lease once more when satisfied: a late ack raced by an expiry is
+// no client ack.
 func (n *Node) WaitQuorum(lsn uint64) error {
 	if n.cfg.Quorum <= 1 {
 		return nil
 	}
-	slice := n.cfg.LeaseDuration / 4
-	if slice < 10*time.Millisecond {
-		slice = 10 * time.Millisecond
-	}
-	deadline := time.Now().Add(n.cfg.QuorumTimeout)
+	slice := max(n.cfg.LeaseDuration/4, 10*time.Millisecond)
+	deadline := time.Now().Add(quorumTimeout)
 	for {
 		if !n.LeaseHeld() {
 			return fmt.Errorf("%w: cannot vouch for LSN %d", ErrLeaseLost, lsn)
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return fmt.Errorf("cluster: quorum %d not reached for LSN %d within %v",
-				n.cfg.Quorum, lsn, n.cfg.QuorumTimeout)
+			return fmt.Errorf("cluster: quorum %d not reached for LSN %d within %v", n.cfg.Quorum, lsn, quorumTimeout)
 		}
 		err := n.quorum.wait(lsn, min(slice, remain))
 		if err == nil {
@@ -512,16 +469,12 @@ func (n *Node) ownedShards(alive func(string) bool) []uint32 {
 	return out
 }
 
-// touch marks a peer as contacted now. Unlike the boot-time grace
-// stamp, a touch records REAL contact — the promotion quorum gate and
-// the lease witness count only touched peers, so a freshly booted (or
-// freshly partitioned-off) minority cannot vote absent peers "alive"
-// into its quorum. IDs outside the membership (diagnostic probes, a
-// misconfigured stranger) and this node's own ID are ignored: only a
-// configured peer can witness a lease.
-//
-// A touch wakes the membership loop when it changes evaluate's answer:
-// a first contact, or one from a peer no longer witnessing the lease.
+// touch marks a configured peer as contacted now. Unlike the boot-time
+// grace stamp this is REAL contact, the only kind the promotion gate and
+// the lease count, so a minority cannot vote absent peers "alive" into its
+// quorum; strangers and this node's own ID are ignored. It wakes the
+// membership loop when it changes evaluate's answer: a first contact, or
+// one from a peer no longer witnessing the lease.
 func (n *Node) touch(id string) {
 	if _, ok := n.peers[id]; !ok || id == n.cfg.NodeID {
 		return
@@ -556,42 +509,36 @@ type decision struct {
 	next             time.Time // earliest instant an answer above changes with no message; zero: never
 }
 
-// evaluate is the failure detector and promotion rule as a function of
-// contact times: it recomputes shard ownership and the lease as of now
-// and names the shards to promote for (gained) and to stop serving at
-// once (a returning owner is ahead only of shards it just caught up;
-// serving them here again would fork the history). The caller holds
-// mu; evaluate changes nothing and does no I/O.
+// evaluate is the failure detector and promotion gate as a function of
+// contact times: ownership and the lease as of now, the shards to promote
+// for (gained) and to stop serving at once (serving a returned owner's
+// shards would fork its history). The caller holds mu; evaluate changes
+// nothing and does no I/O.
 func (n *Node) evaluate(now time.Time) decision {
 	alive := n.aliveAt(n.lastSeen, now)
 	d := decision{held: n.leaseHeldLocked(now), witnesses: n.leaseWitnessesLocked(now), reach: 1}
-	// Lease sweep: an expired-lease primary self-demotes every shard it
-	// serves. Owns already answers false the instant the lease lapses;
-	// this makes it formal (lifecycle callback, counters, one log line)
-	// so the shards re-promote through the one gated path when the
-	// quorum witness returns.
-	for s := range n.serving {
+	// Lease sweep: Owns answers false the instant the lease lapses; this
+	// deposes the shards so they re-promote through the one gated path.
+	for s, c := range n.roles {
+		if c.role != primary {
+			continue
+		}
 		if !d.held {
-			d.demoted = append(d.demoted, s)
-		} else if n.ring.OwnerAmong(s, alive) != n.cfg.NodeID {
-			d.lost = append(d.lost, s)
+			d.demoted = append(d.demoted, uint32(s))
+		} else if n.ring.OwnerAmong(uint32(s), alive) != n.cfg.NodeID {
+			d.lost = append(d.lost, uint32(s))
 		}
 	}
 	for _, s := range n.ownedShards(alive) {
-		if !d.held || !n.serving[s] {
+		if !d.held || n.roles[s].role != primary {
 			d.gained = append(d.gained, s)
 		}
 	}
-	// Promotion quorum gate: taking over shards mints a new epoch, and a
-	// new epoch outranks everything — so minting is allowed only when
-	// this node can actually reach a write quorum (itself plus
-	// contacted-and-alive peers) AND holds a live lease. The lease half
-	// closes the window between lease expiry and FailAfter where an
-	// isolated node's peers still look alive: it must not demote on
-	// expiry only to re-promote at once. A partitioned minority stays a
-	// follower; its stale serving set already drained via the lease
-	// sweep or `lost`, or never formed. Quorum 1 passes vacuously,
-	// preserving lone-member operation.
+	// Promotion gate: a new epoch outranks everything, so promote only
+	// while a write quorum (self plus contacted-and-alive peers) is
+	// reachable AND the lease is held. The lease half closes the window
+	// between expiry and FailAfter in which an isolated node's peers still
+	// look alive: it must not depose on expiry only to re-promote at once.
 	for id := range n.contacted {
 		if alive(id) {
 			d.reach++
@@ -630,7 +577,7 @@ func (n *Node) membershipLoop() {
 		n.mu.Lock()
 		d := n.evaluate(time.Now())
 		for _, s := range append(d.demoted, d.lost...) { // one of the two is empty
-			delete(n.serving, s)
+			n.roles[s].step(deposed, 0)
 		}
 		if n.leaseWas && !d.held {
 			n.leaseExpirations.Add(1)
@@ -680,153 +627,123 @@ func (n *Node) membershipLoop() {
 	}
 }
 
-// promote takes over shards — a dead owner's, or this node's own at
-// boot: it closes the quorum-exactness gap by catching up from every
-// reachable peer, and goes on only if it and those that answered form a
-// quorum (an acked record lives on a quorum, which meets this one;
-// streams carry origin records only, so nothing else brings the record
-// here), mints the shards' next epoch so every
-// write it will apply outranks any straggler from the previous primary,
-// then serves. The warm replica state makes this a frontier check plus
-// at most one state fetch, not a cold replay. It reports whether the
-// shards are now served; too few answers is a failure, retried.
+// promote takes over shards, a dead owner's or its own at boot: it
+// catches up from every reachable peer, lets promotion choose the shards,
+// bumps their epochs so every write it applies outranks the previous
+// primary's stragglers, and serves them. It reports whether it did; a
+// refusal or a failed bump is retried.
 func (n *Node) promote(shards []uint32) bool {
 	n.cfg.Logf("cluster: node %s promoting for shards %v", n.cfg.NodeID, shards)
 	start := time.Now()
-	if answered := n.catchUpFromPeers(shards); answered+1 < n.cfg.Quorum {
-		n.cfg.Logf("cluster: node %s: %d/%d peers answered its catch-up, need %d; not promoting",
-			n.cfg.NodeID, answered, len(n.others), n.cfg.Quorum-1)
+	mint, refusal := promotion(n.cfg.NodeID, shards, n.catchUpFromPeers(shards), n.cfg.Quorum, n.ring, n.aliveFn())
+	if refusal != "" {
+		n.cfg.Logf("cluster: node %s: %s; not promoting", n.cfg.NodeID, refusal)
 		return false
 	}
-	// A peer that answered the catch-up is alive: its shards are not ours.
-	alive := n.aliveFn()
-	if shards = slices.DeleteFunc(shards, func(s uint32) bool { return n.ring.OwnerAmong(s, alive) != n.cfg.NodeID }); len(shards) == 0 {
+	if len(mint) == 0 {
 		return true
 	}
-	err := n.cfg.Backend.BumpEpochs(shards)
+	err := n.cfg.Backend.BumpEpochs(mint)
 	n.lastPromotion.Store(int64(time.Since(start)))
 	if err != nil {
 		// Without the fencing epoch the takeover is not safe to serve.
-		n.cfg.Logf("cluster: node %s: epoch bump for shards %v failed, not serving: %v", n.cfg.NodeID, shards, err)
+		n.cfg.Logf("cluster: node %s: epoch bump for shards %v failed, not serving: %v", n.cfg.NodeID, mint, err)
 		return false
 	}
 	_, epochs := n.cfg.Backend.Frontier()
+	var already []uint32 // primary → primary is no step: the loop promotes only shards it does not serve
 	n.mu.Lock()
-	for _, s := range shards {
-		n.serving[s], n.minted[s] = true, epochs[s]
+	for _, s := range mint {
+		if !n.roles[s].step(primary, epochs[s]) {
+			already = append(already, s)
+		}
 	}
 	n.mu.Unlock()
+	if len(already) > 0 {
+		n.cfg.Logf("cluster: node %s: shards %v were already primary", n.cfg.NodeID, already)
+	}
 	n.promotions.Add(1)
-	n.cfg.Logf("cluster: node %s now primary for shards %v", n.cfg.NodeID, shards)
+	n.cfg.Logf("cluster: node %s now primary for shards %v", n.cfg.NodeID, mint)
 	return true
 }
 
-// catchUpFromPeers queries every reachable peer's frontier and
-// installs a state image from each peer (epoch, version)-ahead of
-// local state on any of the listed shards. The lexicographic order is
-// the point: after a fork, the acknowledged history lives at a higher
-// epoch but possibly a LOWER version than a deposed primary's
-// never-acked tail — a bare version comparison would skip exactly the
-// peer that holds the data. It reports how many peers answered: their
-// frontier arrived and, when it was ahead, their image installed. Only
-// those are known to hold nothing this node lacks.
-func (n *Node) catchUpFromPeers(shards []uint32) (answered int) {
+// catchUpFromPeers asks every other member for its frontier and, when
+// that is aheadOn the listed shards, for its image, which it installs. It
+// returns the peers that answered: their frontier arrived and any image
+// ahead installed. Only those are known to hold nothing this node lacks.
+func (n *Node) catchUpFromPeers(shards []uint32) (answered []string) {
 	localV, localE := n.cfg.Backend.Frontier()
 	for _, p := range n.others {
-		frontV, frontE, err := n.queryFrontier(p)
+		installed, err := n.catchUpFrom(p, shards, localV, localE)
 		if err != nil {
-			n.cfg.Logf("cluster: node %s: frontier from %s unavailable: %v", n.cfg.NodeID, p.ID, err)
+			n.cfg.Logf("cluster: node %s: %v", n.cfg.NodeID, err)
 			continue
 		}
-		n.touch(p.ID)
-		ahead := false
-		for _, s := range shards {
-			if int(s) >= len(frontV) {
-				continue
-			}
-			if durable.Ahead(frontE[s], frontV[s], localE[s], localV[s]) {
-				ahead = true
-				break
-			}
+		if installed {
+			localV, localE = n.cfg.Backend.Frontier()
+			n.cfg.Logf("cluster: node %s caught up from %s", n.cfg.NodeID, p.ID)
 		}
-		if !ahead {
-			answered++
-			continue
-		}
-		conn, _, err := n.dialRepl(p)
-		var img map[uint32]durable.ShardState
-		if err == nil {
-			img, _, err = n.stateCatchUp(conn)
-			conn.Close()
-		}
-		if err != nil {
-			n.cfg.Logf("cluster: node %s: state from %s unavailable: %v", n.cfg.NodeID, p.ID, err)
-			continue
-		}
-		if _, err := n.cfg.Backend.InstallState(img); err != nil {
-			n.cfg.Logf("cluster: node %s: installing state from %s: %v", n.cfg.NodeID, p.ID, err)
-			continue
-		}
-		localV, localE = n.cfg.Backend.Frontier()
-		answered++
-		n.cfg.Logf("cluster: node %s caught up from %s", n.cfg.NodeID, p.ID)
+		answered = append(answered, p.ID)
 	}
 	return answered
+}
+
+// catchUpFrom is catchUpFromPeers on one peer, over one connection. It
+// reports whether an image was installed.
+func (n *Node) catchUpFrom(p Peer, shards []uint32, localV, localE []uint64) (bool, error) {
+	conn, err := n.dialRepl(p)
+	var f wire.FrontierResponse
+	if err == nil {
+		defer conn.Close()
+		var b []byte
+		if b, err = replCall(conn, wire.EncodeFrontierRequest(), dialTimeout); err == nil {
+			f, err = wire.ParseFrontierResponse(b)
+		}
+	}
+	if err == nil && f.Status != wire.StatusOK {
+		err = errors.New(f.Status.String())
+	}
+	if err != nil {
+		return false, fmt.Errorf("frontier from %s unavailable: %w", p.ID, err)
+	}
+	n.touch(p.ID)
+	if !aheadOn(shards, f.Vers, f.Epochs, localV, localE) {
+		return false, nil
+	}
+	img, _, err := n.stateCatchUp(conn)
+	if err != nil {
+		return false, fmt.Errorf("state from %s unavailable: %w", p.ID, err)
+	}
+	if _, err := n.cfg.Backend.InstallState(img); err != nil {
+		return false, fmt.Errorf("installing state from %s: %w", p.ID, err)
+	}
+	return true, nil
 }
 
 // dialTimeout bounds synchronous peer RPCs (frontier, state fetch).
 const dialTimeout = 2 * time.Second
 
 // dialRepl opens a replication connection and completes the handshake.
-func (n *Node) dialRepl(p Peer) (net.Conn, wire.ReplWelcome, error) {
+func (n *Node) dialRepl(p Peer) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", p.ReplAddr, dialTimeout)
 	if err != nil {
-		return nil, wire.ReplWelcome{}, err
+		return nil, err
 	}
-	if err := wire.WriteReplFrame(conn, wire.ReplHello{NodeID: n.cfg.NodeID}.Encode()); err != nil {
-		conn.Close()
-		return nil, wire.ReplWelcome{}, err
+	var w wire.ReplWelcome
+	b, err := replCall(conn, wire.ReplHello{NodeID: n.cfg.NodeID}.Encode(), dialTimeout)
+	if err == nil {
+		w, err = wire.ParseReplWelcome(b)
 	}
-	conn.SetReadDeadline(time.Now().Add(dialTimeout))
-	b, err := wire.ReadReplFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, wire.ReplWelcome{}, err
+	switch {
+	case err != nil:
+	case w.Status != wire.StatusOK:
+		err = fmt.Errorf("cluster: peer %s refused replication: %s", p.ID, w.Status)
+	case int(w.Shards) != n.cfg.Shards:
+		err = fmt.Errorf("cluster: peer %s has %d shards, this node %d — mismatched cluster config", p.ID, w.Shards, n.cfg.Shards)
+	default:
+		conn.SetReadDeadline(time.Time{})
+		return conn, nil
 	}
-	conn.SetReadDeadline(time.Time{})
-	w, err := wire.ParseReplWelcome(b)
-	if err != nil {
-		conn.Close()
-		return nil, wire.ReplWelcome{}, err
-	}
-	if w.Status != wire.StatusOK {
-		conn.Close()
-		return nil, wire.ReplWelcome{}, fmt.Errorf("cluster: peer %s refused replication: %s", p.ID, w.Status)
-	}
-	if int(w.Shards) != n.cfg.Shards {
-		conn.Close()
-		return nil, wire.ReplWelcome{}, fmt.Errorf("cluster: peer %s has %d shards, this node %d — mismatched cluster config", p.ID, w.Shards, n.cfg.Shards)
-	}
-	return conn, w, nil
-}
-
-// queryFrontier fetches a peer's per-shard (version, epoch) frontier.
-func (n *Node) queryFrontier(p Peer) (vers, epochs []uint64, err error) {
-	conn, _, err := n.dialRepl(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer conn.Close()
-	b, err := replCall(conn, wire.EncodeFrontierRequest(), dialTimeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := wire.ParseFrontierResponse(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.Status != wire.StatusOK {
-		return nil, nil, fmt.Errorf("cluster: peer %s frontier: %s", p.ID, f.Status)
-	}
-	return f.Vers, f.Epochs, nil
+	conn.Close()
+	return nil, err
 }

@@ -15,20 +15,15 @@ import (
 // transient error does not mark a healthy peer suspect.
 const pullBackoff = 200 * time.Millisecond
 
-// quarantineBackoff is the sleep after a stale-epoch or diverged
-// stream. Those are not transient: the peer is a deposed primary
-// replaying a fenced fork (it heals by catching up itself) or a
-// same-epoch content fork (it does not heal at all). Hammering it at
-// pullBackoff would only spam both logs.
+// quarantineBackoff is the sleep after a stale-epoch or diverged stream:
+// the peer replays a fenced fork (it heals by catching up itself) or a
+// same-epoch content fork (it never heals), so retrying sooner only spams.
 const quarantineBackoff = 3 * time.Second
 
 // pullLoop is the follower side of replication against one peer: dial,
-// handshake, state catch-up when needed, then pull batches forever —
-// applying each batch to the local table, fsyncing it locally, and
-// acking by piggybacking the durable position on the next pull. The
-// loop outlives any single connection; resume positions persist across
-// reconnects in memory and restart from a state image after a process
-// restart.
+// catch up by image when needed, then pull, apply, fsync and ack on the
+// next pull, forever. Resume positions outlive a connection in memory; a
+// restarted process starts again from a state image.
 func (n *Node) pullLoop(p Peer) {
 	defer n.wg.Done()
 	for {
@@ -59,7 +54,7 @@ func (n *Node) pullLoop(p Peer) {
 
 // pullSession runs one replication connection until it breaks.
 func (n *Node) pullSession(p Peer) error {
-	conn, _, err := n.dialRepl(p)
+	conn, err := n.dialRepl(p)
 	if err != nil {
 		return err
 	}
@@ -70,24 +65,19 @@ func (n *Node) pullSession(p Peer) error {
 
 	defer n.closeOnStop(conn)()
 
-	// pos is where reading resumes; ack is the position this node
-	// VOUCHES for — everything at or below it applied here and is
-	// locally durable. The two separate exactly when the stream goes
-	// bad: a follower that rejected records (a deposed primary's
-	// fenced fork) must keep its ack frozen even while probing ahead,
-	// because the peer counts acks toward its write quorum — acking a
-	// rejected suffix would help a fork get acknowledged to a client
-	// and then discarded.
+	// pos is where reading resumes; ack is the position this node VOUCHES
+	// for: applied here and locally durable. They part when the stream goes
+	// bad: a follower that rejected records keeps its ack frozen while it
+	// probes ahead, because the peer counts acks toward its write quorum,
+	// and acking a rejected suffix would help a fork get acknowledged.
 	n.mu.Lock()
 	pos := n.resume[p.ID]
 	ack := n.acked[p.ID]
 	n.mu.Unlock()
 	if pos == 0 {
-		// First contact this incarnation: a fresh process does not know
-		// its position in the peer's LSN space, and replaying the
-		// peer's whole log would race its pruning. Install a state
-		// image (idempotent: only (epoch, version)-newer shards land)
-		// and pull from the position it covers.
+		// First contact this incarnation: replaying the peer's whole log
+		// would race its pruning, so install an image (only (epoch,
+		// version)-newer shards land) and pull from the position it covers.
 		if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
 			return err
 		}
@@ -135,10 +125,9 @@ func (n *Node) pullSession(p Peer) error {
 				n.cfg.Logf("cluster: node %s: %v; resyncing from %s in place", n.cfg.NodeID, err, p.ID)
 				image = true
 			case err != nil:
-				// The ack stays where it was — nothing past it is vouched
-				// for. A second gap resyncs on the next session; a stale or
-				// diverged stream does too, but its image will not cover
-				// local state either, so the ack keeps holding until the
+				// The ack stays where it was. A second gap, a stale or a
+				// diverged stream resyncs on the next session; the last two's
+				// images do not cover local state, so the ack holds until the
 				// peer heals (stale) or an operator steps in (diverged).
 				if errors.Is(err, ErrReplDiverged) {
 					n.cfg.Logf("cluster: node %s: OPERATOR INTERVENTION NEEDED: history from %s diverged from local state within one epoch: %v",
@@ -303,12 +292,10 @@ func (n *Node) serveRepl(conn net.Conn) {
 		case wire.ReplPull:
 			payload = n.servePull(hello.NodeID, pull).Encode()
 		case wire.ReplState:
-			// Cover BEFORE peek, exactly like WriteSnapshot: every
-			// record at or below the captured end was applied before
-			// the peek, so the image reflects it; records above it may
-			// or may not be in the image and re-deliver on the next
-			// pull, where version-skipping absorbs them. Peeking first
-			// would invert that into a silent gap.
+			// Cover BEFORE peek, like WriteSnapshot: records at or below
+			// the captured end are in the image; those above may be, and
+			// re-deliver on the next pull, where version-skipping absorbs
+			// them. Peeking first would make that a silent gap.
 			cover := n.cfg.Log.End()
 			img := n.cfg.Backend.StateImage()
 			payload = wire.StateResponse{
@@ -352,7 +339,7 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 			return wire.PullResponse{Status: wire.StatusInternal, ResumeLSN: req.FromLSN, End: n.cfg.Log.End()}
 		}
 		n.mu.Lock()
-		recs = slices.DeleteFunc(recs, func(r durable.Record) bool { return !own(r, n.serving, n.minted) })
+		recs = slices.DeleteFunc(recs, func(r durable.Record) bool { return !own(r, n.roles) })
 		n.mu.Unlock()
 		if len(recs) > 0 || next == pos || !time.Now().Before(deadline) {
 			n.recordsServed.Add(int64(len(recs)))
@@ -360,17 +347,6 @@ func (n *Node) servePull(from string, req wire.PullRequest) wire.PullResponse {
 		}
 		pos = next
 	}
-}
-
-// own is servePull's origin filter: rec's shard is served here now, or
-// rec carries the epoch this node minted for it (a quorum wait may
-// outlive a demotion). A container goes by its first member.
-func own(rec durable.Record, serving map[uint32]bool, minted map[uint32]uint64) bool {
-	if len(rec.Atomic) > 0 {
-		rec = rec.Atomic[0]
-	}
-	e, ok := minted[rec.Shard]
-	return serving[rec.Shard] || ok && e == rec.Epoch
 }
 
 // registerAck folds a follower's durable-LSN ack into quorum progress

@@ -9,65 +9,13 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// TestOwn pins servePull's origin filter without sockets: a record is
-// this node's to ship if its shard is served here now, or if it carries
-// the epoch this node minted for that shard; a container goes by its
-// first member. Each row that one criterion alone would get wrong names
-// that form, and the test checks the form really does get it wrong:
-// served-only drops a demoted primary's minted-epoch record that a
-// quorum wait still needs, and epoch-only drops a served shard's record
-// at an epoch it adopted rather than minted.
-func TestOwn(t *testing.T) {
-	first := func(r durable.Record) durable.Record {
-		if len(r.Atomic) > 0 {
-			return r.Atomic[0]
-		}
-		return r
-	}
-	servedOnly := func(r durable.Record, serving map[uint32]bool, _ map[uint32]uint64) bool {
-		return serving[first(r).Shard]
-	}
-	epochOnly := func(r durable.Record, _ map[uint32]bool, minted map[uint32]uint64) bool {
-		e, ok := minted[first(r).Shard]
-		return ok && e == first(r).Epoch
-	}
-	rec := func(shard uint32, epoch uint64) durable.Record {
-		return durable.Record{Shard: shard, Epoch: epoch, Ver: 1}
-	}
-	group := func(members ...durable.Record) durable.Record { return durable.Record{Atomic: members} }
-	for _, c := range []struct {
-		name    string
-		rec     durable.Record
-		serving map[uint32]bool
-		minted  map[uint32]uint64
-		want    bool
-		wrongBy func(durable.Record, map[uint32]bool, map[uint32]uint64) bool
-	}{
-		{"served and minted", rec(0, 2), map[uint32]bool{0: true}, map[uint32]uint64{0: 2}, true, nil},
-		{"demoted primary, minted epoch", rec(0, 2), nil, map[uint32]uint64{0: 2}, true, servedOnly},
-		{"served, adopted epoch", rec(0, 3), map[uint32]bool{0: true}, nil, true, epochOnly},
-		{"served, adopted after an older mint", rec(0, 3), map[uint32]bool{0: true}, map[uint32]uint64{0: 2}, true, epochOnly},
-		{"not served, older epoch minted", rec(0, 3), nil, map[uint32]uint64{0: 2}, false, nil},
-		{"not served, never minted", rec(0, 2), nil, nil, false, nil},
-		{"another shard's record", rec(1, 2), map[uint32]bool{0: true}, map[uint32]uint64{0: 2}, false, nil},
-		{"group led by a served shard", group(rec(0, 1), rec(1, 1)), map[uint32]bool{0: true}, nil, true, epochOnly},
-		{"group led by an unowned shard", group(rec(1, 1), rec(0, 1)), map[uint32]bool{0: true}, map[uint32]uint64{0: 1}, false, nil},
-	} {
-		if got := own(c.rec, c.serving, c.minted); got != c.want {
-			t.Errorf("%s: own = %v, want %v", c.name, got, c.want)
-		}
-		if c.wrongBy != nil && c.wrongBy(c.rec, c.serving, c.minted) == c.want {
-			t.Errorf("%s: the single-criterion form agrees with own, so the row does not tell them apart", c.name)
-		}
-	}
-}
-
 // TestServePullAnswers drives servePull against a real WAL at the three
 // positions a follower can be in — behind, caught up and pruned — and
 // pins what each answers and how long it parks: WaitEnd first, then one
-// read, must answer exactly as read, park, read again did. The node
-// minted shard 0's epoch only: records of shard 1 are another origin's
-// copies, stepped over without ending the long-poll.
+// read, must answer exactly as read, park, read again did. The node was
+// deposed from shard 0 at the epoch 0 it minted, and follows shard 1:
+// records of shard 1 are another origin's copies, stepped over without
+// ending the long-poll.
 func TestServePullAnswers(t *testing.T) {
 	log, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever, SegmentBytes: 512})
 	if err != nil {
@@ -98,7 +46,7 @@ func TestServePullAnswers(t *testing.T) {
 		cfg:    Config{NodeID: "a", Log: log, Logf: t.Logf},
 		quorum: newQuorumTracker(2),
 		pins:   map[string]int{},
-		minted: map[uint32]uint64{0: 0},
+		roles:  []shardRole{{deposed, 0}, {follower, 0}},
 	}
 	const long = 5000 // ms: a pull that parks this long fails the test's own clock
 	timed := func(req wire.PullRequest) (wire.PullResponse, time.Duration) {

@@ -1,14 +1,57 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"slices"
-	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"kexclusion/internal/durable"
 )
+
+// newNodes reserves a replication address for each of ids and builds a
+// Node on the first bind of them, at quorum 2, each with its own log and
+// backend(id); the rest stay unbound and refuse dials. A reserved port can
+// go to a parallel test before New binds it again: when New fails with
+// EADDRINUSE, everything starts over on fresh ports, up to 3 attempts.
+func newNodes(t *testing.T, ids []string, bind, shards int, backend func(id string) Backend) []*Node {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		peers := make([]Peer, len(ids))
+		for i, id := range ids {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[i] = Peer{ID: id, ClientAddr: "127.0.0.1:1", ReplAddr: ln.Addr().String()}
+			ln.Close()
+		}
+		var nodes []*Node
+		var err error
+		for _, p := range peers[:bind] {
+			log, _, lerr := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever})
+			if lerr != nil {
+				t.Fatal(lerr)
+			}
+			t.Cleanup(func() { log.Close() })
+			var n *Node
+			if n, err = New(Config{NodeID: p.ID, Peers: peers, Shards: shards, Quorum: 2, Log: log, Backend: backend(p.ID)}); err != nil {
+				break
+			}
+			t.Cleanup(n.Stop) // before the log closes: cleanups run last-in first-out
+			nodes = append(nodes, n)
+		}
+		if err == nil {
+			return nodes
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 3 {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestStartConcurrentMembers: members whose Starts overlap answer each
 // other's start-up catch-up at once. Start queries every peer's frontier
@@ -16,30 +59,7 @@ import (
 // query, three members starting together each waited out dialTimeout
 // on a peer's unanswered handshake.
 func TestStartConcurrentMembers(t *testing.T) {
-	peers := make([]Peer, 3)
-	for i, id := range []string{"a", "b", "c"} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = Peer{ID: id, ClientAddr: "127.0.0.1:1", ReplAddr: ln.Addr().String()}
-		ln.Close() // New binds it again
-	}
-	nodes := make([]*Node, len(peers))
-	for i, p := range peers {
-		log, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { log.Close() })
-		n, err := New(Config{NodeID: p.ID, Peers: peers, Shards: 1, Quorum: 2, Log: log, Backend: stubBackend{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop) // before the log closes: cleanups run last-in first-out
-		nodes[i] = n
-	}
-
+	nodes := newNodes(t, []string{"a", "b", "c"}, 3, 1, func(string) Backend { return stubBackend{} })
 	took := make(chan time.Duration, len(nodes))
 	for _, n := range nodes {
 		go func() {
@@ -55,115 +75,48 @@ func TestStartConcurrentMembers(t *testing.T) {
 	}
 }
 
-// TestPromoteNeedsAnsweringQuorum: streams carry origin records only, so
-// a write acked through the dead primary and one follower may live on
-// that follower alone. A promotion whose catch-up did not hear from
-// enough peers to complete a quorum must not mint: it fails, and the
-// membership loop retries it.
-func TestPromoteNeedsAnsweringQuorum(t *testing.T) {
-	peers := make([]Peer, 2)
-	for i, id := range []string{"a", "b"} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+// TestCatchUpAnswered is what only the I/O half of a promotion can show:
+// a peer whose frontier query is refused is not in answered, and a peer
+// that answers is, its image installed when its frontier is ahead. What
+// a promotion then decides from answered is TestPromotion's.
+func TestCatchUpAnswered(t *testing.T) {
+	a := &installRecorder{}
+	nodes := newNodes(t, []string{"a", "b", "c"}, 2, 1, func(id string) Backend {
+		if id == "a" {
+			return a
 		}
-		peers[i] = Peer{ID: id, ClientAddr: "127.0.0.1:1", ReplAddr: ln.Addr().String()}
-		ln.Close() // b is never bound: its frontier query fails
-	}
-	log, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { log.Close() })
-	backend := &bumpRecorder{}
-	a, err := New(Config{NodeID: "a", Peers: peers, Shards: 1, Quorum: 2, Log: log, Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Stop)
-	if a.promote([]uint32{0}) {
-		t.Fatal("promote succeeded with no peer answering its catch-up at quorum 2")
-	}
-	backend.mu.Lock()
-	defer backend.mu.Unlock()
-	if len(backend.minted) > 0 || a.Owns(0) {
-		t.Fatalf("a failed promotion minted %v, serves shard 0: %v", backend.minted, a.Owns(0))
-	}
-}
-
-// bumpRecorder records the shards BumpEpochs mints for.
-type bumpRecorder struct {
-	stubBackend
-	mu     sync.Mutex
-	minted []uint32
-}
-
-func (b *bumpRecorder) BumpEpochs(shards []uint32) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.minted = append(b.minted, shards...)
-	return nil
-}
-
-// TestPromoteLeavesAnsweringOwnersShards: a member back from a partition
-// can evaluate while one peer has not been heard from yet, and claim
-// that peer's shards. Its catch-up then reaches the peer, which is alive
-// and serving them: the promotion must mint only the shards it owns with
-// that peer counted alive, not a second epoch line for the peer's.
-func TestPromoteLeavesAnsweringOwnersShards(t *testing.T) {
-	const shards = 8
-	peers := make([]Peer, 2)
-	for i, id := range []string{"a", "b"} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = Peer{ID: id, ClientAddr: "127.0.0.1:1", ReplAddr: ln.Addr().String()}
-		ln.Close()
-	}
-	backend := &bumpRecorder{}
-	nodes := make([]*Node, 2)
-	for i, p := range peers {
-		log, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Policy: durable.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { log.Close() })
-		var be Backend = stubBackend{}
-		if i == 0 {
-			be = backend
-		}
-		if nodes[i], err = New(Config{NodeID: p.ID, Peers: peers, Shards: shards, Quorum: 2, Log: log, Backend: be}); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nodes[i].Stop)
-	}
-	a, b := nodes[0], nodes[1]
+		return aheadBackend{}
+	})
+	b := nodes[1]
 	b.wg.Add(1)
-	go b.acceptLoop() // b answers, but a has not heard from it in an hour
-	a.mu.Lock()
-	a.lastSeen["b"] = time.Now().Add(-time.Hour)
-	a.mu.Unlock()
+	go b.acceptLoop() // c is never bound: its frontier query is refused
+	if got := nodes[0].catchUpFromPeers([]uint32{0}); !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("answered = %v, want [b]", got)
+	}
+	if got := a.installs.Load(); got != 1 {
+		t.Fatalf("%d images installed, want b's one: its frontier is ahead", got)
+	}
+}
 
-	all := make([]uint32, shards)
-	for s := range all {
-		all[s] = uint32(s)
+// installRecorder counts the images installed.
+type installRecorder struct {
+	stubBackend
+	installs atomic.Int32
+}
+
+func (r *installRecorder) InstallState(map[uint32]durable.ShardState) (bool, error) {
+	r.installs.Add(1)
+	return true, nil
+}
+
+// aheadBackend's frontier is one version ahead of stubBackend's on
+// every shard.
+type aheadBackend struct{ stubBackend }
+
+func (aheadBackend) Frontier() (vers, epochs []uint64) {
+	vers, epochs = stubBackend{}.Frontier()
+	for i := range vers {
+		vers[i] = 1
 	}
-	own := a.ownedShards(func(string) bool { return true })
-	if len(own) == 0 || len(own) == shards {
-		t.Fatalf("the ring gives a %d of %d shards; the test needs b to own some", len(own), shards)
-	}
-	if !a.promote(all) {
-		t.Fatal("promote failed")
-	}
-	backend.mu.Lock()
-	defer backend.mu.Unlock()
-	if !slices.Equal(backend.minted, own) {
-		t.Fatalf("minted epochs for shards %v, want a's own %v: b answered the catch-up", backend.minted, own)
-	}
-	for _, s := range all {
-		if a.Owns(s) != slices.Contains(own, s) {
-			t.Fatalf("a serves shard %d: %v, owns it: %v", s, a.Owns(s), slices.Contains(own, s))
-		}
-	}
+	return vers, epochs
 }

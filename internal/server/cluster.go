@@ -21,12 +21,10 @@ type ClusterConfig struct {
 	// Quorum is how many nodes (this one included) must fsync a batch
 	// before its client ack; 0 means a majority of the peer list.
 	Quorum int
-	// FailAfter, PullWait and QuorumTimeout tune the failure detector,
-	// the replication long-poll, and the ack-path quorum wait (see
-	// cluster.Config).
-	FailAfter     time.Duration
-	PullWait      time.Duration
-	QuorumTimeout time.Duration
+	// FailAfter and PullWait tune the failure detector and the
+	// replication long-poll (see cluster.Config).
+	FailAfter time.Duration
+	PullWait  time.Duration
 	// Lease is the leader lease interval; 0 defaults to FailAfter/2,
 	// and it must be strictly shorter than FailAfter (see
 	// cluster.Config.LeaseDuration).
@@ -61,7 +59,6 @@ func (s *Server) newClusterNode(cc *ClusterConfig) error {
 		FailAfter:     cc.FailAfter,
 		LeaseDuration: cc.Lease,
 		PullWait:      cc.PullWait,
-		QuorumTimeout: cc.QuorumTimeout,
 		Logf:          s.logf,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -26,9 +27,9 @@ type cnode struct {
 }
 
 // reservePort grabs an ephemeral localhost port and releases it for
-// immediate reuse. The tiny window before the server rebinds it is the
-// standard test trade-off for needing every address in every node's
-// config before any node exists.
+// immediate reuse: every address must be in every node's config before
+// any node exists. A parallel test can take the port before the server
+// binds it again; bootCluster starts over when that happens.
 func reservePort(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -40,13 +41,16 @@ func reservePort(t testing.TB) string {
 	return addr
 }
 
+// memberID names member i of a test cluster.
+func memberID(i int) string { return fmt.Sprintf("node-%d", i) }
+
 // testPeers reserves client and replication addresses for size members.
 func testPeers(t testing.TB, size int) []cluster.Peer {
 	t.Helper()
 	peers := make([]cluster.Peer, size)
 	for i := range peers {
 		peers[i] = cluster.Peer{
-			ID:         fmt.Sprintf("node-%d", i),
+			ID:         memberID(i),
 			ClientAddr: reservePort(t),
 			ReplAddr:   reservePort(t),
 		}
@@ -56,8 +60,7 @@ func testPeers(t testing.TB, size int) []cluster.Peer {
 
 // bootNode builds member i of peers with a tight failure detector,
 // binds it and starts serving; logf, when given, receives its log.
-func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum int, logf ...func(string, ...any)) *cnode {
-	t.Helper()
+func bootNode(dir string, peers []cluster.Peer, i, shards, quorum int, logf ...func(string, ...any)) (*cnode, error) {
 	p := peers[i]
 	cfg := server.Config{
 		N:       4,
@@ -66,12 +69,11 @@ func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum 
 		DataDir: filepath.Join(dir, p.ID),
 		Fsync:   durable.SyncAlways,
 		Cluster: &server.ClusterConfig{
-			NodeID:        p.ID,
-			Peers:         peers,
-			Quorum:        quorum,
-			FailAfter:     400 * time.Millisecond,
-			PullWait:      50 * time.Millisecond,
-			QuorumTimeout: 5 * time.Second,
+			NodeID:    p.ID,
+			Peers:     peers,
+			Quorum:    quorum,
+			FailAfter: 400 * time.Millisecond,
+			PullWait:  50 * time.Millisecond,
 		},
 	}
 	if len(logf) > 0 {
@@ -79,10 +81,11 @@ func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum 
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if _, err := srv.Listen(p.ClientAddr); err != nil {
-		t.Fatal(err)
+		srv.Shutdown(context.Background())
+		return nil, err
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
@@ -100,7 +103,43 @@ func bootNode(t testing.TB, dir string, peers []cluster.Peer, i, shards, quorum 
 		}
 		return err
 	}
-	return n
+	return n, nil
+}
+
+// bootCluster reserves addresses for size members and calls boot, which
+// starts the members it needs in dir and returns them, the ones it
+// started before an error included. When a bind lost its reserved port
+// to a parallel test (EADDRINUSE), those stop and boot runs again on
+// fresh ports in a fresh dir, up to 3 attempts. Stopping the members
+// bootCluster returns is the caller's.
+func bootCluster(t testing.TB, size int, boot func(dir string, peers []cluster.Peer) ([]*cnode, error)) []*cnode {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		nodes, err := boot(t.TempDir(), testPeers(t, size))
+		if err == nil {
+			return nodes
+		}
+		stopAll(t, nodes)
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 3 {
+			t.Fatal(err)
+		}
+	}
+}
+
+// bootFirst is a boot for bootCluster that starts the first count
+// members in order; the rest stay unbound.
+func bootFirst(count, shards, quorum int) func(string, []cluster.Peer) ([]*cnode, error) {
+	return func(dir string, peers []cluster.Peer) ([]*cnode, error) {
+		var nodes []*cnode
+		for i := range peers[:count] {
+			n, err := bootNode(dir, peers, i, shards, quorum)
+			if err != nil {
+				return nodes, err
+			}
+			nodes = append(nodes, n)
+		}
+		return nodes, nil
+	}
 }
 
 // stopAll stops whatever the test has not already killed.
@@ -117,12 +156,7 @@ func stopAll(t testing.TB, nodes []*cnode) {
 // has not already killed.
 func startTestCluster(t testing.TB, size, shards, quorum int) []*cnode {
 	t.Helper()
-	peers := testPeers(t, size)
-	dir := t.TempDir()
-	nodes := make([]*cnode, size)
-	for i := range peers {
-		nodes[i] = bootNode(t, dir, peers, i, shards, quorum)
-	}
+	nodes := bootCluster(t, size, bootFirst(size, shards, quorum))
 	t.Cleanup(func() { stopAll(t, nodes) })
 	return nodes
 }
@@ -285,37 +319,10 @@ func TestClusterPromotionGatedBelowQuorum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node cluster test")
 	}
-	peers := []cluster.Peer{
-		{ID: "a", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-		{ID: "b", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-		{ID: "c", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-	}
 	const shards = 4
-	srv, err := server.New(server.Config{
-		N: 4, K: 2, Shards: shards,
-		DataDir: filepath.Join(t.TempDir(), "a"),
-		Fsync:   durable.SyncAlways,
-		Cluster: &server.ClusterConfig{
-			NodeID: "a", Peers: peers, Quorum: 2,
-			FailAfter: 400 * time.Millisecond, PullWait: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Listen(peers[0].ClientAddr); err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve() }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		if err := <-served; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
+	nodes := bootCluster(t, 3, bootFirst(1, shards, 2))
+	defer stopAll(t, nodes)
+	srv := nodes[0].srv
 
 	// Watch for several failure-detector periods: plenty of time for the
 	// pre-fix behavior (suspect peers, promote) to manifest.
@@ -340,36 +347,9 @@ func TestClusterQuorumOneDoesNotWaitForFollowers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node cluster test")
 	}
-	peers := []cluster.Peer{
-		{ID: "a", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-		{ID: "b", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-		{ID: "c", ClientAddr: reservePort(t), ReplAddr: reservePort(t)},
-	}
-	srv, err := server.New(server.Config{
-		N: 4, K: 2, Shards: 1,
-		DataDir: filepath.Join(t.TempDir(), "a"),
-		Fsync:   durable.SyncAlways,
-		Cluster: &server.ClusterConfig{
-			NodeID: "a", Peers: peers, Quorum: 1,
-			FailAfter: 400 * time.Millisecond, PullWait: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Listen(peers[0].ClientAddr); err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve() }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		if err := <-served; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
+	nodes := bootCluster(t, 3, bootFirst(1, 1, 1))
+	defer stopAll(t, nodes)
+	srv := nodes[0].srv
 
 	// Shard 0 may be placed on an absent peer; once the failure detector
 	// marks both peers suspect, the lone member promotes itself for
@@ -381,7 +361,7 @@ func TestClusterQuorumOneDoesNotWaitForFollowers(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	c := dial(t, peers[0].ClientAddr)
+	c := dial(t, nodes[0].addr)
 	defer c.Close()
 	if v, err := c.Add(0, 1); err != nil || v != 1 {
 		t.Fatalf("Add on lone primary at quorum 1 = %d, %v", v, err)
@@ -425,14 +405,21 @@ func TestClusterServesOnContactAndRedialsOnHello(t *testing.T) {
 // shard was served and node-2 had answered two pulls.
 func bootStaggered(t *testing.T) (serve, session time.Duration) {
 	const shards = 16
-	peers := testPeers(t, 3)
-	dir := t.TempDir()
-	var nodes []*cnode
-	defer func() { stopAll(t, nodes) }()
-	nodes = append(nodes, bootNode(t, dir, peers, 0, shards, 2))
-	time.Sleep(30 * time.Millisecond)
-	nodes = append(nodes, bootNode(t, dir, peers, 1, shards, 2))
-	nodes = append(nodes, bootNode(t, dir, peers, 2, shards, 2))
+	nodes := bootCluster(t, 3, func(dir string, peers []cluster.Peer) ([]*cnode, error) {
+		var nodes []*cnode
+		for i := range peers {
+			if i == 1 {
+				time.Sleep(30 * time.Millisecond) // node-0's first dials are refused
+			}
+			n, err := bootNode(dir, peers, i, shards, 2)
+			if err != nil {
+				return nodes, err
+			}
+			nodes = append(nodes, n)
+		}
+		return nodes, nil
+	})
+	defer stopAll(t, nodes)
 	booted := time.Now()
 	for serve == 0 || session == 0 {
 		if time.Since(booted) > 10*time.Second {

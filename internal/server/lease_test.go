@@ -14,7 +14,7 @@ import (
 // primary has an op in flight. The quorum wait can never fill in, so
 // the op must REFUSE — fast, via the lease lapsing mid-wait — and the
 // primary must self-demote; what it must never do is ack. Pre-lease,
-// the op stalled the full QuorumTimeout and the primary kept serving
+// the op stalled the full quorum timeout and the primary kept serving
 // reads of a history it could no longer defend.
 func TestClusterLeaseExpiryRacesQuorumWait(t *testing.T) {
 	if testing.Short() {
@@ -40,8 +40,8 @@ func TestClusterLeaseExpiryRacesQuorumWait(t *testing.T) {
 	}
 
 	// The next write has no quorum to wait for. FailAfter is 400ms and
-	// QuorumTimeout 5s in this harness; the 200ms lease must surface
-	// the refusal well before either.
+	// the quorum timeout 5s; the 200ms lease must surface the refusal
+	// well before either.
 	start := time.Now()
 	_, err := c.Add(0, 1)
 	elapsed := time.Since(start)
@@ -63,7 +63,7 @@ func TestClusterLeaseExpiryRacesQuorumWait(t *testing.T) {
 		t.Fatalf("refusal status %v, want internal (lease lost) or not_primary", we.Status)
 	}
 	if elapsed > 3*time.Second {
-		t.Fatalf("refusal took %v; the lease must fail the wait fast, not ride out QuorumTimeout", elapsed)
+		t.Fatalf("refusal took %v; the lease must fail the wait fast, not ride out the quorum timeout", elapsed)
 	}
 
 	// The primary is formally deposed: Owns flips, the sweep counts a

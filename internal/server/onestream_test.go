@@ -36,8 +36,7 @@ func TestClusterFailoverRecordOnOneStream(t *testing.T) {
 
 func recordOnOneStream(t *testing.T, heldIsHeir, frontierFailsOnce bool) {
 	const acked = 20
-	peers := testPeers(t, 3)
-	ids := []string{peers[0].ID, peers[1].ID, peers[2].ID}
+	ids := []string{memberID(0), memberID(1), memberID(2)}
 	ring, err := cluster.NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
@@ -50,20 +49,6 @@ func recordOnOneStream(t *testing.T, heldIsHeir, frontierFailsOnce bool) {
 	}
 	other := 3 - primary - held
 
-	link, err := netfault.New(peers[primary].ReplAddr, netfault.Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	otherLink, err := netfault.New(peers[other].ReplAddr, netfault.Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer otherLink.Close()
-	heldPeers := slices.Clone(peers)
-	heldPeers[primary].ReplAddr = link.Addr() // the held follower reaches the primary through the link
-	heldPeers[other].ReplAddr = otherLink.Addr()
-
 	var mu sync.Mutex
 	var heldLog []string
 	logf := func(format string, args ...any) {
@@ -71,16 +56,37 @@ func recordOnOneStream(t *testing.T, heldIsHeir, frontierFailsOnce bool) {
 		heldLog = append(heldLog, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	dir := t.TempDir()
-	nodes := make([]*cnode, len(peers))
-	defer func() { stopAll(t, nodes) }()
-	for i := range peers {
-		if i == held {
-			nodes[i] = bootNode(t, dir, heldPeers, i, 1, 2, logf)
-		} else {
-			nodes[i] = bootNode(t, dir, peers, i, 1, 2)
+	var link, otherLink *netfault.Proxy
+	nodes := bootCluster(t, 3, func(dir string, peers []cluster.Peer) ([]*cnode, error) {
+		l, err := netfault.New(peers[primary].ReplAddr, netfault.Plan{})
+		if err != nil {
+			return nil, err
 		}
-	}
+		t.Cleanup(func() { l.Close() })
+		ol, err := netfault.New(peers[other].ReplAddr, netfault.Plan{})
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { ol.Close() })
+		link, otherLink = l, ol
+		heldPeers := slices.Clone(peers)
+		heldPeers[primary].ReplAddr = l.Addr() // the held follower reaches the primary through the link
+		heldPeers[other].ReplAddr = ol.Addr()
+		var nodes []*cnode
+		for i := range peers {
+			ps, lf := peers, []func(string, ...any){}
+			if i == held {
+				ps, lf = heldPeers, append(lf, logf)
+			}
+			n, err := bootNode(dir, ps, i, 1, 2, lf...)
+			if err != nil {
+				return nodes, err
+			}
+			nodes = append(nodes, n)
+		}
+		return nodes, nil
+	})
+	defer stopAll(t, nodes)
 	if owner := ownerOf(t, nodes, 0); owner != nodes[primary] {
 		t.Fatalf("%s serves shard 0, the ring names %s", owner.id, ids[primary])
 	}
