@@ -64,6 +64,41 @@ func reserveAddr() (string, error) {
 	return addr, nil
 }
 
+// retryBind runs boot until it succeeds or fails for another reason
+// than a taken port, three attempts at most. reserveAddr releases each
+// port before its member binds it, so another listener (a chaos
+// proxy's, say) can take it first and the member exits with "address
+// already in use". Every attempt reserves fresh ports, and must first
+// stop what the failed one started; members reuse their data
+// directories, as a crash-restart would.
+func retryBind(boot func() error) error {
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		if err = boot(); err == nil || !strings.Contains(err.Error(), syscall.EADDRINUSE.Error()) {
+			return err
+		}
+	}
+	return err
+}
+
+// killAll SIGKILLs and reaps every member started so far.
+func killAll(members []*served) {
+	for _, s := range members {
+		if s != nil {
+			s.kill()
+		}
+	}
+}
+
+// closeAll closes every proxy opened so far.
+func closeAll(proxies []*netfault.Proxy) {
+	for _, px := range proxies {
+		if px != nil {
+			px.Close()
+		}
+	}
+}
+
 // probeOwner asks all three members who owns shard 0, through their
 // proxies, and returns the owner's index only when the view has
 // converged: exactly one member serves the shard and both others
@@ -154,65 +189,64 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 		dir = tmp
 	}
 
-	realAddrs := make([]string, clusterNodes)
-	replAddrs := make([]string, clusterNodes)
-	proxies := make([]*netfault.Proxy, clusterNodes)
-	var err error
-	for i := range realAddrs {
-		if realAddrs[i], err = reserveAddr(); err != nil {
-			return err
-		}
-		if replAddrs[i], err = reserveAddr(); err != nil {
-			return err
-		}
-	}
-	defer func() {
-		for _, px := range proxies {
-			if px != nil {
-				px.Close()
+	var (
+		realAddrs []string
+		proxies   []*netfault.Proxy
+		members   []*served
+		// Per-member arg lists are kept so the rejoin phase can restart
+		// the killed primary with its exact original identity and data.
+		memberArgs [][]string
+	)
+	// kill is idempotent; survivors are drained below first.
+	defer func() { killAll(members); closeAll(proxies) }()
+	err := retryBind(func() error {
+		killAll(members)
+		closeAll(proxies)
+		realAddrs = make([]string, clusterNodes)
+		replAddrs := make([]string, clusterNodes)
+		proxies = make([]*netfault.Proxy, clusterNodes)
+		members = make([]*served, clusterNodes)
+		memberArgs = make([][]string, clusterNodes)
+		var err error
+		for i := range realAddrs {
+			if realAddrs[i], err = reserveAddr(); err != nil {
+				return err
+			}
+			if replAddrs[i], err = reserveAddr(); err != nil {
+				return err
 			}
 		}
-	}()
-	for i := range proxies {
-		// Clean relays (empty fault plans): the injected fault in this
-		// mode is the SIGKILL; the proxies put the network hop every
-		// redirect crosses under the harness's control.
-		if proxies[i], err = netfault.New(realAddrs[i], netfault.Plan{Seed: cfg.seed + int64(i)}); err != nil {
-			return err
-		}
-	}
-
-	entries := make([]string, clusterNodes)
-	for i := range entries {
-		entries[i] = fmt.Sprintf("node-%d=%s/%s", i, proxies[i].Addr(), replAddrs[i])
-	}
-	peerSpec := strings.Join(entries, ",")
-
-	members := make([]*served, clusterNodes)
-	defer func() {
-		for _, s := range members {
-			if s != nil {
-				s.kill() // idempotent; survivors are drained below first
+		for i := range proxies {
+			// Clean relays (empty fault plans): the injected fault in this
+			// mode is the SIGKILL; the proxies put the network hop every
+			// redirect crosses under the harness's control.
+			if proxies[i], err = netfault.New(realAddrs[i], netfault.Plan{Seed: cfg.seed + int64(i)}); err != nil {
+				return err
 			}
 		}
-	}()
-	// Per-member arg lists are kept so the rejoin phase can restart the
-	// killed primary with its exact original identity and data.
-	memberArgs := make([][]string, clusterNodes)
-	for i := range members {
-		memberArgs[i] = []string{
-			"-addr", realAddrs[i], "-n", fmt.Sprint(cfg.n), "-k", fmt.Sprint(cfg.k),
-			"-shards", fmt.Sprint(clusterShards), "-impl", cfg.impl, "-quiet",
-			"-data-dir", filepath.Join(dir, fmt.Sprintf("node-%d", i)),
-			"-fsync", cfg.fsync,
-			"-node-id", fmt.Sprintf("node-%d", i), "-peers", peerSpec,
-			"-quorum", "majority", "-fail-after", cfg.failAfter.String(),
-			"-lease", cfg.effLease().String()}
-		s, err := startServedArgs(cfg.servedBin, memberArgs[i]...)
-		if err != nil {
-			return fmt.Errorf("member %d: %w", i, err)
+
+		entries := make([]string, clusterNodes)
+		for i := range entries {
+			entries[i] = fmt.Sprintf("node-%d=%s/%s", i, proxies[i].Addr(), replAddrs[i])
 		}
-		members[i] = s
+		peerSpec := strings.Join(entries, ",")
+		for i := range members {
+			memberArgs[i] = []string{
+				"-addr", realAddrs[i], "-n", fmt.Sprint(cfg.n), "-k", fmt.Sprint(cfg.k),
+				"-shards", fmt.Sprint(clusterShards), "-impl", cfg.impl, "-quiet",
+				"-data-dir", filepath.Join(dir, fmt.Sprintf("node-%d", i)),
+				"-fsync", cfg.fsync,
+				"-node-id", fmt.Sprintf("node-%d", i), "-peers", peerSpec,
+				"-quorum", "majority", "-fail-after", cfg.failAfter.String(),
+				"-lease", cfg.effLease().String()}
+			if members[i], err = startServedArgs(cfg.servedBin, memberArgs[i]...); err != nil {
+				return fmt.Errorf("member %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Wait for a converged ownership view before choosing the victim:

@@ -2,9 +2,44 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 )
+
+// TestRetryBind: a boot whose member lost its reserved port starts over,
+// three attempts at most; any other failure ends the boot at once.
+func TestRetryBind(t *testing.T) {
+	taken := fmt.Errorf("member 1: kexserved exited before binding: listen tcp 127.0.0.1:4100: %w",
+		os.NewSyscallError("bind", syscall.EADDRINUSE))
+	other := errors.New("member 0: kexserved never announced its address")
+	for _, tc := range []struct {
+		name  string
+		fails []error // the answers of successive attempts; nil after them
+		calls int
+		want  error
+	}{
+		{"first attempt boots", nil, 1, nil},
+		{"taken twice, then boots", []error{taken, taken}, 3, nil},
+		{"taken every time", []error{taken, taken, taken, taken}, 3, taken},
+		{"another failure is not retried", []error{other, taken}, 1, other},
+	} {
+		calls := 0
+		err := retryBind(func() error {
+			calls++
+			if calls <= len(tc.fails) {
+				return tc.fails[calls-1]
+			}
+			return nil
+		})
+		if calls != tc.calls || err != tc.want {
+			t.Errorf("%s: %d attempts ending in %v, want %d ending in %v", tc.name, calls, err, tc.calls, tc.want)
+		}
+	}
+}
 
 // TestClusterChaosFailoverRun: boot three real kexserved members,
 // SIGKILL the shard 0 primary mid-load, and every acknowledged write

@@ -58,90 +58,88 @@ func runPartition(out io.Writer, cfg clusterConfig) error {
 		dir = tmp
 	}
 
-	realAddrs := make([]string, clusterNodes)
-	replAddrs := make([]string, clusterNodes)
-	proxies := make([]*netfault.Proxy, clusterNodes)
-	var err error
-	for i := range realAddrs {
-		if realAddrs[i], err = reserveAddr(); err != nil {
-			return err
-		}
-		if replAddrs[i], err = reserveAddr(); err != nil {
-			return err
-		}
-	}
-	// One replication proxy per directed pair: repl[i][j] is the path
-	// member i uses to pull from member j. Isolating member v means
-	// partitioning repl[v][*] (v's pulls of others) and repl[*][v]
-	// (others' pulls of v) — the full quorum-witness surface, while
-	// client links stay up.
-	repl := make([][]*netfault.Proxy, clusterNodes)
-	defer func() {
-		for _, px := range proxies {
-			if px != nil {
-				px.Close()
-			}
-		}
+	var (
+		realAddrs, replAddrs []string
+		proxies              []*netfault.Proxy
+		// One replication proxy per directed pair: repl[i][j] is the
+		// path member i uses to pull from member j. Isolating member v
+		// means partitioning repl[v][*] (v's pulls of others) and
+		// repl[*][v] (others' pulls of v) — the full quorum-witness
+		// surface, while client links stay up.
+		repl    [][]*netfault.Proxy
+		members []*served
+	)
+	closeRepl := func() {
 		for _, row := range repl {
-			for _, px := range row {
-				if px != nil {
-					px.Close()
-				}
-			}
-		}
-	}()
-	for i := range proxies {
-		if proxies[i], err = netfault.New(realAddrs[i], netfault.Plan{Seed: cfg.seed + int64(i)}); err != nil {
-			return err
+			closeAll(row)
 		}
 	}
-	for i := range repl {
-		repl[i] = make([]*netfault.Proxy, clusterNodes)
-		for j := range repl[i] {
-			if i == j {
-				continue
+	defer func() { killAll(members); closeAll(proxies); closeRepl() }()
+	err := retryBind(func() error {
+		killAll(members)
+		closeAll(proxies)
+		closeRepl()
+		realAddrs = make([]string, clusterNodes)
+		replAddrs = make([]string, clusterNodes)
+		proxies = make([]*netfault.Proxy, clusterNodes)
+		repl = make([][]*netfault.Proxy, clusterNodes)
+		members = make([]*served, clusterNodes)
+		var err error
+		for i := range realAddrs {
+			if realAddrs[i], err = reserveAddr(); err != nil {
+				return err
 			}
-			if repl[i][j], err = netfault.New(replAddrs[j], netfault.Plan{Seed: cfg.seed + int64(10+i*clusterNodes+j)}); err != nil {
+			if replAddrs[i], err = reserveAddr(); err != nil {
 				return err
 			}
 		}
-	}
+		for i := range proxies {
+			if proxies[i], err = netfault.New(realAddrs[i], netfault.Plan{Seed: cfg.seed + int64(i)}); err != nil {
+				return err
+			}
+		}
+		for i := range repl {
+			repl[i] = make([]*netfault.Proxy, clusterNodes)
+			for j := range repl[i] {
+				if i == j {
+					continue
+				}
+				if repl[i][j], err = netfault.New(replAddrs[j], netfault.Plan{Seed: cfg.seed + int64(10+i*clusterNodes+j)}); err != nil {
+					return err
+				}
+			}
+		}
 
-	// Each member gets its own -peers spec: its own entry binds the
-	// real repl address, every other entry routes through this member's
-	// directed proxy for that peer. Peer IDs (which build the ring) are
-	// identical everywhere; only the dial paths differ.
-	members := make([]*served, clusterNodes)
-	defer func() {
-		for _, s := range members {
-			if s != nil {
-				s.kill()
+		// Each member gets its own -peers spec: its own entry binds the
+		// real repl address, every other entry routes through this
+		// member's directed proxy for that peer. Peer IDs (which build
+		// the ring) are identical everywhere; only the dial paths differ.
+		for i := range members {
+			entries := make([]string, clusterNodes)
+			for j := range entries {
+				ra := replAddrs[j]
+				if i != j {
+					ra = repl[i][j].Addr()
+				}
+				entries[j] = fmt.Sprintf("node-%d=%s/%s", j, proxies[j].Addr(), ra)
+			}
+			if members[i], err = startServedArgs(cfg.servedBin,
+				// Two spare identities past the load clients: the probe that
+				// hammers the isolated primary, and the settle/verdict client.
+				"-addr", realAddrs[i], "-n", fmt.Sprint(cfg.n+2), "-k", fmt.Sprint(cfg.k),
+				"-shards", fmt.Sprint(clusterShards), "-impl", cfg.impl, "-quiet",
+				"-data-dir", filepath.Join(dir, fmt.Sprintf("node-%d", i)),
+				"-fsync", cfg.fsync,
+				"-node-id", fmt.Sprintf("node-%d", i), "-peers", strings.Join(entries, ","),
+				"-quorum", "majority", "-fail-after", cfg.failAfter.String(),
+				"-lease", lease.String()); err != nil {
+				return fmt.Errorf("member %d: %w", i, err)
 			}
 		}
-	}()
-	for i := range members {
-		entries := make([]string, clusterNodes)
-		for j := range entries {
-			ra := replAddrs[j]
-			if i != j {
-				ra = repl[i][j].Addr()
-			}
-			entries[j] = fmt.Sprintf("node-%d=%s/%s", j, proxies[j].Addr(), ra)
-		}
-		s, err := startServedArgs(cfg.servedBin,
-			// Two spare identities past the load clients: the probe that
-			// hammers the isolated primary, and the settle/verdict client.
-			"-addr", realAddrs[i], "-n", fmt.Sprint(cfg.n+2), "-k", fmt.Sprint(cfg.k),
-			"-shards", fmt.Sprint(clusterShards), "-impl", cfg.impl, "-quiet",
-			"-data-dir", filepath.Join(dir, fmt.Sprintf("node-%d", i)),
-			"-fsync", cfg.fsync,
-			"-node-id", fmt.Sprintf("node-%d", i), "-peers", strings.Join(entries, ","),
-			"-quorum", "majority", "-fail-after", cfg.failAfter.String(),
-			"-lease", lease.String())
-		if err != nil {
-			return fmt.Errorf("member %d: %w", i, err)
-		}
-		members[i] = s
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	primary := -1

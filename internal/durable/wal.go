@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -105,8 +106,8 @@ type Recovery struct {
 	// (snapshot plus replay) — the sum of recovered shard versions.
 	RecoveredOps uint64
 	// DroppedBytes counts torn-tail bytes truncated from the final
-	// segment. Nonzero means the last (unacknowledged) write was cut
-	// short by the crash.
+	// segment, up to its last non-zero byte: nonzero means the last
+	// (unacknowledged) write was cut short by the crash.
 	DroppedBytes int64
 }
 
@@ -266,7 +267,7 @@ func (l *Log) recover() (Recovery, error) {
 
 	// Resume appending into the last segment, or start segment 1.
 	if len(segs) > 0 {
-		f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := l.openActive(segs[len(segs)-1].path, 0)
 		if err != nil {
 			return Recovery{}, err
 		}
@@ -285,8 +286,10 @@ func (l *Log) recover() (Recovery, error) {
 
 // replaySegment applies one segment's records to rec, returning how
 // many records it held and filling sg's size and index from the scan.
-// Torn or corrupt data in the final segment is truncated away (a crash
-// mid-write); the same damage in an earlier segment is a hard error,
+// Zeros from a frame boundary to the end are unwritten preallocated
+// space (no frame has length 0): the data ends there. Torn or corrupt
+// data in the final segment is truncated away (a crash mid-write); the
+// same damage in an earlier segment is a hard error,
 // because records after it were acknowledged. A CRC-valid frame of a
 // layout this build does not write (ErrFormat) is a hard error in every
 // segment: no crash produces one, and cutting the log there would
@@ -300,6 +303,9 @@ func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recov
 	off := 0
 	for off < len(data) {
 		body, sz, err := decodeFrame(data[off:], maxBody)
+		if err != nil && len(bytes.TrimRight(data[off:], "\x00")) == 0 {
+			break
+		}
 		if err != nil {
 			if !last {
 				return 0, fmt.Errorf("durable: %s at offset %d: %w (not the final segment)",
@@ -380,7 +386,7 @@ func replayOp(r Record, lsn uint64, window int, rec *Recovery) error {
 // truncateTail cuts a torn or corrupt tail off the final segment,
 // keeping every record before it.
 func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *Recovery) error {
-	dropped := int64(len(data) - off)
+	dropped := int64(len(bytes.TrimRight(data[off:], "\x00")))
 	l.opts.Logf("durable: dropping %d torn byte(s) at end of %s: %v", dropped, filepath.Base(sg.path), cause)
 	if err := os.Truncate(sg.path, int64(off)); err != nil {
 		return fmt.Errorf("durable: truncating torn tail of %s: %w", filepath.Base(sg.path), err)
@@ -457,14 +463,15 @@ func (l *Log) appendLocked(frame []byte) error {
 	return nil
 }
 
-// writeLocked puts every buffered frame into the active segment in one
-// write(2) and wakes the log's readers. A failed write poisons the log;
-// the file may hold part of the buffer, so nothing is written after it.
+// writeLocked pwrites the buffer after the active segment's whole frames
+// and wakes the log's readers. A failed write poisons the log; the file
+// may hold part of the buffer, so nothing is written after it.
 func (l *Log) writeLocked() error {
 	if len(l.pending) == 0 || l.fail != nil {
 		return l.fail
 	}
-	if _, err := l.f.Write(l.pending); err != nil {
+	at := l.segs[len(l.segs)-1].size - int64(len(l.pending))
+	if _, err := l.f.WriteAt(l.pending, at); err != nil {
 		l.poisonLocked(err)
 		return l.fail
 	}
@@ -474,11 +481,14 @@ func (l *Log) writeLocked() error {
 	return nil
 }
 
-// rotateLocked syncs and retires the active segment, then opens the
-// next one. Syncing before rotation keeps the durable watermark's
+// rotateLocked trims, syncs and retires the active segment, then opens
+// the next one. Syncing before rotation keeps the durable watermark's
 // invariant simple: only the active segment can have undurable bytes.
 // No commit is in flight (Append waited), so nobody else holds l.f.
 func (l *Log) rotateLocked() error {
+	if err := l.trimLocked(); err != nil {
+		return err
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -492,7 +502,7 @@ func (l *Log) rotateLocked() error {
 // LSN start and makes it active.
 func (l *Log) openSegmentLocked(start uint64) error {
 	path := filepath.Join(l.opts.Dir, fmt.Sprintf("wal-%016d.seg", start))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := l.openActive(path, os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return err
 	}
@@ -503,6 +513,30 @@ func (l *Log) openSegmentLocked(start uint64) error {
 	l.f = f
 	l.segs = append(l.segs, segment{start: start, path: path})
 	return nil
+}
+
+// openActive opens a segment for writing, preallocated to SegmentBytes:
+// a commit's fsync then flushes data only, no new size or blocks. Where
+// the platform or filesystem cannot, the file grows by writes.
+func (l *Log) openActive(path string, flag int) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
+	if err == nil {
+		if err = fallocate(f, l.opts.SegmentBytes); errors.Is(err, errors.ErrUnsupported) {
+			err = nil
+		} else if err != nil {
+			f.Close()
+		}
+	}
+	return f, err
+}
+
+// trimLocked writes the buffer and cuts the active segment to its whole
+// frames: byte for byte what a log that never preallocated leaves.
+func (l *Log) trimLocked() error {
+	if err := l.writeLocked(); err != nil {
+		return err
+	}
+	return l.f.Truncate(l.segs[len(l.segs)-1].size)
 }
 
 // fsync syncs f through the test seam and accounts the time it took.
@@ -630,8 +664,8 @@ func (l *Log) Syncs() uint64 {
 // fsync is SyncNanos/Syncs.
 func (l *Log) SyncNanos() uint64 { return l.syncNanos.Load() }
 
-// Close writes what is buffered (and syncs it, unless SyncNever), wakes
-// all waiters, and closes the files. Appends and waits after Close fail.
+// Close writes and trims the active segment, syncs it unless SyncNever,
+// wakes all waiters and closes the files. Later appends and waits fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	// The final sync and closeFiles must not run under a commit's feet.
@@ -643,10 +677,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if l.fail == nil && l.durable < l.end {
-		if l.opts.Policy == SyncNever {
-			err = l.writeLocked()
-		} else {
+	if l.fail == nil {
+		if err = l.trimLocked(); err == nil && l.opts.Policy != SyncNever {
 			err = l.syncLocked()
 		}
 	}

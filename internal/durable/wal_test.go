@@ -136,8 +136,15 @@ func TestTornTailFixtures(t *testing.T) {
 		mangle func(t *testing.T, path string)
 	}{
 		{"truncated header", func(t *testing.T, path string) {
-			st, _ := os.Stat(path)
-			if err := os.Truncate(path, st.Size()+3); err != nil { // partial header bytes (zeroes)
+			// A real frame's first 6 header bytes: zeros alone would be
+			// preallocated space, not a torn frame.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			frame := encodeOp(Record{Kind: OpRegAdd, Arg: 1, Val: 7, Ver: 7, OK: true})
+			if _, err := f.Write(frame[:6]); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -21,6 +21,14 @@ func fileSize(t *testing.T, path string) int64 {
 	return st.Size()
 }
 
+// frameBytes is how many bytes of whole frames path holds: its size
+// less the preallocated space after them.
+func frameBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	offs := frameOffsets(t, path)
+	return offs[len(offs)-1]
+}
+
 // addFrame is the framed size of one appendAdds record.
 var addFrame = int64(len(encodeOp(Record{Kind: OpRegAdd, Arg: 1, Val: 1, Ver: 1, OK: true})))
 
@@ -33,15 +41,15 @@ func TestCommitAppendDoesNoIO(t *testing.T) {
 			l, _ := mustOpen(t, opts)
 			defer l.Close()
 			seg := lastSegment(t, opts.Dir)
-			before := fileSize(t, seg)
+			before := frameBytes(t, seg)
 			lsn := appendAdds(t, l, 0, 5)
-			if got := fileSize(t, seg); got != before {
+			if got := frameBytes(t, seg); got != before {
 				t.Fatalf("five appends grew the segment %d -> %d bytes before any wait", before, got)
 			}
 			if err := l.WaitDurable(lsn); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := fileSize(t, seg), before+5*addFrame; got != want {
+			if got, want := frameBytes(t, seg), before+5*addFrame; got != want {
 				t.Fatalf("segment is %d bytes after the wait, want %d", got, want)
 			}
 		})
@@ -86,12 +94,12 @@ func TestCommitSyncNeverWaitWrites(t *testing.T) {
 	l, _ := mustOpen(t, opts)
 	defer l.Close()
 	seg := lastSegment(t, opts.Dir)
-	before, syncs := fileSize(t, seg), l.Syncs()
+	before, syncs := frameBytes(t, seg), l.Syncs()
 	lsn := appendAdds(t, l, 0, 2)
 	if err := l.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fileSize(t, seg), before+2*addFrame; got != want || l.Syncs() != syncs {
+	if got, want := frameBytes(t, seg), before+2*addFrame; got != want || l.Syncs() != syncs {
 		t.Fatalf("after the wait: %d bytes and %d fsyncs, want %d bytes and none", got, l.Syncs()-syncs, want)
 	}
 }
@@ -139,10 +147,10 @@ func TestCommitRotationAndCloseWrite(t *testing.T) {
 			l, _ := mustOpen(t, opts)
 			sealed := lastSegment(t, opts.Dir)
 			appendAdds(t, l, 0, 6)
-			if got, want := fileSize(t, sealed), opts.SegmentBytes; got != want {
+			if got, want := frameBytes(t, sealed), opts.SegmentBytes; got != want {
 				t.Fatalf("sealed segment holds %d bytes, want its %d: rotation did not write the buffer", got, want)
 			}
-			if active := lastSegment(t, opts.Dir); active == sealed || fileSize(t, active) != 0 {
+			if active := lastSegment(t, opts.Dir); active == sealed || frameBytes(t, active) != 0 {
 				t.Fatalf("active segment %s: want a new, still empty file", active)
 			}
 			if err := l.Close(); err != nil {
