@@ -12,7 +12,9 @@ import (
 // start the node.
 type stubBackend struct{}
 
-func (stubBackend) ApplyReplicated([]durable.Record) (uint64, error) { return 0, nil }
+func (stubBackend) ApplyReplicated([]durable.Record) (uint64, durable.Verdict, error) {
+	return 0, durable.Applied, nil
+}
 func (stubBackend) InstallState(map[uint32]durable.ShardState) (bool, error) {
 	return true, nil
 }

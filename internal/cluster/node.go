@@ -30,25 +30,6 @@ type Peer struct {
 	ReplAddr string
 }
 
-// Replication apply failures, classified for the pull loop. The
-// backend wraps these so the follower can pick the right recovery:
-// a gap resyncs via state image; stale and diverged additionally
-// freeze the follower's acks (acking would lend this node's durability
-// vote to a history it rejected) and quarantine the stream.
-var (
-	// ErrReplGap marks a record beyond the next expected version: the
-	// record stream cannot bridge local state, fetch a state image.
-	ErrReplGap = errors.New("cluster: replicated record stream has a gap")
-	// ErrReplStale marks records from an epoch the local shard has
-	// moved past: the sender is a deposed primary streaming a fenced
-	// fork. Its records must not be applied or acked.
-	ErrReplStale = errors.New("cluster: replicated records from a deposed epoch")
-	// ErrReplDiverged marks a same-epoch content fork: re-execution or
-	// the dedup window disagrees with a record inside local history. One
-	// epoch has one writer, so this needs an operator, not a retry.
-	ErrReplDiverged = errors.New("cluster: replicated history diverged from local state")
-)
-
 // Backend is what the cluster node needs from the server it serves:
 // the apply side of replication and the state images promotion and
 // catch-up ship around. Defined here (and implemented by
@@ -56,22 +37,17 @@ var (
 // is ordered by (epoch, version), lexicographically (durable.Ahead).
 type Backend interface {
 	// ApplyReplicated folds replicated op records into the local table
-	// and WAL, idempotently by (shard, epoch, version): records at or
-	// below the local frontier in the local epoch are skipped, the
-	// next expected version is applied and locally logged (adopting
-	// the record's epoch when it is newer), and records from an older
-	// epoch are refused. It returns the highest local WAL LSN the
-	// batch produced (0 when everything was skipped) and classifies
-	// failures with ErrReplGap, ErrReplStale or ErrReplDiverged.
-	ApplyReplicated(recs []durable.Record) (uint64, error)
+	// and WAL, each through durable.Fold. It returns the highest local
+	// WAL LSN the batch produced (0 when everything was skipped) and the
+	// verdict that stopped the batch (Applied when none did), with an
+	// error naming the record.
+	ApplyReplicated(recs []durable.Record) (lsn uint64, refused durable.Verdict, err error)
 	// InstallState folds a full per-shard image into the local table,
 	// keeping only shards (epoch, version)-ahead of local state, and
 	// persists a local snapshot so the catch-up survives a restart.
-	// covered reports whether, afterwards, local state is at or beyond
-	// the image on every shard it holds — the condition for acking the
-	// log position the image came with. A stale image (the sender is
-	// behind, or streaming a fenced fork) reports false: installing
-	// nothing is fine, but vouching for the sender's log is not.
+	// covered reports whether local state is then at or beyond the image
+	// on every shard: only then may the image's log position be acked,
+	// for a stale image's sender is behind or streaming a fenced fork.
 	InstallState(shards map[uint32]durable.ShardState) (covered bool, err error)
 	// Frontier returns every shard's current mutation version and
 	// failover epoch (same index, same length).
@@ -177,12 +153,10 @@ type Node struct {
 	mu        sync.Mutex
 	roles     []shardRole // one cell per shard: what this node is for it
 	lastSeen  map[string]time.Time
-	contacted map[string]bool   // peers actually heard from this incarnation
-	pins      map[string]int    // follower node ID -> WAL pin handle
-	resume    map[string]uint64 // peer node ID -> pull resume position
-	acked     map[string]uint64 // peer node ID -> last LSN this node vouched for
-	gateHeld  bool              // last promotion attempt was quorum-gated (log once)
-	leaseWas  bool              // lease state at the last evaluation (edge detect)
+	contacted map[string]bool // peers actually heard from this incarnation
+	pins      map[string]int  // follower node ID -> WAL pin handle
+	gateHeld  bool            // last promotion attempt was quorum-gated (log once)
+	leaseWas  bool            // lease state at the last evaluation (edge detect)
 	stopped   bool
 
 	leaseExpirations atomic.Int64 // held -> expired transitions
@@ -234,8 +208,6 @@ func New(cfg Config) (*Node, error) {
 		lastSeen:  make(map[string]time.Time),
 		contacted: make(map[string]bool),
 		pins:      make(map[string]int),
-		resume:    make(map[string]uint64),
-		acked:     make(map[string]uint64),
 		wake:      make(chan struct{}, 1),
 		redial:    make(map[string]chan struct{}, len(others)),
 		stopCh:    make(chan struct{}),
@@ -710,12 +682,8 @@ func (n *Node) catchUpFrom(p Peer, shards []uint32, localV, localE []uint64) (bo
 	if !aheadOn(shards, f.Vers, f.Epochs, localV, localE) {
 		return false, nil
 	}
-	img, _, err := n.stateCatchUp(conn)
-	if err != nil {
-		return false, fmt.Errorf("state from %s unavailable: %w", p.ID, err)
-	}
-	if _, err := n.cfg.Backend.InstallState(img); err != nil {
-		return false, fmt.Errorf("installing state from %s: %w", p.ID, err)
+	if _, _, err := n.installImage(conn); err != nil {
+		return false, fmt.Errorf("state from %s: %w", p.ID, err)
 	}
 	return true, nil
 }

@@ -20,153 +20,225 @@ const pullBackoff = 200 * time.Millisecond
 // same-epoch content fork (it never heals), so retrying sooner only spams.
 const quarantineBackoff = 3 * time.Second
 
+// phase is where a follower's stream toward one peer stands.
+type phase uint8
+
+const (
+	fresh     phase = iota // no position here: the next session opens with an image
+	streaming              // caught up: a pull parks, and a gap resyncs in place
+	resynced               // an image just landed: the next pull does not park, and a gap hangs up
+)
+
+// stream is a follower's standing toward one peer. pos is where the next
+// pull reads from; ack is the position this node VOUCHES for, applied
+// here and locally durable. The peer counts acks toward its write quorum,
+// so a refused stream keeps its ack: acking it would help a fork.
+type stream struct {
+	phase    phase
+	pos, ack uint64
+}
+
+// next is what a stream does after an exchange.
+type next uint8
+
+const (
+	pull       next = iota // pull from pos, parking only while streaming
+	fetchImage             // fetch and install a state image on this connection
+	hangUp                 // end the session; retry after pullBackoff
+	quarantine             // end the session; retry after quarantineBackoff
+)
+
+// event is the kind of exchange a session had with the peer.
+type event uint8
+
+const (
+	opened    event = iota // a session opened
+	installed              // an image installed
+	pruned                 // a pull answered Pruned
+	folded                 // a pull's batch was applied and made durable, or was empty
+	broke                  // transport, parse, status or local fsync failure
+)
+
+// learned is what one exchange told the stream.
+type learned struct {
+	event   event
+	lsn     uint64          // installed: the image's cover; folded: the pull's ResumeLSN
+	covered bool            // installed: local state is at or beyond the image on every shard
+	refused durable.Verdict // folded: the verdict that stopped the batch (Applied: none)
+	failed  bool            // folded: the batch stopped, refused or otherwise
+}
+
+// follow is the follower's one rule: the stream after an exchange and
+// what to do next. It does no I/O, takes no lock and reads no clock.
+func follow(s stream, l learned) (stream, next) {
+	switch l.event {
+	case opened:
+		if s.phase == fresh {
+			// Replaying the peer's whole log would race its pruning: install
+			// an image (only (epoch, version)-newer shards land) first.
+			return s, fetchImage
+		}
+		return s, pull
+	case installed:
+		// An image that lost a shard to a newer local epoch came from a
+		// deposed or lagging sender: pull on, but vouch for none of its log.
+		s.phase, s.pos = resynced, l.lsn
+		if l.covered {
+			s.ack = l.lsn
+		}
+		return s, pull
+	case pruned:
+		return s, fetchImage
+	case folded:
+		if !l.failed {
+			return stream{streaming, l.lsn, l.lsn}, pull
+		}
+		gone := stream{fresh, 0, s.ack}
+		switch l.refused {
+		case durable.Gap, durable.Rewrite:
+			// Streams carry origin records only: records missed on their one
+			// stream meet the next primary as a gap, and an image bridges it.
+			// A gap right after an image is one no image bridges.
+			if s.phase == streaming {
+				return s, fetchImage
+			}
+			return gone, hangUp
+		case durable.Fenced, durable.Diverged:
+			// The peer replays a fenced fork (it heals by catching up itself)
+			// or a same-epoch content fork (it never heals).
+			return gone, quarantine
+		}
+		return gone, hangUp
+	}
+	return s, hangUp
+}
+
 // pullLoop is the follower side of replication against one peer: dial,
-// catch up by image when needed, then pull, apply, fsync and ack on the
-// next pull, forever. Resume positions outlive a connection in memory; a
-// restarted process starts again from a state image.
+// then let follow steer the session, forever. The stream outlives a
+// connection in memory; a restarted process starts fresh.
 func (n *Node) pullLoop(p Peer) {
 	defer n.wg.Done()
+	var s stream
 	for {
 		select {
 		case <-n.stopCh:
 			return
 		default:
 		}
-		if err := n.pullSession(p); err != nil {
-			// A hello from p proves it is up and ends the wait after a dial it
-			// did not answer (a token from an earlier hello costs one early
-			// retry); any other failure, a quarantine above all, waits in full.
-			backoff, up := pullBackoff, (chan struct{})(nil)
-			if op := (*net.OpError)(nil); errors.As(err, &op) && op.Op == "dial" {
-				up = n.redial[p.ID]
-			} else if errors.Is(err, ErrReplStale) || errors.Is(err, ErrReplDiverged) {
-				backoff = quarantineBackoff
-			}
-			select {
-			case <-n.stopCh:
-				return
-			case <-up:
-			case <-time.After(backoff):
-			}
+		nx, err := n.pullSession(p, &s)
+		// A hello from p proves it is up and ends the wait after a dial it
+		// did not answer (a token from an earlier hello costs one early
+		// retry); any other failure, a quarantine above all, waits in full.
+		backoff, up := pullBackoff, (chan struct{})(nil)
+		if op := (*net.OpError)(nil); errors.As(err, &op) && op.Op == "dial" {
+			up = n.redial[p.ID]
+		} else if nx == quarantine {
+			backoff = quarantineBackoff
+		}
+		select {
+		case <-n.stopCh:
+			return
+		case <-up:
+		case <-time.After(backoff):
 		}
 	}
 }
 
-// pullSession runs one replication connection until it breaks.
-func (n *Node) pullSession(p Peer) error {
+// pullSession runs one replication connection, carrying out what follow
+// calls for on *s until it hangs up, and returns how it ended and why.
+func (n *Node) pullSession(p Peer, s *stream) (next, error) {
 	conn, err := n.dialRepl(p)
 	if err != nil {
-		return err
+		return hangUp, err
 	}
 	defer conn.Close()
 	// A successful handshake is peer contact: the failure detector
 	// cares that the peer answers, not that records flow.
 	n.touch(p.ID)
-
 	defer n.closeOnStop(conn)()
 
-	// pos is where reading resumes; ack is the position this node VOUCHES
-	// for: applied here and locally durable. They part when the stream goes
-	// bad: a follower that rejected records keeps its ack frozen while it
-	// probes ahead, because the peer counts acks toward its write quorum,
-	// and acking a rejected suffix would help a fork get acknowledged.
-	n.mu.Lock()
-	pos := n.resume[p.ID]
-	ack := n.acked[p.ID]
-	n.mu.Unlock()
-	if pos == 0 {
-		// First contact this incarnation: replaying the peer's whole log
-		// would race its pruning, so install an image (only (epoch,
-		// version)-newer shards land) and pull from the position it covers.
-		if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
-			return err
-		}
-	}
-
-	resynced := false // the previous pull ended in a state image
-	for {
-		wait := n.cfg.PullWait
-		if resynced {
-			wait = 0 // the ack an image could not move moves with the next answer: do not park it
-		}
-		req := wire.PullRequest{FromLSN: pos, AckLSN: ack, WaitMillis: uint32(wait / time.Millisecond)}
-		// The peer parks a caught-up pull for WaitMillis; allow that
-		// plus generous slack before declaring the stream dead.
-		b, err := replCall(conn, req.Encode(), n.cfg.PullWait+dialTimeout)
-		if err != nil {
-			return err
-		}
-		resp, err := wire.ParsePullResponse(b)
-		if err != nil {
-			return err
-		}
-		if resp.Status != wire.StatusOK {
-			return errors.New("cluster: peer ended replication: " + resp.Status.String())
-		}
-		n.touch(p.ID)
-
-		// Our tail was pruned out from under us (the peer was not pinned
-		// while we were away): re-enter via a state image.
-		image := resp.Pruned
-		if len(resp.Records) > 0 {
-			localLSN, err := n.cfg.Backend.ApplyReplicated(resp.Records)
-			if localLSN > 0 {
-				// Local fsync BEFORE the ack moves (here or by a resync):
-				// the next pull's AckLSN vouches for what applied, so it
-				// must be on local disk first — prefix durability.
-				if err := n.cfg.Log.WaitDurable(localLSN); err != nil {
-					return err
-				}
-			}
+	var nx next
+	for l := (learned{event: opened}); ; {
+		if *s, nx = follow(*s, l); l.failed {
 			switch {
-			case errors.Is(err, ErrReplGap) && !resynced:
-				// Streams carry origin records only: records missed on their
-				// one stream meet the next primary as a gap; an image bridges it.
+			case nx == fetchImage:
 				n.cfg.Logf("cluster: node %s: %v; resyncing from %s in place", n.cfg.NodeID, err, p.ID)
-				image = true
-			case err != nil:
-				// The ack stays where it was. A second gap, a stale or a
-				// diverged stream resyncs on the next session; the last two's
-				// images do not cover local state, so the ack holds until the
-				// peer heals (stale) or an operator steps in (diverged).
-				if errors.Is(err, ErrReplDiverged) {
-					n.cfg.Logf("cluster: node %s: OPERATOR INTERVENTION NEEDED: history from %s diverged from local state within one epoch: %v",
-						n.cfg.NodeID, p.ID, err)
-				} else {
-					n.cfg.Logf("cluster: node %s: applying batch from %s: %v", n.cfg.NodeID, p.ID, err)
-				}
-				n.setResume(p.ID, 0, ack)
-				return err
+			case l.refused == durable.Diverged:
+				n.cfg.Logf("cluster: node %s: OPERATOR INTERVENTION NEEDED: history from %s diverged from local state within one epoch: %v", n.cfg.NodeID, p.ID, err)
+			default:
+				n.cfg.Logf("cluster: node %s: applying batch from %s: %v", n.cfg.NodeID, p.ID, err)
 			}
 		}
-		if resynced = image; image {
-			if pos, ack, err = n.resync(conn, p.ID, ack); err != nil {
-				return err
+		l = learned{event: broke}
+		switch nx {
+		case hangUp, quarantine:
+			return nx, err
+		case fetchImage:
+			if l.lsn, l.covered, err = n.installImage(conn); err == nil {
+				l.event = installed
 			}
-			continue
+		case pull:
+			l, err = n.pullOnce(conn, p.ID, *s)
 		}
-		pos = resp.ResumeLSN
-		ack = pos
-		n.setResume(p.ID, pos, ack)
 	}
 }
 
-// resync installs the peer's state image and returns where to pull from
-// next and the ack, moved there only if the image covered local state.
-func (n *Node) resync(conn net.Conn, peer string, ack uint64) (uint64, uint64, error) {
-	img, pos, err := n.stateCatchUp(conn)
+// pullOnce pulls from s.pos, acking s.ack, and folds the answer into
+// the local table. The local fsync comes before the ack can move: the
+// next pull's AckLSN vouches for what applied, so it must be on local
+// disk first — prefix durability.
+func (n *Node) pullOnce(conn net.Conn, peer string, s stream) (learned, error) {
+	wait := n.cfg.PullWait
+	if s.phase == resynced {
+		wait = 0 // the ack an image could not move moves with the next answer: do not park it
+	}
+	req := wire.PullRequest{FromLSN: s.pos, AckLSN: s.ack, WaitMillis: uint32(wait / time.Millisecond)}
+	// The peer parks a caught-up pull for WaitMillis; allow that
+	// plus generous slack before declaring the stream dead.
+	b, err := replCall(conn, req.Encode(), n.cfg.PullWait+dialTimeout)
+	var resp wire.PullResponse
+	if err == nil {
+		resp, err = wire.ParsePullResponse(b)
+	}
+	if err == nil && resp.Status != wire.StatusOK {
+		err = errors.New("cluster: peer ended replication: " + resp.Status.String())
+	}
 	if err != nil {
-		return 0, ack, err
+		return learned{event: broke}, err
 	}
-	covered, err := n.cfg.Backend.InstallState(img)
+	n.touch(peer)
+	if resp.Pruned {
+		return learned{event: pruned}, nil // our tail was pruned while the peer did not pin it
+	}
+	lsn, refused, err := n.cfg.Backend.ApplyReplicated(resp.Records)
+	if lsn > 0 {
+		if err := n.cfg.Log.WaitDurable(lsn); err != nil {
+			return learned{event: broke}, err
+		}
+	}
+	return learned{event: folded, lsn: resp.ResumeLSN, refused: refused, failed: err != nil}, err
+}
+
+// installImage fetches the peer's state image on conn and installs it:
+// the log position the image covers, and whether local state is at or
+// beyond it on every shard afterwards.
+func (n *Node) installImage(conn net.Conn) (cover uint64, covered bool, err error) {
+	b, err := replCall(conn, wire.EncodeStateRequest(), 30*time.Second) // images can be large
+	var st wire.StateResponse
+	if err == nil {
+		st, err = wire.ParseStateResponse(b)
+	}
+	if err == nil && st.Status != wire.StatusOK {
+		err = errors.New("cluster: peer refused state image: " + st.Status.String())
+	}
 	if err != nil {
-		return 0, ack, err
+		return 0, false, err
 	}
-	if covered {
-		ack = pos
+	img, err := durable.DecodeState(st.Image)
+	if err == nil {
+		covered, err = n.cfg.Backend.InstallState(img)
 	}
-	n.setResume(peer, pos, ack)
-	return pos, ack, nil
+	return st.ResumeLSN, covered, err
 }
 
 // closeOnStop lets Stop unblock conn's reads by closing it, until called off.
@@ -189,36 +261,6 @@ func replCall(conn net.Conn, req []byte, timeout time.Duration) ([]byte, error) 
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	return wire.ReadReplFrame(conn)
-}
-
-// stateCatchUp requests a state image on an established replication
-// connection.
-func (n *Node) stateCatchUp(conn net.Conn) (map[uint32]durable.ShardState, uint64, error) {
-	b, err := replCall(conn, wire.EncodeStateRequest(), 30*time.Second) // images can be large
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := wire.ParseStateResponse(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if st.Status != wire.StatusOK {
-		return nil, 0, errors.New("cluster: peer refused state image: " + st.Status.String())
-	}
-	img, err := durable.DecodeState(st.Image)
-	if err != nil {
-		return nil, 0, err
-	}
-	return img, st.ResumeLSN, nil
-}
-
-func (n *Node) setResume(peer string, pos, ack uint64) {
-	n.mu.Lock()
-	n.resume[peer] = pos
-	if ack > n.acked[peer] {
-		n.acked[peer] = ack
-	}
-	n.mu.Unlock()
 }
 
 // acceptLoop is the primary side: it serves replication connections

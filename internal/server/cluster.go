@@ -79,36 +79,28 @@ type replBackend struct {
 	s *Server
 }
 
-// ApplyReplicated folds a replicated batch into the local table and
-// WAL in record order. Every record is a group of members — a type-9
-// atomic container's, or the record itself — and each member meets its
-// shard through durable.Fold, under the reserved replication identity.
-// Re-delivered members (Covered) are skipped after a dedup cross-check
-// — this is what makes mid-batch follower crashes safe: the batch
-// replays from its start and already-applied records fall through, and
-// a partially re-delivered container self-heals the same way. Within
-// one epoch there is a single writer, so a remembered op that disagrees
-// is a genuine same-epoch fork (e.g. a primary whose unsynced tail a
-// host crash rewrote), not a race: ErrReplDiverged. A member from a
-// LOWER epoch is a deposed primary's fork and is refused
-// (ErrReplStale); a version gap aborts the batch so the caller can fall
-// back to a state image (ErrReplGap).
+// ApplyReplicated folds a replicated batch into the local table and WAL
+// in record order. Every record is a group of members (a type-9
+// container's, or the record itself), and each member meets its shard
+// through durable.Fold under the reserved replication identity. A
+// re-delivered member (Covered) is skipped after a dedup cross-check, so
+// a batch replayed after a mid-batch crash, or a partly re-delivered
+// container, lands once. One epoch has one writer, so a remembered op
+// that disagrees is a same-epoch fork: Diverged. Fenced, Gap, Rewrite
+// and Diverged stop the batch, and the verdict returns for the pull
+// loop's rule to act on.
 //
-// What applied then lands in the local WAL as the one verbatim origin
-// record, through the same ordered append as a primary's own — so a
-// follower's log stays append-for-append identical to the origin's and
-// a restart recovers replicated history exactly like native history,
-// a group as a unit. A member that continues the version line at a
-// HIGHER epoch carries a promotion's epoch bump — that is how a
-// follower tracks a promotion without refetching state — and its
-// record is fenced like a state install, not appended: the sequencers
-// move onto the new (epoch, version) line — aborting any old-epoch
-// waiter, whose un-appended record would otherwise leave a hole — and a
-// snapshot both covers the record's effect and fences whatever the
-// deposed line managed to log. A refused turn takes the same fence: a
-// state install moved some shard past the record — unreachable under
-// replMu (installs serialize behind it), but answered honestly.
-func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, error) {
+// What applied lands in the local WAL as the one verbatim origin record,
+// through the same ordered append as a primary's own, so a restart
+// recovers replicated history like native history, a group as a unit. A
+// member that continues the version line at a HIGHER epoch (Adopted)
+// carries a promotion's epoch bump, and its record is fenced, not
+// appended: the sequencers move onto the new (epoch, version) line,
+// aborting any old-epoch waiter, and a snapshot covers the record and
+// fences what the deposed line logged. A refused turn (a state install
+// moved the shard past the record, unreachable under replMu) takes the
+// same fence.
+func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, durable.Verdict, error) {
 	s := b.s
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
@@ -123,7 +115,7 @@ func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, error) {
 		adopted := false
 		for _, r := range members {
 			if int(r.Shard) >= s.cfg.Shards {
-				return maxLsn, fmt.Errorf("server: replicated record for shard %d, table has %d", r.Shard, s.cfg.Shards)
+				return maxLsn, durable.Applied, fmt.Errorf("server: replicated record for shard %d, table has %d", r.Shard, s.cfg.Shards)
 			}
 			sh := s.tab.shards[r.Shard]
 			v := sh.obj.Apply(s.replIdentity(), func(st durable.ShardState) (durable.ShardState, any) {
@@ -133,19 +125,16 @@ func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, error) {
 				}
 				return st, verdict
 			})
-			switch v.(durable.Verdict) {
+			switch verdict := v.(durable.Verdict); verdict {
 			case durable.Covered:
 				continue
 			case durable.Adopted:
 				adopted = true
-			case durable.Fenced:
-				return maxLsn, fmt.Errorf("server: shard %d record at epoch %d, local state at epoch %d: %w",
-					r.Shard, r.Epoch, sh.obj.Peek().Epoch, cluster.ErrReplStale)
-			case durable.Gap, durable.Rewrite:
-				return maxLsn, fmt.Errorf("server: shard %d record jumps to version %d: %w", r.Shard, r.Ver, cluster.ErrReplGap)
-			case durable.Diverged:
-				return maxLsn, fmt.Errorf("server: shard %d version %d (epoch %d): %w",
-					r.Shard, r.Ver, r.Epoch, cluster.ErrReplDiverged)
+			case durable.Applied:
+			default:
+				st := sh.obj.Peek()
+				return maxLsn, verdict, fmt.Errorf("server: shard %d record (epoch %d, version %d) refused at local (epoch %d, version %d): %s",
+					r.Shard, r.Epoch, r.Ver, st.Epoch, st.Ver, refusals[verdict])
 			}
 			spans = extend(spans, r)
 		}
@@ -163,27 +152,27 @@ func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, error) {
 				continue
 			}
 			if !errors.Is(err, errSuperseded) {
-				return maxLsn, err
+				return maxLsn, durable.Applied, err
 			}
 		}
 		// Fenced, not appended. The snapshot is a full-table image, so it
 		// covers every member.
 		if err := s.log.WriteSnapshot(s.tab.peekAll); err != nil {
-			return maxLsn, err
+			return maxLsn, durable.Applied, err
 		}
 	}
-	return maxLsn, nil
+	return maxLsn, durable.Applied, nil
 }
 
-// InstallState folds a state image into the table, shard by shard,
-// keeping only images (epoch, version)-ahead of local state —
-// lexicographically, so a higher-epoch image at a LOWER version still
-// replaces a deposed primary's inflated fork — then persists a local
-// snapshot so the catch-up itself is durable AND the fork records in
-// the local WAL are fenced beneath it. covered reports whether local
-// state ended at or beyond the image on every shard it holds: false
-// means the image's sender is the one who is behind (or forked), and
-// the caller must not ack its log positions.
+// refusals says why each verdict that stops a batch does.
+var refusals = map[durable.Verdict]string{durable.Fenced: "a deposed epoch's record", durable.Gap: "a gap in the stream",
+	durable.Rewrite: "a gap in the stream", durable.Diverged: "history diverged from local state"}
+
+// InstallState folds a state image into the table, keeping each shard
+// whose image is (epoch, version)-ahead of local state, so a higher-epoch
+// image at a LOWER version still replaces a deposed primary's inflated
+// fork, then snapshots so the catch-up is durable and the fork records in
+// the local WAL are fenced beneath it. covered is as cluster.Backend says.
 func (b *replBackend) InstallState(shards map[uint32]durable.ShardState) (bool, error) {
 	s := b.s
 	s.replMu.Lock()

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -69,7 +68,7 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 	recs := originRecords(0, session, []uint64{1, 2, 3, 4, 5, 6}, []int64{1, 2, 3, 4, 5, 6})
 
 	// First delivery: only a prefix lands before the "crash".
-	if _, err := b.ApplyReplicated(recs[:4]); err != nil {
+	if _, _, err := b.ApplyReplicated(recs[:4]); err != nil {
 		t.Fatalf("applying prefix: %v", err)
 	}
 	if st := s.tab.shards[0].obj.Peek(); st.Ver != 4 || rootVal(st) != 1+2+3+4 {
@@ -79,7 +78,7 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 	// Redelivery of the full batch (what the pull loop does after a
 	// restart resumes below its previous position): the first four must
 	// be recognized, the last two applied.
-	lsn, err := b.ApplyReplicated(recs)
+	lsn, _, err := b.ApplyReplicated(recs)
 	if err != nil {
 		t.Fatalf("replaying full batch: %v", err)
 	}
@@ -92,7 +91,7 @@ func TestReplayIdempotentAcrossBatchRestart(t *testing.T) {
 	}
 
 	// A third, fully redundant delivery moves nothing and appends nothing.
-	lsn, err = b.ApplyReplicated(recs)
+	lsn, _, err = b.ApplyReplicated(recs)
 	if err != nil {
 		t.Fatalf("redundant replay: %v", err)
 	}
@@ -137,28 +136,28 @@ func TestReplayRejectsGapsAndDivergence(t *testing.T) {
 	b := &replBackend{s: s}
 
 	recs := originRecords(1, 9, []uint64{1, 2, 3}, []int64{10, 10, 10})
-	if _, err := b.ApplyReplicated(recs[:1]); err != nil {
+	if _, _, err := b.ApplyReplicated(recs[:1]); err != nil {
 		t.Fatal(err)
 	}
 
 	// A record beyond the next version is a gap: the stream cannot
 	// bridge it and the caller must fall back to a state image.
-	if _, err := b.ApplyReplicated(recs[2:]); err == nil || !strings.Contains(err.Error(), "gap") {
-		t.Fatalf("version gap accepted: %v", err)
+	if _, refused, err := b.ApplyReplicated(recs[2:]); refused != durable.Gap || err == nil {
+		t.Fatalf("version gap: verdict %d, err %v; want Gap", refused, err)
 	}
 
 	// A record whose claimed result disagrees with local re-execution
 	// is divergence, not data.
 	bad := recs[1]
 	bad.Val = 999
-	if _, err := b.ApplyReplicated([]durable.Record{bad}); err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("diverged record accepted: %v", err)
+	if _, refused, err := b.ApplyReplicated([]durable.Record{bad}); refused != durable.Diverged || err == nil {
+		t.Fatalf("diverged record: verdict %d, err %v; want Diverged", refused, err)
 	}
 
 	// Shard out of table range.
 	oob := recs[1]
 	oob.Shard = 99
-	if _, err := b.ApplyReplicated([]durable.Record{oob}); err == nil {
+	if _, _, err := b.ApplyReplicated([]durable.Record{oob}); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 
@@ -177,7 +176,7 @@ func TestInstallStateOnlyMovesForward(t *testing.T) {
 	b := &replBackend{s: s}
 
 	recs := originRecords(0, 5, []uint64{1, 2, 3, 4, 5}, []int64{1, 1, 1, 1, 1})
-	if _, err := b.ApplyReplicated(recs[:3]); err != nil {
+	if _, _, err := b.ApplyReplicated(recs[:3]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,7 +201,7 @@ func TestInstallStateOnlyMovesForward(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.ApplyReplicated(recs[4:])
+		_, _, err := b.ApplyReplicated(recs[4:])
 		done <- err
 	}()
 	select {
@@ -236,7 +235,7 @@ func TestForkReconcileEpochDominance(t *testing.T) {
 	// The fork: ten epoch-0 writes that were never quorum-acked.
 	fork := originRecords(0, 31, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		[]int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
-	if _, err := b.ApplyReplicated(fork); err != nil {
+	if _, _, err := b.ApplyReplicated(fork); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,7 +255,7 @@ func TestForkReconcileEpochDominance(t *testing.T) {
 		Kind: durable.OpRegAdd, Arg: 1, Val: 501, Ver: 6, Epoch: 1, OK: true}
 	done := make(chan error, 1)
 	go func() {
-		lsn, err := b.ApplyReplicated([]durable.Record{next})
+		lsn, _, err := b.ApplyReplicated([]durable.Record{next})
 		if err == nil && lsn == 0 {
 			err = errors.New("record on the installed line appended nothing")
 		}
@@ -287,7 +286,7 @@ func TestForkReconcileEpochDominance(t *testing.T) {
 
 // TestStaleEpochRefused pins the fence itself: once a shard's epoch
 // moves (a local promotion), a deposed primary's records and state
-// images from the old epoch are refused — records with ErrReplStale
+// images from the old epoch are refused — records with Fenced
 // (quarantining the stream), images by installing nothing and reporting
 // covered=false (freezing the follower's acks).
 func TestStaleEpochRefused(t *testing.T) {
@@ -295,7 +294,7 @@ func TestStaleEpochRefused(t *testing.T) {
 	b := &replBackend{s: s}
 
 	recs := originRecords(0, 41, []uint64{1}, []int64{5})
-	if _, err := b.ApplyReplicated(recs); err != nil {
+	if _, _, err := b.ApplyReplicated(recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.BumpEpochs([]uint32{0}); err != nil {
@@ -307,8 +306,8 @@ func TestStaleEpochRefused(t *testing.T) {
 
 	fork := durable.Record{Session: 41, Seq: 2, Shard: 0,
 		Kind: durable.OpRegAdd, Arg: 9, Val: 14, Ver: 2, OK: true, Epoch: 0}
-	if _, err := b.ApplyReplicated([]durable.Record{fork}); !errors.Is(err, cluster.ErrReplStale) {
-		t.Fatalf("stale-epoch record: err %v, want ErrReplStale", err)
+	if _, refused, err := b.ApplyReplicated([]durable.Record{fork}); refused != durable.Fenced || err == nil {
+		t.Fatalf("stale-epoch record: verdict %d, err %v; want Fenced", refused, err)
 	}
 	covered, err := b.InstallState(map[uint32]durable.ShardState{0: withRoot(durable.ShardState{Epoch: 0, Ver: 50}, 999)})
 	if err != nil {
@@ -332,13 +331,13 @@ func TestApplyReplicatedAdoptsPromotionEpoch(t *testing.T) {
 	b := &replBackend{s: s}
 
 	recs := originRecords(1, 51, []uint64{1, 2}, []int64{3, 4})
-	if _, err := b.ApplyReplicated(recs); err != nil {
+	if _, _, err := b.ApplyReplicated(recs); err != nil {
 		t.Fatal(err)
 	}
 
 	adopt := durable.Record{Session: 51, Seq: 3, Shard: 1,
 		Kind: durable.OpRegAdd, Arg: 5, Val: 12, Ver: 3, Epoch: 1, OK: true}
-	lsn, err := b.ApplyReplicated([]durable.Record{adopt})
+	lsn, _, err := b.ApplyReplicated([]durable.Record{adopt})
 	if err != nil {
 		t.Fatalf("epoch-crossing record: %v", err)
 	}
@@ -351,7 +350,7 @@ func TestApplyReplicatedAdoptsPromotionEpoch(t *testing.T) {
 
 	next := durable.Record{Session: 51, Seq: 4, Shard: 1,
 		Kind: durable.OpRegAdd, Arg: 1, Val: 13, Ver: 4, Epoch: 1, OK: true}
-	lsn, err = b.ApplyReplicated([]durable.Record{next})
+	lsn, _, err = b.ApplyReplicated([]durable.Record{next})
 	if err != nil || lsn == 0 {
 		t.Fatalf("record after adopt: lsn=%d err=%v (sequencer not on the new epoch?)", lsn, err)
 	}
@@ -363,29 +362,29 @@ func TestApplyReplicatedAdoptsPromotionEpoch(t *testing.T) {
 // TestReplSkipCrossChecksDedup: within one epoch, a redelivered record
 // the dedup window still remembers must match local history exactly; a
 // value mismatch or a never-seen op ID inside claimed versions is a
-// same-epoch fork (ErrReplDiverged), while honest redelivery skips.
+// same-epoch fork (Diverged), while honest redelivery skips.
 func TestReplSkipCrossChecksDedup(t *testing.T) {
 	s := soloClusterServer(t)
 	b := &replBackend{s: s}
 
 	recs := originRecords(0, 61, []uint64{1, 2}, []int64{1, 2})
-	if _, err := b.ApplyReplicated(recs); err != nil {
+	if _, _, err := b.ApplyReplicated(recs); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := recs[1]
 	bad.Val = 777
-	if _, err := b.ApplyReplicated([]durable.Record{bad}); !errors.Is(err, cluster.ErrReplDiverged) {
-		t.Fatalf("altered redelivery: err %v, want ErrReplDiverged", err)
+	if _, refused, err := b.ApplyReplicated([]durable.Record{bad}); refused != durable.Diverged || err == nil {
+		t.Fatalf("altered redelivery: verdict %d, err %v; want Diverged", refused, err)
 	}
 	// An op the window has never seen, claiming an already-covered
 	// version: local history cannot contain it.
 	phantom := durable.Record{Session: 61, Seq: 9, Shard: 0,
 		Kind: durable.OpRegAdd, Arg: 1, Val: 2, Ver: 2, OK: true, Epoch: 0}
-	if _, err := b.ApplyReplicated([]durable.Record{phantom}); !errors.Is(err, cluster.ErrReplDiverged) {
-		t.Fatalf("phantom op in covered versions: err %v, want ErrReplDiverged", err)
+	if _, refused, err := b.ApplyReplicated([]durable.Record{phantom}); refused != durable.Diverged || err == nil {
+		t.Fatalf("phantom op in covered versions: verdict %d, err %v; want Diverged", refused, err)
 	}
-	lsn, err := b.ApplyReplicated(recs)
+	lsn, _, err := b.ApplyReplicated(recs)
 	if err != nil || lsn != 0 {
 		t.Fatalf("honest redelivery: lsn=%d err=%v", lsn, err)
 	}

@@ -114,11 +114,11 @@ func TestContainerOfOneEqualsBareRecord(t *testing.T) {
 	land := func(rec durable.Record) (img []byte, lsn, end, next, epoch uint64) {
 		s := soloClusterServer(t)
 		b := &replBackend{s: s}
-		if _, err := b.ApplyReplicated([]durable.Record{first}); err != nil {
+		if _, _, err := b.ApplyReplicated([]durable.Record{first}); err != nil {
 			t.Fatal(err)
 		}
 		before := s.log.End()
-		lsn, err := b.ApplyReplicated([]durable.Record{rec})
+		lsn, _, err := b.ApplyReplicated([]durable.Record{rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestRecoveryAndFollowerBitIdentical(t *testing.T) {
 	}
 
 	s := soloClusterServer(t)
-	if _, err := (&replBackend{s: s}).ApplyReplicated(recs); err != nil {
+	if _, _, err := (&replBackend{s: s}).ApplyReplicated(recs); err != nil {
 		t.Fatalf("follower: %v", err)
 	}
 	if !bytes.Equal(durable.EncodeState(s.tab.peekAll()), want) {
@@ -328,7 +328,7 @@ func TestRecoveryAndFollowerBitIdenticalPipelined(t *testing.T) {
 	}
 
 	f := soloClusterServer(t)
-	if _, err := (&replBackend{s: f}).ApplyReplicated(recs); err != nil {
+	if _, _, err := (&replBackend{s: f}).ApplyReplicated(recs); err != nil {
 		t.Fatalf("follower: %v", err)
 	}
 	if !bytes.Equal(durable.EncodeState(f.tab.peekAll()), want) {

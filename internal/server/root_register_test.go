@@ -3,8 +3,10 @@ package server_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,68 +19,103 @@ import (
 )
 
 // TestReadsTakeNoSlot is the read contract, for every read: it is
-// answered from the committed cell without a k-exclusion slot. With the
-// only slot (K = 1) parked inside the core on an add, a second client's
-// root get still answers — the value committed before the park — while
-// its add, which does need the slot, times out; and the get was never
-// shown to the gate.
+// answered from the committed cell without a k-exclusion slot. With all
+// K slots parked inside the core on adds, a further client's reads of the
+// parked shard — its root register, a map, a queue and a snapshot — still
+// answer, each the value committed before the park, while its add, which
+// does need a slot, times out; and no read was shown to the gate.
 func TestReadsTakeNoSlot(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { readsTakeNoSlot(t, k) })
+	}
+}
+
+func readsTakeNoSlot(t *testing.T, k int) {
 	gate := make(chan struct{})
-	entered := make(chan struct{})
+	entered := make(chan struct{}, k)
 	var armed, gatedReads atomic.Int32
 	srv, addr := startServer(t, server.Config{
-		N: 2, K: 1, Shards: 1,
+		N: k + 1, K: k, Shards: 1,
 		OpTimeout: 100 * time.Millisecond,
 		ApplyGate: func(shard uint32, kind wire.Kind) {
 			if kind.IsRead() {
 				gatedReads.Add(1)
 			}
-			if kind == wire.KindAdd && armed.CompareAndSwap(1, 0) {
-				close(entered)
+			if kind == wire.KindAdd && armed.Add(-1) >= 0 {
+				entered <- struct{}{}
 				<-gate
 			}
 		},
 	})
 
-	holder := dial(t, addr)
-	defer holder.Close()
 	reader := dial(t, addr)
 	defer reader.Close()
-	if v, err := holder.Add(0, 7); err != nil || v != 7 {
+	if v, err := reader.Add(0, 7); err != nil || v != 7 {
 		t.Fatalf("pre-park add = %d, %v", v, err)
 	}
+	for _, step := range []func() (client.ObjResult, error){
+		func() (client.ObjResult, error) { return reader.Create("m", object.TypeMap, 0) },
+		func() (client.ObjResult, error) { return reader.MapPut("m", "k", 3) },
+		func() (client.ObjResult, error) { return reader.Create("q", object.TypeQueue, 0) },
+		func() (client.ObjResult, error) { return reader.QEnq("q", 5) },
+		func() (client.ObjResult, error) { return reader.QEnq("q", 6) },
+		func() (client.ObjResult, error) { return reader.Create("s", object.TypeSnapshot, 2) },
+		func() (client.ObjResult, error) { return reader.SnapUpdate("s", 1, 9) },
+	} {
+		if _, err := step(); err != nil {
+			t.Fatalf("pre-park setup: %v", err)
+		}
+	}
 
-	armed.Store(1)
-	holderDone := make(chan error, 1)
-	go func() {
-		_, err := holder.Add(0, 1)
-		holderDone <- err
-	}()
-	<-entered // the holder is parked inside the core, owning the only slot
+	armed.Store(int32(k))
+	holderDone := make(chan error, k)
+	for range k {
+		holder := dial(t, addr)
+		defer holder.Close()
+		go func() {
+			_, err := holder.Add(0, 1)
+			holderDone <- err
+		}()
+	}
+	for range k {
+		<-entered // every slot is parked inside the core
+	}
 
 	before := srv.Stats()
 	if v, err := reader.Get(0); err != nil || v != 7 {
-		t.Fatalf("root get beside a parked holder = %d, %v; want the pre-park 7", v, err)
+		t.Fatalf("root get beside parked holders = %d, %v; want the pre-park 7", v, err)
 	}
+	if v, found, err := reader.MapGet("m", "k"); err != nil || !found || v != 3 {
+		t.Fatalf("map get beside parked holders = %d, %v, %v; want the pre-park 3", v, found, err)
+	}
+	if n, found, err := reader.QLen("q"); err != nil || !found || n != 2 {
+		t.Fatalf("queue length beside parked holders = %d, %v, %v; want the pre-park 2", n, found, err)
+	}
+	if slots, found, err := reader.SnapScan("s"); err != nil || !found || !slices.Equal(slots, []int64{0, 9}) {
+		t.Fatalf("snapshot scan beside parked holders = %v, %v, %v; want the pre-park [0 9]", slots, found, err)
+	}
+	const reads = 4
 	_, err := reader.Add(0, 10)
 	var we *wire.Error
 	if !errors.As(err, &we) || we.Status != wire.StatusTimeout {
-		t.Fatalf("add beside a parked holder: got %v, want status timeout", err)
+		t.Fatalf("add beside parked holders: got %v, want status timeout", err)
 	}
 	after := srv.Stats()
-	if got := after.ReadFastpath - before.ReadFastpath; got != 1 {
-		t.Fatalf("read_fastpath rose by %d across one get, want 1", got)
+	if got := after.ReadFastpath - before.ReadFastpath; got != reads {
+		t.Fatalf("read_fastpath rose by %d across %d reads", got, reads)
 	}
 	if after.OpDeadlines-before.OpDeadlines != 1 {
 		t.Fatalf("op_deadlines rose by %d, want 1 (the add alone)", after.OpDeadlines-before.OpDeadlines)
 	}
 
 	close(gate)
-	if err := <-holderDone; err != nil {
-		t.Fatal(err)
+	for range k {
+		if err := <-holderDone; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if v, err := reader.Get(0); err != nil || v != 8 {
-		t.Fatalf("root get after the holder committed = %d, %v; want 8", v, err)
+	if v, err := reader.Get(0); err != nil || v != 7+int64(k) {
+		t.Fatalf("root get after the holders committed = %d, %v; want %d", v, err, 7+k)
 	}
 	if n := gatedReads.Load(); n != 0 {
 		t.Fatalf("ApplyGate saw %d reads; reads take no slot and pass no gate", n)
