@@ -295,13 +295,21 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 
 	// Workers count acknowledged writes; the coordinator SIGKILLs the
 	// primary once half the total load is acked, so the crash lands on
-	// a quorum-replicated prefix with live traffic on top of it.
+	// a quorum-replicated prefix with live traffic on top of it. From
+	// that ack on, workers issue nothing new until the primary is dead:
+	// however fast the first half went, the rest of the load is the
+	// failover's alone.
 	var acked atomic.Int64
 	// killedAt and heirAck (UnixNano, 0 = not yet) bracket the figure the
 	// scenario exists to bound: victim SIGKILL to the first acknowledgement
 	// of a write issued after it, which only the heir can have given.
 	var killedAt, heirAck atomic.Int64
 	killAt := int64(cfg.n*cfg.ops) / 2
+	reached := make(chan struct{}) // closed by the ack that reaches killAt
+	dead := make(chan struct{})    // closed once the primary is killed
+	if killAt == 0 {
+		close(reached)
+	}
 	errs := make([]error, cfg.n)
 	var wg sync.WaitGroup
 	for i, c := range conns {
@@ -309,6 +317,9 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 		go func(i int, c *client.Client) {
 			defer wg.Done()
 			for op := 0; op < cfg.ops; op++ {
+				if acked.Load() >= killAt {
+					<-dead
+				}
 				issued := time.Now().UnixNano()
 				if _, err := c.Add(0, 1); err != nil {
 					errs[i] = fmt.Errorf("op %d: %w", op, err)
@@ -317,7 +328,9 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 				if k := killedAt.Load(); k != 0 && issued >= k {
 					heirAck.CompareAndSwap(0, time.Now().UnixNano())
 				}
-				acked.Add(1)
+				if acked.Add(1) == killAt {
+					close(reached)
+				}
 			}
 		}(i, c)
 	}
@@ -327,18 +340,19 @@ func runCluster(out io.Writer, cfg clusterConfig) error {
 
 	killed := make(chan error, 1)
 	go func() {
-		for acked.Load() < killAt {
-			select {
-			case <-done:
-				killed <- fmt.Errorf("workers stopped at %d/%d acked writes before the kill threshold", acked.Load(), killAt)
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
+		select {
+		case <-reached:
+		case <-done:
+			// Workers can only all stop short of the threshold by
+			// erroring out: the ones that reach it wait for the kill.
+			killed <- fmt.Errorf("workers stopped at %d/%d acked writes before the kill threshold", acked.Load(), killAt)
+			return
 		}
 		// The crash fault: the primary dies and STAYS dead. Progress from
 		// here on is the failover's alone.
 		members[primary].kill()
 		killedAt.Store(time.Now().UnixNano())
+		close(dead)
 		killed <- nil
 	}()
 

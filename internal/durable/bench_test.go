@@ -153,10 +153,11 @@ func BenchmarkStepOpEvict(b *testing.B) {
 var sinkRecords []Record
 
 // BenchmarkReadRecordsTail is a caught-up follower's pull: the last 8
-// records of the active segment. Its time, allocation and diskB/op
-// (bytes read off disk per pull) must not depend on how full the
-// segment is; every size leaves the tail half a stride past an index
-// entry, so the three rows read the same window.
+// records of the active segment. Its time and allocation must not
+// depend on how full the segment is, and its diskB/op (bytes read off
+// disk per pull) is 0: the active segment decodes from memory. Every
+// size leaves the tail half a stride past an index entry, so the three
+// rows read the same window.
 func BenchmarkReadRecordsTail(b *testing.B) {
 	const tail = 8
 	for _, size := range []struct {

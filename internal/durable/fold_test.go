@@ -2,7 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+
+	"kexclusion/internal/object"
 )
 
 // foldBase is a small seeded state for the Fold tests: epoch 3, version
@@ -84,6 +87,93 @@ func TestFold(t *testing.T) {
 	for v := Applied; v <= Diverged; v++ {
 		if !reached[v] {
 			t.Errorf("no case reached verdict %d", v)
+		}
+	}
+}
+
+// TestFoldRunEqualsFoldOneByOne: a FoldRun over a pulled stream gives
+// Fold's verdict for every record and, after End, Fold's state byte for
+// byte — through an epoch change, re-deliveries, gaps, fenced records and
+// divergences in mid-run. After every verdict that does not apply, the
+// run's state is already the one-by-one state: a divergence leaves it
+// where the last applied record did.
+func TestFoldRunEqualsFoldOneByOne(t *testing.T) {
+	const window = 2 // three sessions: the window evicts
+	rng := rand.New(rand.NewSource(1))
+	reached := map[Verdict]bool{}
+	for trial := 0; trial < 300; trial++ {
+		origin := foldBase()
+		seqs := map[uint64]uint64{7: 2}
+		var recs []Record
+		step := func(sess uint64, op Op) {
+			seq := uint64(0)
+			if sess != 0 {
+				seqs[sess]++
+				seq = seqs[sess]
+			}
+			out := StepOp(&origin, window, sess, seq, op)
+			recs = append(recs, Record{Session: sess, Seq: seq, Kind: op.Kind, Obj: op.Obj, Key: op.Key, Arg: op.Arg, Arg2: op.Arg2,
+				Val: out.Val, OK: out.OK, Ver: out.Ver, Epoch: out.Epoch})
+		}
+		step(7, Op{Kind: OpCreate, Obj: "m", Arg: int64(object.TypeMap)})
+		step(8, Op{Kind: OpCreate, Obj: "q", Arg: int64(object.TypeQueue)})
+		for i := 0; i < 24; i++ {
+			if i == 12 {
+				origin.Epoch++ // a promotion: the next record is Adopted
+			}
+			sess := []uint64{0, 7, 8, 9}[rng.Intn(4)]
+			switch rng.Intn(4) {
+			case 0:
+				step(sess, rootAdd(int64(rng.Intn(5))))
+			case 1:
+				step(sess, Op{Kind: OpMapPut, Obj: "m", Key: string(rune('a' + rng.Intn(3))), Arg: int64(i)})
+			case 2:
+				step(sess, Op{Kind: OpQEnq, Obj: "q", Arg: int64(i)})
+			case 3:
+				step(sess, Op{Kind: OpQDeq, Obj: "q"})
+			}
+		}
+		stream := append([]Record(nil), recs...)
+		for n := rng.Intn(3); n > 0; n-- {
+			k := rng.Intn(len(stream))
+			switch rng.Intn(5) {
+			case 0: // re-delivered: Covered
+				stream = append(stream[:k+1], append([]Record{stream[rng.Intn(k+1)]}, stream[k+1:]...)...)
+			case 1: // a disagreeing value: Diverged
+				stream[k].Val++
+			case 2: // lost: the records after it are a Gap
+				stream = append(stream[:k], stream[k+1:]...)
+			case 3: // a deposed epoch's record: Fenced
+				r := stream[k]
+				r.Epoch = 1
+				stream = append(stream[:k], append([]Record{r}, stream[k:]...)...)
+			case 4: // a later epoch over a logged version: Rewrite
+				r := stream[k]
+				r.Epoch, r.Ver = r.Epoch+2, r.Ver-1
+				stream = append(stream[:k], append([]Record{r}, stream[k:]...)...)
+			}
+		}
+
+		want, got := foldBase(), foldBase()
+		f := NewFoldRun(window, stream)
+		for i, r := range stream {
+			wv, gv := Fold(&want, window, r), f.Fold(&got)
+			if gv != wv {
+				t.Fatalf("trial %d record %d: run verdict %d, one by one %d", trial, i, gv, wv)
+			}
+			reached[gv] = true
+			if gv != Applied && gv != Adopted && !bytes.Equal(stateImage(got), stateImage(want)) {
+				t.Fatalf("trial %d record %d: verdict %d left the run's state off the one-by-one state", trial, i, gv)
+			}
+		}
+		f.End(&got)
+		if !bytes.Equal(stateImage(got), stateImage(want)) {
+			t.Fatalf("trial %d: the run's state differs from the one-by-one state", trial)
+		}
+	}
+	for v := Applied; v <= Diverged; v++ {
+		if !reached[v] {
+			t.Errorf("no record reached verdict %d", v)
 		}
 	}
 }

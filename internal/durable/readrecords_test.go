@@ -72,7 +72,14 @@ func referenceReadRecords(l *Log, from uint64, maxRecords int) ([]Record, uint64
 // index stride.
 func checkAgainstReference(t *testing.T, l *Log) {
 	t.Helper()
-	for from := uint64(0); from <= l.End(); from++ {
+	checkFromAgainstReference(t, l, 0)
+}
+
+// checkFromAgainstReference is checkAgainstReference for every from in
+// [first, End()].
+func checkFromAgainstReference(t *testing.T, l *Log, first uint64) {
+	t.Helper()
+	for from := first; from <= l.End(); from++ {
 		for _, max := range []int{1, 7, indexStride - 1, indexStride, indexStride + 1, 10_000} {
 			want, wantPos, wantErr := referenceReadRecords(l, from, max)
 			got, gotPos, gotErr := l.ReadRecords(from, max)
@@ -254,22 +261,34 @@ func TestReadRecordsAfterTornTail(t *testing.T) {
 
 // TestReadRecordsCorruptFrameFailsClosed: one flipped byte in a frame
 // the read touches — returned or merely stepped over on the way from
-// the index entry — is an error, never a short or shifted batch.
+// the index entry — is an error, never a short or shifted batch. The
+// damage is on disk, so it sits in a sealed segment: the reopened log
+// starts full and its boot marker rotates it (the active segment is
+// decoded from memory, see TestReadRecordsActiveFromMemory).
 func TestReadRecordsCorruptFrameFailsClosed(t *testing.T) {
 	opts := Options{Dir: t.TempDir(), Policy: SyncNever}
 	l, _ := mustOpen(t, opts)
-	defer l.Close()
 	var s ShardState
 	appendOps(t, l, &s, 0, 3, 1, 3*indexStride)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, opts.Dir)
+	offs := frameOffsets(t, seg)
+	opts.SegmentBytes = offs[len(offs)-1]
+	l, _ = mustOpen(t, opts)
+	defer l.Close()
+	if n := countSegments(t, opts.Dir); n != 2 {
+		t.Fatalf("%d segments after the rotating reopen, want 2", n)
+	}
 
 	// Damage the record two past the second index entry.
 	bad := uint64(indexStride + 3) // its LSN: record indexStride+2 of a segment starting at 1
-	seg := lastSegment(t, opts.Dir)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameOffsets(t, seg)[bad-1]+recHeaderLen+2] ^= 0x40
+	data[offs[bad-1]+recHeaderLen+2] ^= 0x40
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +315,92 @@ func TestReadRecordsCorruptFrameFailsClosed(t *testing.T) {
 			t.Errorf("%s: %d records, err %v; want %d records", c.name, len(recs), err, c.max)
 		}
 	}
+}
+
+// checkActiveFromMemory runs checkAgainstReference over every read that
+// starts inside the active segment and fails unless those reads took
+// nothing off disk.
+func checkActiveFromMemory(t *testing.T, l *Log) {
+	t.Helper()
+	l.mu.Lock()
+	first := l.segs[len(l.segs)-1].start
+	l.mu.Unlock()
+	read0 := l.ReadBytes()
+	checkFromAgainstReference(t, l, first-1)
+	if n := l.ReadBytes() - read0; n != 0 {
+		t.Fatalf("reads inside the active segment (LSN %d on) read %d bytes off disk, want 0", first, n)
+	}
+}
+
+// TestReadRecordsActiveFromMemory: a read inside the active segment
+// decodes the log's in-memory copy of it and reads nothing off disk,
+// and every read still agrees with a whole-file rescan of the disk —
+// after appends, across rotations (whose sealed segments are read off
+// disk), after a clean reopen, after a crash and after a reopen that
+// cut a torn tail.
+func TestReadRecordsActiveFromMemory(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), SegmentBytes: 10 << 10, Policy: SyncNever}
+	l, _ := mustOpen(t, opts)
+	var s ShardState
+	seq := appendMixed(t, l, &s, 3, 1, indexStride+indexStride/2)
+	if n := countSegments(t, opts.Dir); n != 1 {
+		t.Fatalf("%d segments after the first appends, want 1", n)
+	}
+	checkActiveFromMemory(t, l) // every read: the log is one segment
+
+	seq = appendMixed(t, l, &s, 3, seq, 3*indexStride)
+	if n := countSegments(t, opts.Dir); n < 3 {
+		t.Fatalf("%d segments, want rotations to leave at least 3", n)
+	}
+	checkActiveFromMemory(t, l)
+	read0 := l.ReadBytes()
+	if _, _, err := l.ReadRecords(0, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if l.ReadBytes() == read0 {
+		t.Fatal("a read through the sealed segments read nothing off disk")
+	}
+	checkAgainstReference(t, l)
+
+	// Reopen: the active segment's copy is what recovery read.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = mustOpen(t, opts)
+	checkActiveFromMemory(t, l)
+	seq = appendMixed(t, l, &s, 3, seq, indexStride)
+	checkActiveFromMemory(t, l)
+
+	// A crash: a copy of the live directory holds the active segment's
+	// preallocated zeros past its frames, and the copy ends at the frames.
+	cl, rec := mustOpen(t, Options{Dir: copyDir(t, opts.Dir), SegmentBytes: opts.SegmentBytes, Policy: SyncNever})
+	checkActiveFromMemory(t, cl)
+	cs := rec.Shards[0]
+	appendMixed(t, cl, &cs, 3, seq, indexStride)
+	checkActiveFromMemory(t, cl)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut the last frame short: recovery truncates it, and the copy ends
+	// at the cut.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, opts.Dir)
+	offs := frameOffsets(t, seg)
+	if err := os.Truncate(seg, offs[len(offs)-1]-5); err != nil {
+		t.Fatal(err)
+	}
+	l, rec = mustOpen(t, opts)
+	defer l.Close()
+	if rec.DroppedBytes == 0 {
+		t.Fatal("recovery dropped no torn tail")
+	}
+	checkActiveFromMemory(t, l)
+	s = rec.Shards[0]
+	appendMixed(t, l, &s, 3, seq, indexStride)
+	checkActiveFromMemory(t, l)
 }
 
 // TestReadRecordsConcurrentWithRotationAndPrune runs appenders that

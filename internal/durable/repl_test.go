@@ -131,6 +131,10 @@ func TestWaitEndLongPoll(t *testing.T) {
 	if got := l.WaitEnd(base, 10*time.Second); got != base {
 		t.Fatalf("satisfied wait returned %d, want %d", got, base)
 	}
+	// ... and arms no timer (a timer and its callback are allocations).
+	if n := testing.AllocsPerRun(100, func() { l.WaitEnd(base, 10*time.Second) }); n != 0 {
+		t.Fatalf("satisfied wait allocated %.0f times per call, want 0: it armed a timer", n)
+	}
 
 	// Timeout: no new appends, returns the unchanged end promptly.
 	start := time.Now()

@@ -302,32 +302,93 @@ const (
 // atomic container (folded one by one, each against its own shard) all
 // classify through it and differ only in what they do with the verdict.
 // *s moves on Applied and Adopted and is untouched otherwise: the step
-// runs on a private copy, because StepOp has already mutated its
-// argument by the time a divergence is visible.
+// runs on a private copy, because the op has already mutated it by the
+// time a divergence is visible.
 func Fold(s *ShardState, window int, r Record) Verdict {
+	next, run := *s, NewRun(window)
+	v := run.fold(&next, r)
+	if v == Applied || v == Adopted {
+		run.End(&next)
+		*s = next
+	}
+	return v
+}
+
+// fold is Fold's rule on the run: a record that is not the shard's next
+// version is refused (or Covered) on its coordinates alone, and *s is
+// left current, the run's pending dedup entry written; the next one is
+// re-executed on *s and must agree with what it recorded.
+func (run *Run) fold(s *ShardState, r Record) Verdict {
+	var v Verdict
 	switch {
 	case r.Epoch < s.Epoch:
-		return Fenced
+		v = Fenced
 	case r.Ver <= s.Ver && r.Epoch > s.Epoch:
-		return Rewrite
+		v = Rewrite
 	case r.Ver <= s.Ver:
-		return Covered
+		v = Covered
 	case r.Ver != s.Ver+1:
-		return Gap
+		v = Gap
 	}
-	next := s.Clone()
-	next.Epoch = r.Epoch
-	out := StepOp(&next, window, r.Session, r.Seq, Op{Kind: r.Kind, Obj: r.Obj, Key: r.Key, Arg: r.Arg, Arg2: r.Arg2})
-	if !out.Applied || out.Val != r.Val || out.Ver != r.Ver || out.OK != r.OK {
-		return Diverged
+	if v != Applied {
+		run.flush(s)
+		return v
 	}
 	adopted := r.Epoch > s.Epoch
-	*s = next
-	if adopted {
+	s.Epoch = r.Epoch
+	out := run.Step(s, r.Session, r.Seq, Op{Kind: r.Kind, Obj: r.Obj, Key: r.Key, Arg: r.Arg, Arg2: r.Arg2})
+	switch {
+	case !out.Applied || out.Val != r.Val || out.Ver != r.Ver || out.OK != r.OK:
+		return Diverged
+	case adopted:
 		return Adopted
 	}
 	return Applied
 }
+
+// FoldRun folds recs, consecutive records of one shard in log order,
+// onto one private state through one Run: every verdict, and after End
+// every byte of the state, is what Fold gives one record at a time, but
+// an object is cloned once per run and a session's history copied once
+// per stretch of its ops, not once per record.
+type FoldRun struct {
+	recs []Record
+	next int        // recs[next] is the record Fold takes next
+	base ShardState // the state before recs[0]
+	run  Run
+}
+
+// NewFoldRun starts folding recs; End must close it before its state is
+// published.
+func NewFoldRun(window int, recs []Record) FoldRun {
+	return FoldRun{recs: recs, run: NewRun(window)}
+}
+
+// Fold folds the next record onto *s and returns its verdict. As with
+// Fold, *s moves on Applied and Adopted only: after any other verdict it
+// is exactly the state the last applied record left, current enough to
+// cross-check a Covered record against (Contradicts), and the run may
+// go on.
+func (f *FoldRun) Fold(s *ShardState) Verdict {
+	if f.next == 0 {
+		f.base = *s
+	}
+	f.next++
+	v := f.run.fold(s, f.recs[f.next-1])
+	if v == Diverged {
+		// The op ran on *s itself before the disagreement showed: fold
+		// what came before it again, from the base.
+		*s, f.run = f.base, NewRun(f.run.window)
+		for _, r := range f.recs[:f.next-1] {
+			f.run.fold(s, r)
+		}
+		f.run.flush(s)
+	}
+	return v
+}
+
+// End closes the run: *s is the state to publish.
+func (f *FoldRun) End(s *ShardState) { f.run.End(s) }
 
 // Contradicts cross-checks a Covered record against the dedup window:
 // if the window still remembers the record's op ID, its recorded

@@ -154,6 +154,13 @@ type Log struct {
 	closed  bool
 	fail    error // sticky: set by the first failed append/fsync, fatal
 
+	// active holds the active segment's written whole frames, the bytes
+	// its file holds below them: ReadRecords decodes the active segment
+	// from here, without opening the file. It is only ever appended to,
+	// and growth and rotation give it a new array, so bytes below a
+	// length a reader captured are never written again.
+	active []byte
+
 	syncNanos atomic.Uint64 // time spent inside fsync
 	readBytes atomic.Uint64 // bytes ReadRecords has read off disk
 
@@ -285,7 +292,8 @@ func (l *Log) recover() (Recovery, error) {
 }
 
 // replaySegment applies one segment's records to rec, returning how
-// many records it held and filling sg's size and index from the scan.
+// many records it held and filling sg's size and index from the scan;
+// the final segment's whole frames become the log's in-memory copy.
 // Zeros from a frame boundary to the end are unwritten preallocated
 // space (no frame has length 0): the data ends there. Torn or corrupt
 // data in the final segment is truncated away (a crash mid-write); the
@@ -341,6 +349,9 @@ func (l *Log) replaySegment(sg *segment, last bool, snapCover uint64, rec *Recov
 		n++
 	}
 	sg.size = int64(off)
+	if last {
+		l.active = data[:off]
+	}
 	return n, nil
 }
 
@@ -396,6 +407,7 @@ func (l *Log) truncateTail(sg *segment, data []byte, off int, cause error, rec *
 	}
 	rec.DroppedBytes += dropped
 	sg.size = int64(off)
+	l.active = data[:off]
 	return nil
 }
 
@@ -463,9 +475,10 @@ func (l *Log) appendLocked(frame []byte) error {
 	return nil
 }
 
-// writeLocked pwrites the buffer after the active segment's whole frames
-// and wakes the log's readers. A failed write poisons the log; the file
-// may hold part of the buffer, so nothing is written after it.
+// writeLocked pwrites the buffer after the active segment's whole frames,
+// keeps a copy in memory and wakes the log's readers. A failed write
+// poisons the log; the file may hold part of the buffer, so nothing is
+// written after it, and the copy never holds it.
 func (l *Log) writeLocked() error {
 	if len(l.pending) == 0 || l.fail != nil {
 		return l.fail
@@ -475,10 +488,24 @@ func (l *Log) writeLocked() error {
 		l.poisonLocked(err)
 		return l.fail
 	}
+	l.keepLocked(l.pending)
 	l.pending = l.pending[:0]
 	l.written = l.end
 	l.endCond.Broadcast()
 	return nil
+}
+
+// keepLocked appends written frames to the active segment's in-memory
+// copy. They land past every length a reader has captured; growth
+// doubles into a new array, up to the most one segment holds:
+// SegmentBytes plus one frame.
+func (l *Log) keepLocked(frames []byte) {
+	if n := len(l.active) + len(frames); n > cap(l.active) {
+		grown := make([]byte, len(l.active), max(n, min(2*cap(l.active), int(l.opts.SegmentBytes)+readChunk)))
+		copy(grown, l.active)
+		l.active = grown
+	}
+	l.active = append(l.active, frames...)
 }
 
 // rotateLocked trims, syncs and retires the active segment, then opens
@@ -499,7 +526,7 @@ func (l *Log) rotateLocked() error {
 }
 
 // openSegmentLocked creates the segment whose first record will be
-// LSN start and makes it active.
+// LSN start and makes it active, its in-memory copy a new empty slice.
 func (l *Log) openSegmentLocked(start uint64) error {
 	path := filepath.Join(l.opts.Dir, fmt.Sprintf("wal-%016d.seg", start))
 	f, err := l.openActive(path, os.O_CREATE|os.O_EXCL)
@@ -510,7 +537,7 @@ func (l *Log) openSegmentLocked(start uint64) error {
 		f.Close()
 		return err
 	}
-	l.f = f
+	l.f, l.active = f, nil
 	l.segs = append(l.segs, segment{start: start, path: path})
 	return nil
 }
@@ -768,7 +795,14 @@ func (l *Log) minPinLocked() (uint64, bool) {
 // timeout lapses, or the log closes/poisons, returning the written end.
 // It is the long-poll primitive replication pulls park on: a caught-up
 // follower's pull waits here, and wakes once per write, not per record.
+// A log already past min returns at once, arming no timer.
 func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	waiting := func() bool { return l.written < min && !l.closed && l.fail == nil }
+	if !waiting() {
+		return l.written
+	}
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		l.mu.Lock()
@@ -776,9 +810,7 @@ func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 		l.mu.Unlock()
 	})
 	defer timer.Stop()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.written < min && !l.closed && l.fail == nil && time.Now().Before(deadline) {
+	for waiting() && time.Now().Before(deadline) {
 		l.endCond.Wait()
 	}
 	return l.written
@@ -790,16 +822,18 @@ func (l *Log) WaitEnd(min uint64, timeout time.Duration) uint64 {
 // caller resuming at end never re-reads them). A from below the oldest
 // live segment returns ErrPruned — the tail was pruned behind a
 // snapshot and the reader needs a state image instead. Safe against
-// concurrent appends: the written end, the segment list and every
-// segment's written length are captured together at entry, nothing past
-// them is read, and writes never mutate written bytes.
+// concurrent appends: the written end, the segment list, every segment's
+// written length and the active segment's in-memory copy are captured
+// together at entry, nothing past them is read, and writes never mutate
+// written bytes.
 //
 // The read costs O(batch), not O(segment): it seeks through the
 // segment's sparse index to the nearest indexed record at or below
-// from+1 and reads forward from there in bounded chunks. Every frame
-// read is CRC-checked, stepped over or returned, and the returned ones
-// parsed; bytes before the seek point were verified when written or
-// recovered.
+// from+1 and decodes forward from there. The active segment decodes from
+// its in-memory copy, with no open or read; a sealed one is read off disk
+// in bounded chunks. Every frame decoded is CRC-checked, stepped over or
+// returned, and the returned ones parsed; bytes before the seek point
+// were verified when written or recovered.
 func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -810,6 +844,7 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 	segs := make([]segment, len(l.segs))
 	copy(segs, l.segs)
 	segs[len(segs)-1].size -= int64(len(l.pending))
+	active := l.active
 	l.mu.Unlock()
 
 	if from >= end {
@@ -827,12 +862,12 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 	for i := first; i < len(segs) && pos < end; i++ {
 		// A sealed segment ends where its successor starts; the active
 		// one at the captured end.
-		stop := end
+		stop, mem := end, active
 		if i+1 < len(segs) {
-			stop = segs[i+1].start - 1
+			stop, mem = segs[i+1].start-1, nil
 		}
 		var err error
-		if out, pos, err = l.readSegment(segs[i], pos, stop, maxRecords, out); err != nil {
+		if out, pos, err = l.readSegment(segs[i], mem, pos, stop, maxRecords, out); err != nil {
 			return nil, from, err
 		}
 		if len(out) >= maxRecords {
@@ -845,34 +880,41 @@ func (l *Log) ReadRecords(from uint64, maxRecords int) ([]Record, uint64, error)
 // readSegment appends sg's op records with LSNs in (pos, stop] to out,
 // stopping early once out holds maxRecords, and returns the grown batch
 // with the last LSN consumed. sg is a copy captured under l.mu, so its
-// size and index describe whole frames only.
-func (l *Log) readSegment(sg segment, pos, stop uint64, maxRecords int, out []Record) ([]Record, uint64, error) {
-	f, err := os.Open(sg.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			// The segment list was captured under the mutex, but a
-			// concurrent snapshot prune unlinked the file before the
-			// open: same answer as arriving after the prune — the
-			// reader needs a state image, not a broken stream.
-			return nil, pos, fmt.Errorf("%w: segment %s pruned mid-read", ErrPruned, filepath.Base(sg.path))
-		}
-		return nil, pos, err
-	}
-	defer f.Close()
-
+// size and index describe whole frames only. mem, when not nil, is the
+// segment's whole frames (the active segment's in-memory copy, as long
+// as sg.size): they are decoded in place and the file is not opened.
+func (l *Log) readSegment(sg segment, mem []byte, pos, stop uint64, maxRecords int, out []Record) ([]Record, uint64, error) {
 	entry := (pos + 1 - sg.start) / indexStride
 	off := sg.index[entry]                   // file offset of buf[0]
 	last := sg.start + entry*indexStride - 1 // LSN of the last frame decoded
 	var buf []byte                           // bytes read and not yet decoded
+	var f *os.File                           // nil when decoding mem
+	if mem != nil {
+		buf = mem[off:]
+	} else {
+		var err error
+		if f, err = os.Open(sg.path); err != nil {
+			if os.IsNotExist(err) {
+				// The segment list was captured under the mutex, but a
+				// concurrent snapshot prune unlinked the file before the
+				// open: same answer as arriving after the prune — the
+				// reader needs a state image, not a broken stream.
+				return nil, pos, fmt.Errorf("%w: segment %s pruned mid-read", ErrPruned, filepath.Base(sg.path))
+			}
+			return nil, pos, err
+		}
+		defer f.Close()
+	}
 	for last < stop {
 		body, sz, err := decodeFrame(buf, maxBody)
 		if errors.Is(err, errTorn) {
 			// The frame straddles the end of what has been read: read
-			// the next chunk behind it. Nothing left to read means the
-			// file holds fewer records than the log accounts for.
+			// the next chunk behind it. Nothing left to read (mem holds
+			// it all) means the segment holds fewer records than the log
+			// accounts for.
 			next := off + int64(len(buf)) // first byte not read yet
 			n := min(readChunk, sg.size-next)
-			if n <= 0 {
+			if n <= 0 || f == nil {
 				return nil, pos, fmt.Errorf("durable: reading %s at offset %d: %w: segment ends at LSN %d, want %d",
 					filepath.Base(sg.path), off, errCorrupt, last, stop)
 			}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kexclusion/internal/durable"
@@ -58,10 +59,13 @@ func BenchmarkPipelineDepth(b *testing.B) {
 // every node, no injected delay), every ack gated on the majority
 // quorum: the follower pulls, the covering fsyncs and the quorum wait
 // are all inside the round. diskB/pull is what the primary's WAL read
-// back per pull it served; it must not grow with b.N, i.e. with how
-// full the active segment is. records/op is what every node's pulls
-// shipped per acked op: a record crosses the cluster once per follower
-// (N−1 = 2), not once per stream (6).
+// back off disk per pull it served: 0 for a caught-up follower, whose
+// pulls decode the active segment from memory (rounds are sequential, so
+// the followers are caught up whenever a rotation seals a segment).
+// records/op is what every node's pulls shipped per acked op: a record
+// crosses the cluster once per follower (N−1 = 2), not once per stream
+// (6). allocs/round and B/round count the whole cluster's allocations;
+// from 100 rounds on, more than 350 allocs a round fails.
 func BenchmarkQuorumRound(b *testing.B) {
 	const depth = 8
 	nodes := startTestCluster(b, 3, 1, 2)
@@ -92,6 +96,8 @@ func BenchmarkQuorumRound(b *testing.B) {
 	round(1) // first contact: followers connect and catch up
 	waitReplicated(b, nodes)
 	before, shipped0 := owner.srv.Stats(), shipped()
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -99,6 +105,7 @@ func BenchmarkQuorumRound(b *testing.B) {
 	}
 	b.StopTimer()
 
+	runtime.ReadMemStats(&mem1)
 	waitReplicated(b, nodes)
 	after := owner.srv.Stats()
 	if got, want := after.QuorumAcks-before.QuorumAcks, int64(b.N*depth); got != want {
@@ -108,7 +115,17 @@ func BenchmarkQuorumRound(b *testing.B) {
 	if perOp > 2.05 {
 		b.Fatalf("%.2f records shipped per acked op, want at most N-1 = 2: a record crossed the cluster more than once per follower", perOp)
 	}
+	diskB := float64(after.WALReadBytes-before.WALReadBytes) / float64(after.ReplPullsServed-before.ReplPullsServed)
+	if diskB != 0 {
+		b.Fatalf("%.0f bytes read off disk per pull served, want 0: a caught-up follower's pull opened the WAL", diskB)
+	}
+	allocs := float64(mem1.Mallocs-mem0.Mallocs) / float64(b.N)
+	if b.N >= 100 && allocs > 350 {
+		b.Fatalf("%.0f allocs per round, want at most 350", allocs)
+	}
 	b.ReportMetric(perOp, "records/op")
-	b.ReportMetric(float64(after.WALReadBytes-before.WALReadBytes)/float64(after.ReplPullsServed-before.ReplPullsServed), "diskB/pull")
+	b.ReportMetric(diskB, "diskB/pull")
+	b.ReportMetric(allocs, "allocs/round")
+	b.ReportMetric(float64(mem1.TotalAlloc-mem0.TotalAlloc)/float64(b.N), "B/round")
 	b.ReportMetric(float64(b.N*depth)/float64(after.WALFsyncs-before.WALFsyncs), "ops/fsync")
 }

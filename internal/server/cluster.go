@@ -80,88 +80,178 @@ type replBackend struct {
 }
 
 // ApplyReplicated folds a replicated batch into the local table and WAL
-// in record order. Every record is a group of members (a type-9
-// container's, or the record itself), and each member meets its shard
-// through durable.Fold under the reserved replication identity. A
-// re-delivered member (Covered) is skipped after a dedup cross-check, so
-// a batch replayed after a mid-batch crash, or a partly re-delivered
-// container, lands once. One epoch has one writer, so a remembered op
-// that disagrees is a same-epoch fork: Diverged. Fenced, Gap, Rewrite
-// and Diverged stop the batch, and the verdict returns for the pull
-// loop's rule to act on.
+// in record order, a step at a time. A step is a type-9 container,
+// whose members each meet their shard through durable.Fold, or a stretch
+// of consecutive plain records of one shard, folded in one Apply through
+// one durable.FoldRun; both run under the reserved replication identity.
+// A re-delivered record or member (Covered) is skipped after a dedup
+// cross-check, so a batch replayed after a mid-batch crash, or a partly
+// re-delivered container, lands once. One epoch has one writer, so a
+// remembered op that disagrees is a same-epoch fork: Diverged. Fenced,
+// Gap, Rewrite and Diverged stop the batch — a stretch first logs what
+// applied before the refused record, a container logs nothing — and the
+// verdict returns for the pull loop's rule to act on.
 //
-// What applied lands in the local WAL as the one verbatim origin record,
-// through the same ordered append as a primary's own, so a restart
-// recovers replicated history like native history, a group as a unit. A
-// member that continues the version line at a HIGHER epoch (Adopted)
-// carries a promotion's epoch bump, and its record is fenced, not
-// appended: the sequencers move onto the new (epoch, version) line,
-// aborting any old-epoch waiter, and a snapshot covers the record and
-// fences what the deposed line logged. A refused turn (a state install
-// moved the shard past the record, unreachable under replMu) takes the
-// same fence.
+// What applied lands in the local WAL as the verbatim origin records (a
+// container as its one record), through the same ordered append as a
+// primary's own, one turn per step, so a restart recovers replicated
+// history like native history, a group as a unit. A record that
+// continues the version line at a HIGHER epoch (Adopted) carries a
+// promotion's epoch bump: it heads its own stretch, and its record is
+// fenced, not appended: the sequencers move onto the new (epoch,
+// version) line, aborting any old-epoch waiter, and a snapshot covers
+// the record and fences what the deposed line logged. A refused turn (a
+// state install moved the shard past the record, unreachable under
+// replMu) takes the same fence.
 func (b *replBackend) ApplyReplicated(recs []durable.Record) (uint64, durable.Verdict, error) {
 	s := b.s
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	var maxLsn uint64
-	var spans []span
-	for i, rec := range recs {
-		members := rec.Atomic
-		if len(members) == 0 {
-			members = recs[i : i+1]
+	for len(recs) > 0 {
+		step := b.applyStretch
+		if len(recs[0].Atomic) > 0 {
+			step = b.applyGroup
 		}
-		spans = spans[:0]
-		adopted := false
-		for _, r := range members {
-			if int(r.Shard) >= s.cfg.Shards {
-				return maxLsn, durable.Applied, fmt.Errorf("server: replicated record for shard %d, table has %d", r.Shard, s.cfg.Shards)
-			}
-			sh := s.tab.shards[r.Shard]
-			v := sh.obj.Apply(s.replIdentity(), func(st durable.ShardState) (durable.ShardState, any) {
-				verdict := durable.Fold(&st, s.cfg.DedupWindow, r)
-				if verdict == durable.Covered && st.Contradicts(r) {
-					verdict = durable.Diverged
-				}
-				return st, verdict
-			})
-			switch verdict := v.(durable.Verdict); verdict {
-			case durable.Covered:
-				continue
-			case durable.Adopted:
-				adopted = true
-			case durable.Applied:
-			default:
-				st := sh.obj.Peek()
-				return maxLsn, verdict, fmt.Errorf("server: shard %d record (epoch %d, version %d) refused at local (epoch %d, version %d): %s",
-					r.Shard, r.Epoch, r.Ver, st.Epoch, st.Ver, refusals[verdict])
-			}
-			spans = extend(spans, r)
+		n, lsn, refused, err := step(recs)
+		maxLsn = max(maxLsn, lsn)
+		if err != nil {
+			return maxLsn, refused, err
 		}
-		if len(spans) == 0 {
-			// Fully re-delivered: every member was already in local
-			// history, so the record itself was already appended.
-			continue
-		}
-		if adopted {
-			s.tab.release(spans)
-		} else {
-			lsn, err := s.tab.logInOrder(spans, rec)
-			if err == nil {
-				maxLsn = max(maxLsn, lsn)
-				continue
-			}
-			if !errors.Is(err, errSuperseded) {
-				return maxLsn, durable.Applied, err
-			}
-		}
-		// Fenced, not appended. The snapshot is a full-table image, so it
-		// covers every member.
-		if err := s.log.WriteSnapshot(s.tab.peekAll); err != nil {
-			return maxLsn, durable.Applied, err
-		}
+		recs = recs[n:]
 	}
 	return maxLsn, durable.Applied, nil
+}
+
+// applyGroup folds the container heading recs member by member and logs
+// it whole; it is a step of one record, and returns as applyStretch
+// does. A refused member refuses the container, and nothing of it is
+// logged.
+func (b *replBackend) applyGroup(recs []durable.Record) (int, uint64, durable.Verdict, error) {
+	rec := recs[0]
+	var spans []span
+	adopted := false
+	for i, r := range rec.Atomic {
+		if err := b.checkShard(r); err != nil {
+			return 1, 0, durable.Applied, err
+		}
+		switch v := b.fold(rec.Atomic[i : i+1])[0]; v {
+		case durable.Covered:
+			continue
+		case durable.Adopted:
+			adopted = true
+		case durable.Applied:
+		default:
+			return 1, 0, v, b.refusal(r, v)
+		}
+		spans = extend(spans, r)
+	}
+	if len(spans) == 0 {
+		// Fully re-delivered: every member was already in local
+		// history, so the record itself was already appended.
+		return 1, 0, durable.Applied, nil
+	}
+	lsn, err := b.commit(spans, adopted, rec)
+	return 1, lsn, durable.Applied, err
+}
+
+// applyStretch folds the plain records of one shard that head recs in
+// one Apply and logs the ones that applied in one turn. It returns how
+// many records it took, the last LSN it appended and the verdict of the
+// record that refused the stretch, if one did.
+func (b *replBackend) applyStretch(recs []durable.Record) (int, uint64, durable.Verdict, error) {
+	n := 1
+	for n < len(recs) && len(recs[n].Atomic) == 0 && recs[n].Shard == recs[0].Shard {
+		n++
+	}
+	if err := b.checkShard(recs[0]); err != nil {
+		return 0, 0, durable.Applied, err
+	}
+	verdicts := b.fold(recs[:n])
+	n = len(verdicts)
+	var logged []durable.Record
+	refused := durable.Applied
+	for i, v := range verdicts {
+		switch v {
+		case durable.Covered:
+		case durable.Applied, durable.Adopted:
+			logged = append(logged, recs[i])
+		default:
+			refused = v
+		}
+	}
+	var lsn uint64
+	if len(logged) > 0 {
+		last := logged[len(logged)-1]
+		sp := []span{{shard: last.Shard, first: logged[0].Ver, last: last.Ver, epoch: last.Epoch}}
+		var err error
+		// An Adopted record is its stretch's first and only (see fold).
+		if lsn, err = b.commit(sp, verdicts[0] == durable.Adopted, logged...); err != nil {
+			return n, lsn, durable.Applied, err
+		}
+	}
+	if refused != durable.Applied {
+		return n, lsn, refused, b.refusal(recs[n-1], refused)
+	}
+	return n, lsn, durable.Applied, nil
+}
+
+// fold folds recs, records of one shard, onto it in one Apply through a
+// durable.FoldRun and returns the verdict of each record it took. It
+// takes records up to and including the first that neither applies in
+// its epoch nor is Covered, and stops short of a later record at a
+// higher epoch, so a promotion's record heads its own step.
+func (b *replBackend) fold(recs []durable.Record) []durable.Verdict {
+	s := b.s
+	v := s.tab.shards[recs[0].Shard].obj.Apply(s.replIdentity(), func(st durable.ShardState) (durable.ShardState, any) {
+		f := durable.NewFoldRun(s.cfg.DedupWindow, recs)
+		verdicts := make([]durable.Verdict, 0, len(recs))
+		for i, r := range recs {
+			if i > 0 && r.Epoch > st.Epoch {
+				break
+			}
+			v := f.Fold(&st)
+			if v == durable.Covered && st.Contradicts(r) {
+				v = durable.Diverged
+			}
+			verdicts = append(verdicts, v)
+			if v != durable.Applied && v != durable.Covered {
+				break
+			}
+		}
+		f.End(&st)
+		return st, verdicts
+	})
+	return v.([]durable.Verdict)
+}
+
+// commit logs what a step applied, in one ordered turn over its spans,
+// and returns the last LSN appended. An Adopted step, or one whose turn
+// is refused, is fenced instead: its spans are released and a snapshot,
+// a full-table image, covers every record of it.
+func (b *replBackend) commit(spans []span, adopted bool, recs ...durable.Record) (uint64, error) {
+	s := b.s
+	if adopted {
+		s.tab.release(spans)
+	} else if lsn, err := s.tab.logInOrder(spans, recs...); !errors.Is(err, errSuperseded) {
+		return lsn, err
+	}
+	return 0, s.log.WriteSnapshot(s.tab.peekAll)
+}
+
+// checkShard refuses a record for a shard the table does not have.
+func (b *replBackend) checkShard(r durable.Record) error {
+	if int(r.Shard) >= b.s.cfg.Shards {
+		return fmt.Errorf("server: replicated record for shard %d, table has %d", r.Shard, b.s.cfg.Shards)
+	}
+	return nil
+}
+
+// refusal explains the verdict that stopped a batch at record r.
+func (b *replBackend) refusal(r durable.Record, v durable.Verdict) error {
+	st := b.s.tab.shards[r.Shard].obj.Peek()
+	return fmt.Errorf("server: shard %d record (epoch %d, version %d) refused at local (epoch %d, version %d): %s",
+		r.Shard, r.Epoch, r.Ver, st.Epoch, st.Ver, refusals[v])
 }
 
 // refusals says why each verdict that stops a batch does.

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -443,5 +448,182 @@ func TestAppendSequencerInstallAbortsWaiters(t *testing.T) {
 	}
 	if g.waitAppended(1, 1) {
 		t.Fatal("waitAppended vouched for a superseded epoch")
+	}
+}
+
+// replGen fabricates what a primary's log would ship a follower: it
+// keeps each shard where the follower will be once the records so far
+// land, and the records of the current epoch it holds.
+type replGen struct {
+	rng  *rand.Rand
+	st   [2]durable.ShardState
+	held [2][]durable.Record
+	seq  map[uint64]uint64
+}
+
+// next is shard's next record on the given state, at its epoch.
+func (g *replGen) next(st *durable.ShardState, shard uint32) durable.Record {
+	sess := []uint64{0, 11, 12, 13}[g.rng.Intn(4)]
+	var seq uint64
+	if sess != 0 {
+		g.seq[sess]++
+		seq = g.seq[sess]
+	}
+	op := rootAdd(int64(1 + g.rng.Intn(9)))
+	out := durable.StepOp(st, 1024, sess, seq, op)
+	return durable.Record{Session: sess, Seq: seq, Shard: shard, Kind: op.Kind, Obj: op.Obj, Arg: op.Arg,
+		Val: out.Val, OK: out.OK, Ver: out.Ver, Epoch: out.Epoch}
+}
+
+// applied is shard's next record; the follower applies it.
+func (g *replGen) applied(shard uint32) durable.Record {
+	r := g.next(&g.st[shard], shard)
+	g.held[shard] = append(g.held[shard], r)
+	return r
+}
+
+// covered re-delivers a record the follower already holds.
+func (g *replGen) covered(shard uint32) durable.Record {
+	return g.held[shard][g.rng.Intn(len(g.held[shard]))]
+}
+
+// refused is a record of shard that meets it with verdict v; only an
+// Adopted one moves the follower.
+func (g *replGen) refused(shard uint32, v durable.Verdict) durable.Record {
+	scratch := g.st[shard]
+	switch v {
+	case durable.Gap:
+		g.next(&scratch, shard)
+		return g.next(&scratch, shard)
+	case durable.Adopted:
+		g.st[shard].Epoch++
+		r := g.next(&g.st[shard], shard)
+		g.held[shard] = []durable.Record{r}
+		return r
+	}
+	r := g.next(&scratch, shard)
+	switch v {
+	case durable.Rewrite:
+		r.Epoch, r.Ver = r.Epoch+1, r.Ver-1
+	case durable.Fenced:
+		r.Epoch--
+	case durable.Diverged:
+		r.Val++
+	}
+	return r
+}
+
+// sync moves the generator to where the follower stands.
+func (g *replGen) sync(s *Server) {
+	for shard := range g.st {
+		g.st[shard] = s.tab.shards[shard].obj.Peek()
+		g.held[shard] = slices.DeleteFunc(g.held[shard], func(r durable.Record) bool {
+			return r.Epoch != g.st[shard].Epoch || r.Ver > g.st[shard].Ver
+		})
+	}
+}
+
+// walBytes is every WAL segment of s, written out, end to end.
+func walBytes(t *testing.T, s *Server) []byte {
+	t.Helper()
+	if err := s.log.WaitDurable(s.log.End()); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
+}
+
+// TestApplyReplicatedRunEqualsOneByOne: a batch folded a stretch at a
+// time lands exactly what the same records land one ApplyReplicated
+// call each — the same (lsn, refused), every shard's state and every WAL
+// byte. Each batch mixes applied and re-delivered (Covered) records of
+// two shards, a Covered one also inside a stretch after applied ones,
+// and puts one Gap, Rewrite, Fenced, Diverged or Adopted record first,
+// in the middle or last.
+func TestApplyReplicatedRunEqualsOneByOne(t *testing.T) {
+	run, ref := soloClusterServer(t), soloClusterServer(t)
+	for _, s := range []*Server{run, ref} {
+		if err := (&replBackend{s: s}).BumpEpochs([]uint32{0, 1}); err != nil { // epoch 1: a Fenced record exists
+			t.Fatal(err)
+		}
+	}
+	g := &replGen{rng: rand.New(rand.NewSource(1)), seq: map[uint64]uint64{}}
+	g.sync(ref)
+	seed := []durable.Record{g.applied(0), g.applied(0), g.applied(1), g.applied(1)}
+	for _, s := range []*Server{run, ref} {
+		if _, _, err := (&replBackend{s: s}).ApplyReplicated(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for round := 0; round < 3; round++ {
+		for _, v := range []durable.Verdict{durable.Gap, durable.Rewrite, durable.Fenced, durable.Diverged, durable.Adopted} {
+			for _, at := range []string{"first", "middle", "last"} {
+				g.sync(ref)
+				var batch []durable.Record
+				add := func(r durable.Record) { batch = append(batch, r) }
+				special := func(where string) {
+					if at == where {
+						add(g.refused(0, v))
+					}
+				}
+				special("first")
+				add(g.covered(0))
+				add(g.applied(0))
+				add(g.applied(0))
+				add(g.covered(0)) // inside the stretch, after applied records
+				add(g.applied(0))
+				special("middle")
+				add(g.applied(1))
+				add(g.covered(1))
+				add(g.applied(1))
+				add(g.applied(0))
+				special("last")
+
+				gotLsn, gotV, gotErr := (&replBackend{s: run}).ApplyReplicated(batch)
+				var wantLsn uint64
+				wantV, wantErr := durable.Applied, error(nil)
+				for _, r := range batch {
+					lsn, v, err := (&replBackend{s: ref}).ApplyReplicated([]durable.Record{r})
+					wantLsn = max(wantLsn, lsn)
+					if err != nil {
+						wantV, wantErr = v, err
+						break
+					}
+				}
+				name := fmt.Sprintf("round %d, verdict %d %s", round, v, at)
+				if gotLsn != wantLsn || gotV != wantV || (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: (lsn %d, refused %d, err %v), one by one (lsn %d, refused %d, err %v)",
+						name, gotLsn, gotV, gotErr, wantLsn, wantV, wantErr)
+				}
+				if v != durable.Adopted && gotV != v {
+					t.Fatalf("%s: batch refused with %d", name, gotV)
+				}
+				if !bytes.Equal(durable.EncodeState(run.tab.peekAll()), durable.EncodeState(ref.tab.peekAll())) {
+					t.Fatalf("%s: shard states differ from one by one", name)
+				}
+				for i := range run.tab.shards {
+					a, b := run.tab.shards[i].seq, ref.tab.shards[i].seq
+					if a.next != b.next || a.epoch != b.epoch {
+						t.Fatalf("%s: shard %d sequencer at (epoch %d, next %d), one by one (epoch %d, next %d)",
+							name, i, a.epoch, a.next, b.epoch, b.next)
+					}
+				}
+				if !bytes.Equal(walBytes(t, run), walBytes(t, ref)) {
+					t.Fatalf("%s: WAL bytes differ from one by one", name)
+				}
+			}
+		}
 	}
 }

@@ -138,7 +138,7 @@ func renderMetrics(st wire.Stats, goroutines, openFDs int) []byte {
 	counter("shed_ops_total", "Operations refused by the in-flight ceiling (never applied).", st.ShedOps)
 	scalar("wal_fsync_seconds_total", "counter", "Time spent inside WAL fsyncs; over wal_fsyncs_total it is the mean fsync.", time.Duration(st.WALFsyncNanos).Seconds())
 	counter("wal_fsyncs_total", "Fsyncs the WAL has issued (0 without a data directory).", st.WALFsyncs)
-	counter("wal_read_bytes_total", "Bytes log readers (replication pulls) have read back from WAL segments.", st.WALReadBytes)
+	counter("wal_read_bytes_total", "Bytes log readers (replication pulls) have read off disk from sealed WAL segments; a caught-up follower costs none.", st.WALReadBytes)
 
 	return []byte(b.String())
 }

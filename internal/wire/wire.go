@@ -414,8 +414,8 @@ type Stats struct {
 	RecoveredOps int64 `json:"recovered_ops"`
 	Rejected     int64 `json:"rejected"`
 	// ReplPullsServed counts replication pulls this node answered from
-	// its WAL (zero off-cluster); with WALReadBytes it gives the bytes
-	// a pull costs, which must not grow with the segment.
+	// its WAL (zero off-cluster); with WALReadBytes it gives the disk
+	// bytes a pull costs, 0 for a caught-up follower.
 	ReplPullsServed int64 `json:"repl_pulls_served"`
 	// ReplRecordsServed counts the records those pulls shipped.
 	ReplRecordsServed int64 `json:"repl_records_served"`
@@ -435,8 +435,9 @@ type Stats struct {
 	// WALFsyncs counts fsyncs the WAL has issued (group commit makes it
 	// far smaller than the mutation count) and WALFsyncNanos the time
 	// spent inside them, so their ratio is the mean fsync; WALReadBytes
-	// counts bytes log readers — replication pulls — have read back off
-	// disk. All are zero without a data directory.
+	// counts bytes log readers — replication pulls — have read off disk,
+	// which only sealed segments cost. All are zero without a data
+	// directory.
 	WALFsyncNanos int64 `json:"wal_fsync_ns"`
 	WALFsyncs     int64 `json:"wal_fsyncs"`
 	WALReadBytes  int64 `json:"wal_read_bytes"`
